@@ -122,6 +122,10 @@ type roundState struct {
 	spans  [][2]int
 	active atomic.Int64
 	done   chan struct{}
+
+	// panics[w] holds a program panic raised while worker w resumed one of
+	// its cores; the coordinator re-raises it after the barrier.
+	panics []any
 }
 
 const advBlocked, advAdvanced, advExited = 0, 1, 2
@@ -153,6 +157,7 @@ func (s *System) runRounds(live []*core) {
 		rs.start = append(rs.start, make(chan struct{}, 1))
 		rs.spans = append(rs.spans, [2]int{lo, hi})
 	}
+	rs.panics = make([]any, len(rs.start))
 	for w := range rs.start {
 		go s.domainWorker(rs, live, w)
 	}
@@ -176,9 +181,6 @@ func (s *System) runRounds(live []*core) {
 		c.hasReq = false
 		s.handle(c, r)
 		c.fastFailed = false
-		if !c.done && c.parked == parkNone {
-			s.receive(c)
-		}
 		s.retryParked(live)
 	}
 }
@@ -265,6 +267,11 @@ func (s *System) runRound(rs *roundState, live []*core) {
 		ch <- struct{}{}
 	}
 	<-rs.done
+	for _, p := range rs.panics {
+		if p != nil {
+			panic(p)
+		}
+	}
 	s.drainRound(rs)
 }
 
@@ -275,6 +282,20 @@ func (s *System) runRound(rs *roundState, live []*core) {
 func (s *System) domainWorker(rs *roundState, live []*core, w int) {
 	span := rs.spans[w]
 	act := make([]int, 0, span[1]-span[0])
+	defer func() {
+		// A program panicked in a resume: finalise the span's bounds so
+		// the other workers end the round, and leave the panic for the
+		// coordinator to re-raise after the barrier.
+		if p := recover(); p != nil {
+			rs.panics[w] = p
+			for i := span[0]; i < span[1]; i++ {
+				rs.bounds[i].Store(math.MaxInt64)
+			}
+			if rs.active.Add(-1) == 0 {
+				rs.done <- struct{}{}
+			}
+		}
+	}()
 	for range rs.start[w] {
 		act = act[:0]
 		for i := span[0]; i < span[1]; i++ {
@@ -360,11 +381,10 @@ func (s *System) advanceCore(rs *roundState, idx int, c *core) int {
 
 // execFast executes c's pending fast operation: applies its core-private
 // physical effects, buffers its shared-accumulator effects, publishes the
-// core's advanced bound, responds to the program and receives its next
-// request. Returns false only for a load the memory system refused, leaving
-// all state untouched except possibly settled versions in c's own L1 (a
-// no-op under the serial schedule's lazy-commit rules — see
-// memsys.TryLocalLoad).
+// core's advanced bound, and resumes the program up to its next request.
+// Returns false only for a load the memory system refused, leaving all state
+// untouched except possibly settled versions in c's own L1 (a no-op under the
+// serial schedule's lazy-commit rules — see memsys.TryLocalLoad).
 func (s *System) execFast(rs *roundState, idx int, c *core) bool {
 	r := c.pendingReq
 	rec := fastRec{key: coreKey(c), core: c.id, seq: c.curSeq, kind: r.kind}
@@ -412,8 +432,7 @@ func (s *System) execFast(rs *roundState, idx int, c *core) bool {
 	rs.recs[idx] = append(rs.recs[idx], rec)
 	rs.bounds[idx].Store(coreKey(c) << 1)
 	c.hasReq = false
-	c.resp <- resp
-	s.receive(c)
+	s.resume(c, resp)
 	return true
 }
 

@@ -43,8 +43,10 @@ type response struct {
 	abort bool
 }
 
-// Env is a program's handle to its simulated core. All methods may only be
-// called from the program's own goroutine.
+// Env is a program's handle to its simulated core. The program runs as a
+// coroutine of the scheduler (System.Run): each Env method yields one request
+// and the program stays suspended until the scheduler resumes it with the
+// response, so all methods may only be called from inside the program.
 //
 // When the region aborts, every Env method unwinds the program via an
 // internal panic that the engine recovers; the program's Run call then
@@ -52,8 +54,9 @@ type response struct {
 // transaction. This is the software-visible analogue of jumping to the
 // recovery code registered with initMTX (§3.1).
 type Env struct {
-	sys *System
-	c   *core
+	sys   *System
+	c     *core
+	yield func(request) bool // the coroutine's yield (iter.Pull)
 }
 
 // CoreID returns the simulated core this program runs on.
@@ -62,13 +65,14 @@ func (e *Env) CoreID() int { return e.c.id }
 // Now returns the core's current cycle count.
 func (e *Env) Now() int64 { return e.c.time }
 
+// rpc suspends the program with request r until the scheduler resumes it,
+// and returns the response the scheduler left on the core. A false yield
+// means Run stopped the coroutine mid-program; it unwinds like an abort.
 func (e *Env) rpc(r request) response {
-	e.c.req <- r
-	resp := <-e.c.resp
-	if resp.abort {
+	if !e.yield(r) || e.c.resp.abort {
 		panic(abortSignal{cause: e.sys.abortCause})
 	}
-	return resp
+	return e.c.resp
 }
 
 // Load issues a load; inside a transaction it is speculative and validated

@@ -1,7 +1,13 @@
+//go:build go1.23
+
 package engine
 
 import (
 	"fmt"
+	// iter needs go1.23; the build constraint above raises this file's
+	// language version. go.mod stays at 1.22 because the simbench module,
+	// which builds against this one, declares 1.22.
+	"iter"
 	"math/rand"
 
 	"hmtx/internal/memsys"
@@ -74,17 +80,19 @@ type core struct {
 	finish int64
 	done   bool
 
-	req  chan request
-	resp chan response
+	// next resumes the program's coroutine until its next request; stop
+	// ends it. resp is the response the resumed program reads.
+	next func() (request, bool)
+	stop func()
+	resp response
 
 	parked    parkKind
 	parkedReq request
 	parkedAt  int64 // core clock when it parked (commit-stall accounting)
 
-	// pendingReq is the core's next request, received eagerly by the
-	// scheduler as soon as the program goroutine issued it. A core whose
-	// program is between requests never runs concurrently with another:
-	// the scheduler hands execution to exactly one goroutine at a time.
+	// pendingReq is the core's next request, yielded by the program when
+	// the scheduler last resumed it. A program runs only inside resume, so
+	// no two programs ever execute at once.
 	pendingReq request
 	hasReq     bool
 
@@ -206,12 +214,7 @@ func New(cfg Config) *System {
 	}
 	s.Mem.SetTracker((*sysTracker)(s))
 	for i := 0; i < cfg.Mem.Cores; i++ {
-		s.cores = append(s.cores, &core{
-			id:   i,
-			req:  make(chan request),
-			resp: make(chan response),
-			pred: make(map[uint64]uint8),
-		})
+		s.cores = append(s.cores, &core{id: i, pred: make(map[uint64]uint8)})
 	}
 	return s
 }
@@ -250,27 +253,35 @@ func (s *System) Run(programs []Program) RunResult {
 		c.fastFailed = false
 	}
 	clear(s.liveSeq)
-	// Launch the program goroutines one at a time, receiving each core's
-	// first request before starting the next. Together with receive()
-	// below this serialises all user code: exactly one program goroutine
-	// executes between scheduler events, so programs may share host-side
-	// state (test closures, read-only tables) without data races, and the
-	// interleaving is fully deterministic for a given Config.Seed.
-	for i, p := range programs {
+	// Each program is a coroutine, started in core order and run up to its
+	// first request. A program runs only while the scheduler resumes it, so
+	// programs may share host-side state (test closures, read-only tables)
+	// without data races, and the interleaving is fully deterministic for a
+	// given Config.Seed. A program that finishes or unwinds yields reqDone
+	// and stays suspended until the deferred stop; a non-abort panic
+	// re-surfaces from the resume that ran it, on Run's caller.
+	defer func() {
+		for _, c := range live {
+			if c.stop != nil {
+				c.stop()
+				c.next, c.stop = nil, nil
+			}
+		}
+	}()
+	for i, prog := range programs {
 		c := live[i]
-		prog := p
-		go func() {
+		c.next, c.stop = iter.Pull(func(yield func(request) bool) {
 			defer func() {
 				if r := recover(); r != nil {
 					if _, ok := r.(abortSignal); !ok {
 						panic(r)
 					}
 				}
-				c.req <- request{kind: reqDone}
+				yield(request{kind: reqDone})
 			}()
-			prog(&Env{sys: s, c: c})
-		}()
-		s.receive(c)
+			prog(&Env{sys: s, c: c, yield: yield})
+		})
+		s.resume(c, response{})
 	}
 
 	if s.useRounds() {
@@ -315,22 +326,15 @@ func (s *System) runSerial(live []*core) {
 		r := c.pendingReq
 		c.hasReq = false
 		s.handle(c, r)
-		if !c.done && c.parked == parkNone {
-			// handle responded: the program is running again. Wait
-			// for its next request so no user code runs concurrently
-			// with whichever core the scheduler picks next.
-			s.receive(c)
-		}
 		s.retryParked(live)
 	}
 }
 
-// receive blocks until core c's program issues its next request, letting its
-// goroutine run user code up to that point. It must only be called when c's
-// goroutine is the one executing (just launched, or just sent a response).
-func (s *System) receive(c *core) {
-	c.pendingReq = <-c.req
-	c.hasReq = true
+// resume hands resp to core c's program and runs the program, on the calling
+// goroutine, up to its next request: one coroutine switch there and one back.
+func (s *System) resume(c *core, resp response) {
+	c.resp = resp
+	c.pendingReq, c.hasReq = c.next()
 }
 
 func (s *System) pickRunnable(live []*core) *core {
@@ -399,14 +403,22 @@ func (s *System) handle(c *core, r request) {
 		return
 	}
 	if s.aborting {
-		c.resp <- response{abort: true}
+		s.resume(c, response{abort: true})
 		return
 	}
+	// Every case either returns without responding (the core parked, or
+	// triggerAbort already resumed it) or falls through to the one resume.
+	var resp response
 	switch r.kind {
-	case reqLoad:
+	case reqLoad, reqStore:
 		hw := s.hwVID(c.curSeq)
 		busBefore := s.Mem.Stats().BusMessages
-		val, res := s.Mem.Load(c.id, r.addr, hw)
+		var res memsys.Result
+		if r.kind == reqLoad {
+			resp.val, res = s.Mem.Load(c.id, r.addr, hw)
+		} else {
+			res = s.Mem.Store(c.id, r.addr, r.val, hw)
+		}
 		busWait := s.charge(c, res.Lat, s.Mem.Stats().BusMessages-busBefore)
 		s.stats.Instructions++
 		if s.prof.Enabled() {
@@ -420,26 +432,6 @@ func (s *System) handle(c *core, r request) {
 			s.triggerAbort(res.Cause, c)
 			return
 		}
-		c.resp <- response{val: val}
-
-	case reqStore:
-		hw := s.hwVID(c.curSeq)
-		busBefore := s.Mem.Stats().BusMessages
-		res := s.Mem.Store(c.id, r.addr, r.val, hw)
-		busWait := s.charge(c, res.Lat, s.Mem.Stats().BusMessages-busBefore)
-		s.stats.Instructions++
-		if s.prof.Enabled() {
-			if busWait > 0 {
-				s.prof.Charge(c.id, uint64(c.curSeq), prof.Bus, busWait)
-			}
-			s.prof.ChargeLine(c.id, uint64(c.curSeq), srcBucket(res.Src), res.Lat, memsys.LineAddr(r.addr))
-		}
-		c.pushRecent(r.addr)
-		if res.Conflict {
-			s.triggerAbort(res.Cause, c)
-			return
-		}
-		c.resp <- response{}
 
 	case reqCompute:
 		c.time += int64(r.val)
@@ -450,19 +442,16 @@ func (s *System) handle(c *core, r request) {
 		if s.lat.Enabled() && r.tag == prof.Validation {
 			s.lat.Validation.Observe(r.val)
 		}
-		c.resp <- response{}
 
 	case reqBranch:
 		if !s.branch(c, r) {
 			return // aborted inside the branch (SLA-disabled mode)
 		}
-		c.resp <- response{}
 
 	case reqBegin:
 		if !s.begin(c, r) {
 			return // parked on a VID-reset stall (§4.6)
 		}
-		c.resp <- response{}
 
 	case reqCommit:
 		if r.seq != s.lastCommitted+1 {
@@ -475,7 +464,6 @@ func (s *System) handle(c *core, r request) {
 			s.lat.CommitArb.Observe(0)
 		}
 		s.doCommit(c, r.seq)
-		c.resp <- response{}
 
 	case reqAbortTx:
 		if s.conflicts.Enabled() {
@@ -484,6 +472,7 @@ func (s *System) handle(c *core, r request) {
 			s.conflicts.Record(uint64(r.seq), uint64(r.seq), 0, metrics.EdgeExplicit)
 		}
 		s.triggerAbort(fmt.Sprintf("explicit abortMTX by core %d (seq %d)", c.id, r.seq), c)
+		return
 
 	case reqProduce:
 		q := s.queue(r.q)
@@ -496,22 +485,20 @@ func (s *System) handle(c *core, r request) {
 			s.tracer.SetTime(c.time)
 			s.tracer.Emit(obs.Event{Kind: obs.KQueueProduce, Core: int32(c.id), Arg: uint64(r.q)})
 		}
-		c.resp <- response{}
 
 	case reqConsume:
 		q := s.queue(r.q)
-		switch {
-		case len(q.items) > 0:
-			val := s.doConsume(c, q)
-			if s.tracer.Enabled(obs.CatQueue) {
-				s.tracer.SetTime(c.time)
-				s.tracer.Emit(obs.Event{Kind: obs.KQueueConsume, Core: int32(c.id), Arg: uint64(r.q)})
+		if len(q.items) == 0 {
+			if !q.closed {
+				s.park(c, parkConsume, r)
+				return
 			}
-			c.resp <- response{val: val, ok: true}
-		case q.closed:
-			c.resp <- response{ok: false}
-		default:
-			s.park(c, parkConsume, r)
+			break // closed and drained: ok == false
+		}
+		resp.val, resp.ok = s.doConsume(c, q), true
+		if s.tracer.Enabled(obs.CatQueue) {
+			s.tracer.SetTime(c.time)
+			s.tracer.Emit(obs.Event{Kind: obs.KQueueConsume, Core: int32(c.id), Arg: uint64(r.q)})
 		}
 
 	case reqClose:
@@ -524,21 +511,20 @@ func (s *System) handle(c *core, r request) {
 			s.tracer.SetTime(c.time)
 			s.tracer.Emit(obs.Event{Kind: obs.KQueueClose, Core: int32(c.id), Arg: uint64(r.q)})
 		}
-		c.resp <- response{}
 
 	case reqAwait:
-		if s.lastCommitted >= r.seq {
-			c.resp <- response{}
+		if s.lastCommitted < r.seq {
+			s.park(c, parkAwait, r)
 			return
 		}
-		s.park(c, parkAwait, r)
 
 	case reqTxInfo:
-		c.resp <- response{val: s.txInfo(c)}
+		resp.val = s.txInfo(c)
 
 	default:
 		panic(fmt.Sprintf("engine: unknown request kind %d", r.kind))
 	}
+	s.resume(c, resp)
 }
 
 // charge advances the core's clock by lat cycles; if the operation used the
@@ -788,15 +774,14 @@ func (s *System) triggerAbort(cause string, c *core) {
 	for _, d := range s.cores {
 		d.curTx = nil
 	}
-	c.resp <- response{abort: true}
+	s.resume(c, response{abort: true})
 }
 
 // retryParked re-examines parked cores after every event, waking those whose
 // condition now holds. Iteration repeats until a fixed point so that chains
 // (commit unblocking commit unblocking a VID reset) resolve in one pass.
-// Every response is immediately followed by receive(), so a woken program
-// runs alone until it issues its next request — the serialisation invariant
-// of Run holds here too.
+// A woken core is resumed on the spot and runs alone until its next request —
+// the serialisation invariant of Run holds here too.
 func (s *System) retryParked(live []*core) {
 	for changed := true; changed; {
 		changed = false
@@ -804,110 +789,89 @@ func (s *System) retryParked(live []*core) {
 			if c.parked == parkNone || c.done {
 				continue
 			}
-			if s.aborting {
+			if resp, ok := s.unpark(c); ok {
 				c.parked = parkNone
-				c.resp <- response{abort: true}
-				s.receive(c)
+				s.resume(c, resp)
 				changed = true
-				continue
-			}
-			r := c.parkedReq
-			switch c.parked {
-			case parkConsume:
-				q := s.queue(r.q)
-				if len(q.items) > 0 {
-					c.parked = parkNone
-					val := s.doConsume(c, q)
-					if s.tracer.Enabled(obs.CatQueue) {
-						s.tracer.SetTime(c.time)
-						s.tracer.Emit(obs.Event{Kind: obs.KQueueConsume, Core: int32(c.id), Arg: uint64(r.q)})
-					}
-					c.resp <- response{val: val, ok: true}
-					s.receive(c)
-					changed = true
-				} else if q.closed {
-					c.parked = parkNone
-					c.resp <- response{ok: false}
-					s.receive(c)
-					changed = true
-				}
-			case parkProduce:
-				q := s.queue(r.q)
-				if len(q.items) < s.cfg.QueueCap {
-					c.parked = parkNone
-					if q.lastPopTime > c.time {
-						if s.prof.Enabled() {
-							s.prof.Charge(c.id, uint64(c.curSeq), prof.QueueWait, q.lastPopTime-c.time)
-						}
-						c.time = q.lastPopTime
-					}
-					s.doProduce(c, q, r.val)
-					if s.tracer.Enabled(obs.CatQueue) {
-						s.tracer.SetTime(c.time)
-						s.tracer.Emit(obs.Event{Kind: obs.KQueueProduce, Core: int32(c.id), Arg: uint64(r.q)})
-					}
-					c.resp <- response{}
-					s.receive(c)
-					changed = true
-				}
-			case parkCommit:
-				if r.seq == s.lastCommitted+1 {
-					c.parked = parkNone
-					if s.lastCommitTime > c.time {
-						if s.prof.Enabled() {
-							s.prof.Charge(c.id, uint64(r.seq), prof.CommitStall, s.lastCommitTime-c.time)
-						}
-						c.time = s.lastCommitTime
-					}
-					stall := c.time - c.parkedAt
-					if stall < 0 {
-						stall = 0
-					}
-					s.stats.CommitStallCycles += uint64(stall)
-					if s.lat.Enabled() {
-						s.lat.CommitArb.Observe(uint64(stall))
-					}
-					if s.tracer.Enabled(obs.CatCommit) {
-						s.tracer.SetTime(c.time)
-						s.tracer.Emit(obs.Event{Kind: obs.KCommitResume, Core: int32(c.id), VID: uint64(r.seq), Arg: uint64(stall)})
-					}
-					s.doCommit(c, r.seq)
-					c.resp <- response{}
-					s.receive(c)
-					changed = true
-				}
-			case parkAwait:
-				if s.lastCommitted >= r.seq {
-					c.parked = parkNone
-					if s.lastCommitTime > c.time {
-						if s.prof.Enabled() {
-							s.prof.Charge(c.id, 0, prof.CommitStall, s.lastCommitTime-c.time)
-						}
-						c.time = s.lastCommitTime
-					}
-					c.resp <- response{}
-					s.receive(c)
-					changed = true
-				}
-			case parkEpoch:
-				needEpoch := s.cfg.Mem.VIDSpace.Epoch(r.seq)
-				firstOfEpoch := vid.Seq(needEpoch * s.cfg.Mem.VIDSpace.PerEpoch())
-				if s.lastCommitted >= firstOfEpoch {
-					c.parked = parkNone
-					if s.lastCommitTime > c.time {
-						if s.prof.Enabled() {
-							s.prof.Charge(c.id, 0, prof.CommitStall, s.lastCommitTime-c.time)
-						}
-						c.time = s.lastCommitTime
-					}
-					if s.begin(c, r) {
-						c.resp <- response{}
-						s.receive(c)
-					}
-					changed = true
-				}
 			}
 		}
+	}
+}
+
+// unpark completes parked core c's request if its wake-up condition now holds
+// and returns the response to resume it with; ok is false while c stays
+// parked.
+func (s *System) unpark(c *core) (resp response, ok bool) {
+	if s.aborting {
+		return response{abort: true}, true
+	}
+	r := &c.parkedReq
+	switch c.parked {
+	case parkConsume:
+		q := s.queue(r.q)
+		if len(q.items) == 0 {
+			return resp, q.closed // closed and drained: ok == false
+		}
+		resp.val, resp.ok = s.doConsume(c, q), true
+		if s.tracer.Enabled(obs.CatQueue) {
+			s.tracer.SetTime(c.time)
+			s.tracer.Emit(obs.Event{Kind: obs.KQueueConsume, Core: int32(c.id), Arg: uint64(r.q)})
+		}
+	case parkProduce:
+		q := s.queue(r.q)
+		if len(q.items) >= s.cfg.QueueCap {
+			return resp, false
+		}
+		if q.lastPopTime > c.time {
+			if s.prof.Enabled() {
+				s.prof.Charge(c.id, uint64(c.curSeq), prof.QueueWait, q.lastPopTime-c.time)
+			}
+			c.time = q.lastPopTime
+		}
+		s.doProduce(c, q, r.val)
+		if s.tracer.Enabled(obs.CatQueue) {
+			s.tracer.SetTime(c.time)
+			s.tracer.Emit(obs.Event{Kind: obs.KQueueProduce, Core: int32(c.id), Arg: uint64(r.q)})
+		}
+	case parkCommit:
+		if r.seq != s.lastCommitted+1 {
+			return resp, false
+		}
+		s.waitLastCommit(c, r.seq)
+		stall := max(c.time-c.parkedAt, 0)
+		s.stats.CommitStallCycles += uint64(stall)
+		if s.lat.Enabled() {
+			s.lat.CommitArb.Observe(uint64(stall))
+		}
+		if s.tracer.Enabled(obs.CatCommit) {
+			s.tracer.SetTime(c.time)
+			s.tracer.Emit(obs.Event{Kind: obs.KCommitResume, Core: int32(c.id), VID: uint64(r.seq), Arg: uint64(stall)})
+		}
+		s.doCommit(c, r.seq)
+	case parkAwait:
+		if s.lastCommitted < r.seq {
+			return resp, false
+		}
+		s.waitLastCommit(c, 0)
+	case parkEpoch:
+		needEpoch := s.cfg.Mem.VIDSpace.Epoch(r.seq)
+		if s.lastCommitted < vid.Seq(needEpoch*s.cfg.Mem.VIDSpace.PerEpoch()) {
+			return resp, false
+		}
+		s.waitLastCommit(c, 0)
+		return resp, s.begin(c, *r)
+	}
+	return resp, true
+}
+
+// waitLastCommit advances a woken core's clock to the latest commit, charging
+// the wait to seq's commit-stall bucket.
+func (s *System) waitLastCommit(c *core, seq vid.Seq) {
+	if s.lastCommitTime > c.time {
+		if s.prof.Enabled() {
+			s.prof.Charge(c.id, uint64(seq), prof.CommitStall, s.lastCommitTime-c.time)
+		}
+		c.time = s.lastCommitTime
 	}
 }
 
