@@ -3,7 +3,7 @@
 //
 // Usage:
 //
-//	experiments [-scale N] [-cores N] [-parallel N] [-domains N]
+//	experiments [-scale N] [-cores N] [-parallel N]
 //	            [-only fig8,table1,...]
 //	            [-ablations] [-json BENCH_run.json] [-prof PROF_run.json]
 //	            [-series SERIES_run.json] [-series-window N]
@@ -23,10 +23,8 @@
 // the suite's time-series ("hmtx-series/v1"), conflict-graph
 // ("hmtx-conflicts/v1") and latency-histogram ("hmtx-hist/v1") documents,
 // which cmd/hmtxreport turns into an HTML report. All documents are
-// byte-identical at every -parallel and -domains setting: -parallel runs
-// whole simulations concurrently, while -domains shards the cores of each
-// simulation across goroutines inside conservative time quanta
-// (DESIGN.md §16).
+// byte-identical at every -parallel setting: -parallel runs whole
+// simulations concurrently, each on its own simulated machine.
 //
 // Checkpointing (DESIGN.md §18): with -parallel 1, -ckpt-every N writes an
 // hmtx-ckpt/v1 suite checkpoint to -ckpt-out after every N completed
@@ -58,7 +56,6 @@ func main() {
 	scale := flag.Int("scale", 1, "iteration-count multiplier for every benchmark")
 	cores := flag.Int("cores", 4, "number of simulated cores")
 	parallel := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-	domains := flag.Int("domains", 1, "intra-simulation parallel domains (1 = serial engine scheduler; results are byte-identical at any setting)")
 	only := flag.String("only", "", "comma-separated subset: fig1,fig2,fig8,fig9,table1,table2,table3")
 	ablations := flag.Bool("ablations", false, "also run the design-choice ablations")
 	quiet := flag.Bool("q", false, "suppress progress output")
@@ -107,7 +104,6 @@ func main() {
 		Scale: *scale, Cores: *cores, Parallelism: *parallel,
 		Profile: *profOut != "",
 		Metrics: metricsOn, MetricsWindow: *seriesWindow,
-		Domains: *domains,
 	}
 	want := map[string]bool{}
 	for _, k := range strings.Split(*only, ",") {
@@ -153,8 +149,8 @@ func main() {
 						*resume, doc.Kind, ckpt.KindExperiments)
 				}
 				if doc.Experiments.Config != cfg {
-					log.Fatalf("checkpoint was taken under -scale %d -cores %d -domains %d and the matching instrument flags; rerun with the same configuration",
-						doc.Experiments.Config.Scale, doc.Experiments.Config.Cores, doc.Experiments.Config.Domains)
+					log.Fatalf("checkpoint was taken under -scale %d -cores %d and the matching instrument flags; rerun with the same configuration",
+						doc.Experiments.Config.Scale, doc.Experiments.Config.Cores)
 				}
 				st := doc.Experiments.State
 				opts.Resume = &st

@@ -34,9 +34,6 @@
 // the first time the target instant (or a watchpoint) is reached. Seeking
 // backwards is just another re-execution. "check" checkpoints replay the
 // counterexample's stimulus prefix instead; the engine is not involved.
-//
-// Attaching the debug hook forces the serial reference scheduler (like
-// -trace), so captures are exact regardless of the checkpoint's -domains.
 package main
 
 import (

@@ -19,15 +19,10 @@
 // ambient randomness (noclock), no cache-line protocol mutation outside
 // internal/memsys (statemut), no unguarded trace emission on the
 // simulator fast path (tracegate), no unguarded profiler charges there
-// either (profgate), and no unguarded metric-instrument records there
-// (metricsgate), no simulation-visible output effects on domain-worker
-// goroutines outside the canonical barrier drain (domaindrain, v2: callgraph
-// + value-flow reachability, so workers dispatched through function pointers
-// or method values are covered), no checkpoint capture/restore on those
-// goroutines either — internal/ckpt calls and the snapshot primitives are
-// coordinator-only, boundary-only (ckptgate) — statically allocation-free //hmtx:hotpath
-// functions (hotalloc), atomically-consistent access to sync/atomic-managed
-// struct fields from goroutine-reachable code (atomicfield) — plus the
+// either (profgate), no unguarded metric-instrument records there
+// (metricsgate), statically allocation-free //hmtx:hotpath functions
+// (hotalloc), and atomically-consistent access to sync/atomic-managed struct
+// fields from goroutine-reachable code (atomicfield) — plus the
 // transactional-API rules: every engine.Env
 // Begin matched by Commit/Abort/Begin(0) with no escaping handles
 // (txbalance), model-checker snapshot methods covering every field of
@@ -52,10 +47,8 @@ import (
 	"hmtx/internal/lintdoc"
 	"hmtx/tools/analyzers/analysis"
 	"hmtx/tools/analyzers/atomicfield"
-	"hmtx/tools/analyzers/ckptgate"
 	"hmtx/tools/analyzers/detflow"
 	"hmtx/tools/analyzers/detrange"
-	"hmtx/tools/analyzers/domaindrain"
 	"hmtx/tools/analyzers/hotalloc"
 	"hmtx/tools/analyzers/metricsgate"
 	"hmtx/tools/analyzers/noclock"
@@ -69,10 +62,8 @@ import (
 
 var analyzers = []*analysis.Analyzer{
 	atomicfield.Analyzer,
-	ckptgate.Analyzer,
 	detflow.Analyzer,
 	detrange.Analyzer,
-	domaindrain.Analyzer,
 	hotalloc.Analyzer,
 	metricsgate.Analyzer,
 	noclock.Analyzer,

@@ -190,7 +190,7 @@ func TestDiff(t *testing.T) {
 func TestDiffLint(t *testing.T) {
 	dir := t.TempDir()
 	a := lintdoc.Doc{Schema: lintdoc.Schema,
-		Analyzers: []lintdoc.Analyzer{{Name: "domaindrain", Version: "2"}, {Name: "hotalloc", Version: "1"}},
+		Analyzers: []lintdoc.Analyzer{{Name: "atomicfield", Version: "1"}, {Name: "hotalloc", Version: "1"}},
 		Findings: []lintdoc.Finding{
 			{File: "x.go", Line: 10, Col: 2, Analyzer: "hotalloc", Message: "make allocates"},
 			{File: "x.go", Line: 20, Col: 2, Analyzer: "hotalloc", Message: "fixed later"},
@@ -200,7 +200,7 @@ func TestDiffLint(t *testing.T) {
 		Findings: []lintdoc.Finding{
 			// Same finding, moved: must not count as new.
 			{File: "x.go", Line: 14, Col: 2, Analyzer: "hotalloc", Message: "make allocates"},
-			{File: "y.go", Line: 1, Col: 1, Analyzer: "domaindrain", Message: "brand new"},
+			{File: "y.go", Line: 1, Col: 1, Analyzer: "atomicfield", Message: "brand new"},
 		}}
 	write := func(name string, v any) string {
 		buf, err := json.MarshalIndent(v, "", "  ")
@@ -221,7 +221,7 @@ func TestDiffLint(t *testing.T) {
 	out := stdout.String()
 	for _, want := range []string{
 		"lint diff: A has 2 findings, B has 2",
-		"domaindrain",
+		"atomicfield",
 		"new in B",
 		"brand new",
 		"fixed in B",

@@ -110,7 +110,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 	system := fs.String("system", "hmtx", "execution system: hmtx, smtx-min, smtx-max, seq")
 	par := fs.String("paradigm", "auto", "paradigm: auto, doall, doacross, dswp, psdswp")
 	cores := fs.Int("cores", 4, "number of simulated cores")
-	domains := fs.Int("domains", 1, "parallel simulation domains (1 = serial reference scheduler; results are byte-identical for any value)")
 	scale := fs.Int("scale", 1, "iteration-count multiplier")
 	noSLA := fs.Bool("no-sla", false, "disable speculative load acknowledgments (§5.1)")
 	vidBits := fs.Uint("vid-bits", 6, "hardware VID width in bits (§4.6)")
@@ -272,32 +271,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 	cfg.Mem.VIDSpace = vid.Space{Bits: *vidBits}
 	cfg.Mem.EagerCommit = *eager
 	cfg.Mem.Sanitize = *sanitize
-	cfg.Domains = *domains
-	if *domains < 1 {
-		return fail("-domains must be >= 1")
-	}
 
-	if rdoc != nil {
-		// Rebuild the checkpointed machine exactly; only the host-side
-		// scheduler choice (-domains, byte-identical by construction) may
-		// differ from the captured configuration.
-		ec := rdoc.Run.EngineCfg
-		ec.Domains = *domains
-		rdoc.Run.EngineCfg = ec
-		cfg = ec
-	}
-
-	seqSys := engine.New(cfg)
 	var sys *engine.System
 	if rdoc != nil {
+		// Rebuild the checkpointed machine exactly. RestoreRun validates
+		// the captured configuration before the sequential reference
+		// machine is built from it.
 		var err error
 		sys, err = ckpt.RestoreRun(rdoc)
 		if err != nil {
 			return fail("%v", err)
 		}
+		cfg = rdoc.Run.EngineCfg
 	} else {
 		sys = engine.New(cfg)
 	}
+	seqSys := engine.New(cfg)
 
 	// Instrument the system that executes the measured run; the sequential
 	// reference run stays untraced unless it is the measured system.
@@ -454,13 +443,6 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintf(stdout, "checkpoint: halted at iteration %d%s (continue with -resume)\n",
 			out.Iterations, where)
 		return 0
-	}
-
-	if *domains > 1 {
-		// Scheduler diagnostics go to stderr: stdout must stay byte-identical
-		// to a serial (-domains=1) run of the same configuration.
-		fmt.Fprintf(stderr, "hmtxsim: parallel scheduler: %d domains, %d rounds, %d fast ops\n",
-			*domains, sys.Rounds(), sys.FastOps())
 	}
 
 	fmt.Fprintf(stdout, "benchmark:        %s (%v, %d iterations)\n", spec.Name, kind, out.Iterations)

@@ -196,6 +196,9 @@ func RestoreRun(doc *Doc) (*engine.System, error) {
 		return nil, fmt.Errorf("ckpt: not a run checkpoint (kind %q)", doc.Kind)
 	}
 	rs := doc.Run
+	if err := rs.EngineCfg.Mem.Validate(); err != nil {
+		return nil, fmt.Errorf("ckpt: engine config: %v", err)
+	}
 	sys := engine.New(rs.EngineCfg)
 
 	// Instruments first: the sampler's probes must exist before its rows

@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"encoding/json"
 	"reflect"
+	"slices"
 	"strings"
 	"testing"
 
@@ -284,6 +285,62 @@ func TestRestoreRejectsGeometryDrift(t *testing.T) {
 		t.Error("restore into a 6-core machine: want geometry error")
 	} else if !strings.Contains(err.Error(), "cores") && !strings.Contains(err.Error(), "geometry") {
 		t.Errorf("geometry error does not name the mismatch: %v", err)
+	}
+}
+
+// TestRestoreRejectsCorruptConfig: a run checkpoint whose machine
+// configuration or per-core state is out of range restores to an error,
+// never a panic.
+func TestRestoreRejectsCorruptConfig(t *testing.T) {
+	sys := newInstrumented(2)
+	loop := &gridLoop{n: 16}
+	loop.Setup(sys.Mem)
+	var good bytes.Buffer
+	hmtx.RunOpts(sys, loop, paradigm.DOALL, 2, hmtx.Options{
+		Every: 4,
+		Checkpoint: func(nextIt int, sofar hmtx.Outcome) bool {
+			cfg := engine.DefaultConfig()
+			cfg.Mem.Cores = 2
+			doc := CaptureRun(sys, RunState{Bench: "b", NextIt: nextIt, Partial: sofar, EngineCfg: cfg})
+			if err := Write(&good, doc); err != nil {
+				t.Fatal(err)
+			}
+			return true
+		},
+	})
+	if good.Len() == 0 {
+		t.Fatal("no checkpoint captured")
+	}
+	base, err := Read(&good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, tc := range []struct {
+		name    string
+		corrupt func(rs *RunState)
+	}{
+		{"cores 0", func(rs *RunState) { rs.EngineCfg.Mem.Cores = 0 }},
+		{"cores 256", func(rs *RunState) { rs.EngineCfg.Mem.Cores = 256 }},
+		{"L1 ways 0", func(rs *RunState) { rs.EngineCfg.Mem.L1Ways = 0 }},
+		{"L1 size not a multiple of ways*line", func(rs *RunState) { rs.EngineCfg.Mem.L1Size = 1000 }},
+		{"L2 size 0", func(rs *RunState) { rs.EngineCfg.Mem.L2Size = 0 }},
+		{"VID bits 0", func(rs *RunState) { rs.EngineCfg.Mem.VIDSpace.Bits = 0 }},
+		{"VID bits 9", func(rs *RunState) { rs.EngineCfg.Mem.VIDSpace.Bits = 9 }},
+		{"negative RecentN", func(rs *RunState) { rs.Engine.Cores[1].RecentN = -3 }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rs := *base.Run
+			rs.Engine.Cores = slices.Clone(rs.Engine.Cores)
+			tc.corrupt(&rs)
+			defer func() {
+				if p := recover(); p != nil {
+					t.Fatalf("RestoreRun panicked: %v", p)
+				}
+			}()
+			if _, err := RestoreRun(&Doc{Schema: Schema, Kind: KindRun, Run: &rs}); err == nil {
+				t.Fatal("RestoreRun accepted the corrupt checkpoint")
+			}
+		})
 	}
 }
 

@@ -89,8 +89,6 @@ type Ckpt struct {
 	LastCommitTime int64             `json:"last_commit_time"`
 	CumCycles      int64             `json:"cum_cycles"`
 	RNGDraws       uint64            `json:"rng_draws"`
-	Rounds         int64             `json:"rounds,omitempty"`
-	FastOps        int64             `json:"fast_ops,omitempty"`
 	Cores          []CoreCkpt        `json:"cores"`
 	Txs            map[uint64]TxCkpt `json:"txs,omitempty"`
 }
@@ -109,8 +107,6 @@ func (s *System) CaptureCkpt() Ckpt {
 		LastCommitTime: s.lastCommitTime,
 		CumCycles:      s.cumCycles,
 		RNGDraws:       s.rngSrc.draws,
-		Rounds:         s.rounds,
-		FastOps:        s.fastOps,
 	}
 	for _, c := range s.cores {
 		if c.parked != parkNone {
@@ -178,8 +174,6 @@ func (s *System) RestoreCkpt(ck Ckpt) error {
 	s.lastCommitted = vid.Seq(ck.LastCommitted)
 	s.lastCommitTime = ck.LastCommitTime
 	s.cumCycles = ck.CumCycles
-	s.rounds = ck.Rounds
-	s.fastOps = ck.FastOps
 	s.rngSrc.fastForward(ck.RNGDraws)
 	for i, cc := range ck.Cores {
 		c := s.cores[i]
@@ -189,6 +183,9 @@ func (s *System) RestoreCkpt(ck Ckpt) error {
 		}
 		if len(cc.Recent) > len(c.recent) {
 			return fmt.Errorf("engine: core %d checkpoint has %d recent addresses, pool holds %d", i, len(cc.Recent), len(c.recent))
+		}
+		if cc.RecentN < 0 {
+			return fmt.Errorf("engine: core %d checkpoint has negative recent-address count %d", i, cc.RecentN)
 		}
 		c.recent = [16]memsys.Addr{}
 		copy(c.recent[:], cc.Recent)
@@ -246,10 +243,7 @@ func (k reqKind) String() string {
 }
 
 // SetDebugHook attaches fn to be called for every scheduler event, before it
-// executes, stamped with the global simulated cycle. Like the tracer and
-// MOESI-San, an attached debug hook forces the serial reference scheduler
-// (useRounds, domains.go): the hook observes per-operation order, which the
-// domain-sharded scheduler does not preserve. Pass nil to detach.
+// executes, stamped with the global simulated cycle. Pass nil to detach.
 func (s *System) SetDebugHook(fn func(DebugEvent)) { s.debug = fn }
 
 // debugEvent reports one event to the attached hook.

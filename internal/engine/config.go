@@ -51,12 +51,11 @@ type Config struct {
 	// wrong-path addresses on mispredictions.
 	Seed int64
 
-	// Domains selects the intra-run parallel scheduler (domains.go): the
-	// simulated cores are partitioned into this many contiguous groups,
-	// each advanced by its own host goroutine inside conservative time
-	// quanta derived from Mem (never hard-coded), with results
-	// byte-identical to the serial scheduler. 0 or 1 runs the original
-	// single-loop scheduler, kept as the reference implementation.
+	// Domains once selected a domain-sharded parallel scheduler, retired
+	// because it never beat the serial loop (DESIGN.md §16). The field
+	// stays so existing callers and checkpoints keep their shape.
+	//
+	// Deprecated: ignored; every run uses the serial scheduler.
 	Domains int
 }
 
@@ -71,6 +70,6 @@ func DefaultConfig() Config {
 		QueueOpCost:       4,
 		QueueCap:          16,
 		Seed:              1,
-		Domains:           1,
+		Domains:           1, // the value run checkpoints record
 	}
 }

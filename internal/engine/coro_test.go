@@ -3,27 +3,17 @@ package engine
 import (
 	"runtime"
 	"testing"
-	"time"
 
 	"hmtx/internal/memsys"
 	"hmtx/internal/vid"
 )
 
-// settledGoroutines waits for goroutines that are already exiting (domain
-// workers after their start channels close) and returns the count. A
-// suspended program coroutine never exits on its own, so a leak still shows.
-func settledGoroutines(want int) int {
-	n := runtime.NumGoroutine()
-	for i := 0; n > want && i < 1000; i++ {
-		time.Sleep(time.Millisecond)
-		n = runtime.NumGoroutine()
-	}
-	return n
-}
-
+// requireNoLeak fails unless the goroutine count is back to before. Run
+// returns only after stopping every program coroutine, so the count is exact
+// on return; no wait is needed.
 func requireNoLeak(t *testing.T, before int) {
 	t.Helper()
-	if n := settledGoroutines(before); n != before {
+	if n := runtime.NumGoroutine(); n != before {
 		t.Fatalf("goroutines: %d before Run, %d after", before, n)
 	}
 }
@@ -87,54 +77,34 @@ func TestRunLeavesNoCoroutines(t *testing.T) {
 		}
 		requireNoLeak(t, before)
 	})
-
-	t.Run("domains-2", func(t *testing.T) {
-		cfg := DefaultConfig()
-		cfg.Domains = 2
-		s := New(cfg)
-		before := runtime.NumGoroutine()
-		s.Run([]Program{computeProgram(100), computeProgram(100), computeProgram(100), computeProgram(100)})
-		if s.Rounds() == 0 {
-			t.Fatal("parallel scheduler did not engage")
-		}
-		requireNoLeak(t, before)
-	})
 }
 
 // TestProgramPanicSurfacesFromRun checks that a program panicking with its
-// own value re-raises that value from Run on the caller's goroutine — on
-// the serial scheduler and from inside a parallel round — and that no
-// coroutine outlives the call.
+// own value re-raises that value from Run on the caller's goroutine, and
+// that no coroutine outlives the call.
 func TestProgramPanicSurfacesFromRun(t *testing.T) {
-	for _, domains := range []int{0, 2} {
-		cfg := DefaultConfig()
-		cfg.Domains = domains
-		s := New(cfg)
-		progs := []Program{
-			computeProgram(50),
-			func(e *Env) {
-				for i := 0; i < 10; i++ {
-					e.Compute(1)
-				}
-				panic("program bug")
-			},
-			computeProgram(50),
-			computeProgram(50),
-		}
-		before := runtime.NumGoroutine()
-		got := func() (r any) {
-			defer func() { r = recover() }()
-			s.Run(progs)
-			return nil
-		}()
-		if got != "program bug" {
-			t.Fatalf("domains=%d: recovered %v, want the program's panic value", domains, got)
-		}
-		if domains > 1 && s.Rounds() == 0 {
-			t.Fatalf("domains=%d: parallel scheduler did not engage", domains)
-		}
-		requireNoLeak(t, before)
+	s := newSys()
+	progs := []Program{
+		computeProgram(50),
+		func(e *Env) {
+			for i := 0; i < 10; i++ {
+				e.Compute(1)
+			}
+			panic("program bug")
+		},
+		computeProgram(50),
+		computeProgram(50),
 	}
+	before := runtime.NumGoroutine()
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Run(progs)
+		return nil
+	}()
+	if got != "program bug" {
+		t.Fatalf("recovered %v, want the program's panic value", got)
+	}
+	requireNoLeak(t, before)
 }
 
 // TestHandoffAllocFree pins that handing an operation to the scheduler and
@@ -150,5 +120,61 @@ func TestHandoffAllocFree(t *testing.T) {
 	}
 	if short, long := allocs(1000), allocs(10000); short != long {
 		t.Fatalf("allocations per Run: %v at 1k ops, %v at 10k ops; the handoff allocates", short, long)
+	}
+}
+
+// TestDomainsFieldIgnored pins the contract of the deprecated Config.Domains
+// field: a 64-core run at Domains 2 gives the same RunResult, engine Stats
+// and memsys Stats as Domains 1, and runs no goroutine beyond the program
+// coroutines.
+func TestDomainsFieldIgnored(t *testing.T) {
+	const cores = 64
+	run := func(domains int) (RunResult, Stats, memsys.Stats, int) {
+		cfg := DefaultConfig()
+		cfg.Mem.Cores = cores
+		cfg.Mem.VIDSpace = vid.Space{Bits: 8}
+		cfg.Domains = domains
+		s := New(cfg)
+		before := runtime.NumGoroutine()
+		peak := 0
+		progs := make([]Program, cores)
+		for i := range progs {
+			i := i
+			progs[i] = func(e *Env) {
+				base := memsys.Addr(0x100000 + i*0x1000)
+				for r := 0; r < 3; r++ {
+					seq := vid.Seq(r*cores + i + 1)
+					e.Begin(seq)
+					e.Store(base, uint64(r))
+					for k := 0; k < 20; k++ {
+						e.Load(base)
+						e.Compute(int64(2 + k%7))
+						e.Branch(uint64(i), k%3 != 0)
+					}
+					peak = max(peak, runtime.NumGoroutine()-before)
+					e.Commit(seq)
+				}
+			}
+		}
+		res := s.Run(progs)
+		requireNoLeak(t, before)
+		return res, *s.Stats(), *s.Mem.Stats(), peak
+	}
+	res1, eng1, mem1, peak1 := run(1)
+	res2, eng2, mem2, peak2 := run(2)
+	if res1.Aborted || eng1.Mispredicts == 0 {
+		t.Fatalf("workload must commit and mispredict: %+v, %d mispredicts", res1, eng1.Mispredicts)
+	}
+	if res2 != res1 {
+		t.Errorf("RunResult: Domains 2 %+v, Domains 1 %+v", res2, res1)
+	}
+	if eng2 != eng1 {
+		t.Errorf("engine Stats: Domains 2 %+v, Domains 1 %+v", eng2, eng1)
+	}
+	if mem2 != mem1 {
+		t.Errorf("memsys Stats: Domains 2 %+v, Domains 1 %+v", mem2, mem1)
+	}
+	if peak1 != cores || peak2 != cores {
+		t.Errorf("goroutines during the run beyond the caller's: %d at Domains 1, %d at Domains 2; want %d program coroutines", peak1, peak2, cores)
 	}
 }

@@ -97,16 +97,11 @@ type core struct {
 	hasReq     bool
 
 	curSeq vid.Seq
-	// curTx caches the txStats of curSeq. It is set at beginMTX, cleared
-	// when the transaction commits or the run aborts, and lets round
-	// workers (domains.go) reach the core's own transaction footprint
-	// without touching the shared s.txs map.
+	// curTx caches the txStats of curSeq for txInfo. It is set at beginMTX
+	// and cleared when the transaction commits (on every core running it)
+	// or the run aborts; txInfo then reports zero, even if a later access
+	// recreates the footprint entry.
 	curTx *txStats
-
-	// fastFailed marks that the pending request passed the engine-side
-	// fast-path checks but the memory system refused TryLocalLoad; the
-	// coordinator must handle it serially (and clears the flag).
-	fastFailed bool
 
 	// Branch predictor: per-site 2-bit saturating counters.
 	pred map[uint64]uint8
@@ -152,12 +147,6 @@ type System struct {
 	queues map[int]*queue
 	txs    map[vid.Seq]*txStats
 
-	// liveSeq counts, per transaction sequence number, how many live cores
-	// currently have it as curSeq. The parallel scheduler (domains.go)
-	// treats per-transaction state as core-private only when the count is
-	// 1; it is maintained at begin/commit, never inside a round.
-	liveSeq map[vid.Seq]int
-
 	lastCommitted  vid.Seq
 	lastCommitTime int64
 
@@ -171,7 +160,7 @@ type System struct {
 	nLive  int
 
 	// debug is the debugger event hook (ckpt.go); nil when no debugger is
-	// attached. Like the tracer, attaching it forces the serial scheduler.
+	// attached.
 	debug func(DebugEvent)
 
 	tracer *obs.Tracer     // nil when tracing is disabled (obs.go)
@@ -187,13 +176,6 @@ type System struct {
 	// time across recovery runs.
 	cumCycles int64
 
-	// rounds and fastOps count parallel-scheduler activity (domains.go):
-	// quantum rounds opened and fast operations executed inside them. They
-	// are scheduler diagnostics, deliberately kept out of Stats — the
-	// simulated-architecture counters must be byte-identical between the
-	// serial and parallel schedulers, while these are zero on one of them.
-	rounds, fastOps int64
-
 	// Histograms registered by Register (obs.go); nil until then.
 	histCommitLat *obs.Histogram
 	histReadSet   *obs.Histogram
@@ -204,13 +186,12 @@ type System struct {
 func New(cfg Config) *System {
 	src := newCountingSource(cfg.Seed)
 	s := &System{
-		cfg:     cfg,
-		Mem:     memsys.New(cfg.Mem),
-		queues:  make(map[int]*queue),
-		txs:     make(map[vid.Seq]*txStats),
-		liveSeq: make(map[vid.Seq]int),
-		rng:     rand.New(src),
-		rngSrc:  src,
+		cfg:    cfg,
+		Mem:    memsys.New(cfg.Mem),
+		queues: make(map[int]*queue),
+		txs:    make(map[vid.Seq]*txStats),
+		rng:    rand.New(src),
+		rngSrc: src,
 	}
 	s.Mem.SetTracker((*sysTracker)(s))
 	for i := 0; i < cfg.Mem.Cores; i++ {
@@ -250,9 +231,7 @@ func (s *System) Run(programs []Program) RunResult {
 		c.time, c.finish, c.done, c.parked, c.curSeq = 0, 0, false, parkNone, 0
 		c.hasReq = false
 		c.curTx = nil
-		c.fastFailed = false
 	}
-	clear(s.liveSeq)
 	// Each program is a coroutine, started in core order and run up to its
 	// first request. A program runs only while the scheduler resumes it, so
 	// programs may share host-side state (test closures, read-only tables)
@@ -284,11 +263,7 @@ func (s *System) Run(programs []Program) RunResult {
 		s.resume(c, response{})
 	}
 
-	if s.useRounds() {
-		s.runRounds(live)
-	} else {
-		s.runSerial(live)
-	}
+	s.runSerial(live)
 
 	var cycles int64
 	for _, c := range live {
@@ -314,9 +289,8 @@ func (s *System) Run(programs []Program) RunResult {
 	}
 }
 
-// runSerial is the original single-loop scheduler: one event at a time, the
-// earliest-clock runnable core first. It is the reference implementation the
-// parallel scheduler (domains.go) must match byte-for-byte.
+// runSerial is the scheduler loop: one event at a time, the earliest-clock
+// runnable core first (lowest core ID on ties).
 func (s *System) runSerial(live []*core) {
 	for s.nLive > 0 {
 		c := s.pickRunnable(live)
@@ -376,6 +350,17 @@ func (s *System) tx(q vid.Seq) *txStats {
 		s.txs[q] = t
 	}
 	return t
+}
+
+// txInfo returns the speculative-access count Env.TxInfo reports: the
+// footprint of the core's current transaction, zero outside one (or when the
+// footprint entry is gone because another core already committed the
+// sequence number).
+func (s *System) txInfo(c *core) uint64 {
+	if c.curTx != nil {
+		return c.curTx.specAccesses
+	}
+	return 0
 }
 
 func (s *System) handle(c *core, r request) {
@@ -606,12 +591,6 @@ func (s *System) begin(c *core, r request) bool {
 			}
 		}
 	}
-	if c.curSeq != 0 {
-		s.seqRelease(c.curSeq)
-	}
-	if r.seq != 0 {
-		s.liveSeq[r.seq]++
-	}
 	c.curSeq = r.seq
 	c.curTx = nil
 	c.time++ // the beginMTX instruction itself
@@ -653,7 +632,6 @@ func (s *System) doCommit(c *core, seq vid.Seq) {
 	}
 	if c.curSeq == seq {
 		c.curSeq = 0 // commitMTX returns to non-speculative execution
-		s.seqRelease(seq)
 	}
 	if t, ok := s.txs[seq]; ok {
 		s.stats.Txs++

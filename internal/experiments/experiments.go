@@ -52,12 +52,6 @@ type Config struct {
 	// MetricsWindow is the time-series sampling window in simulated cycles
 	// (0 = metrics.DefaultWindow).
 	MetricsWindow int64
-	// Domains selects the engine's intra-run parallel scheduler
-	// (engine.Config.Domains): each simulation's cores are sharded over this
-	// many goroutines inside conservative time quanta. Results are
-	// byte-identical at any setting; 0 or 1 uses the serial reference
-	// scheduler. Composes with Parallelism (across-simulation workers).
-	Domains int
 }
 
 // Default returns the evaluation configuration.
@@ -66,7 +60,6 @@ func Default() Config { return Config{Scale: 1, Cores: 4, Parallelism: 1} }
 func (c Config) engineConfig() engine.Config {
 	ec := engine.DefaultConfig()
 	ec.Mem.Cores = c.Cores
-	ec.Domains = c.Domains
 	return ec
 }
 

@@ -34,10 +34,8 @@ type cache struct {
 
 	// lruClock is this cache's private recency counter. Victim selection
 	// only ever compares lru stamps of lines within one set of one cache,
-	// so a per-cache clock picks the same victims as the former
-	// hierarchy-global clock while keeping touch() free of cross-cache
-	// shared state (the domain-sharded scheduler lets different cores'
-	// L1 fast paths touch concurrently).
+	// so a per-cache clock picks the same victims as a hierarchy-global
+	// clock would. The stamps are part of the exact checkpoint encoding.
 	lruClock uint64
 }
 

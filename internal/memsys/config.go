@@ -10,7 +10,11 @@
 // speculative overflow of non-speculative S-O copies to memory (§5.4).
 package memsys
 
-import "hmtx/internal/vid"
+import (
+	"errors"
+
+	"hmtx/internal/vid"
+)
 
 // LineSize is the cache line size in bytes (Table 2).
 const LineSize = 64
@@ -107,40 +111,26 @@ func DefaultConfig() Config {
 	}
 }
 
-// Validate panics if the configuration is internally inconsistent; it is
-// called by New.
-func (c Config) validate() {
+// Validate reports whether the configuration is internally consistent; New
+// panics on the error it returns.
+func (c Config) Validate() error {
 	switch {
 	case c.Cores <= 0:
-		panic("memsys: Cores must be positive")
+		return errors.New("memsys: Cores must be positive")
 	case c.Cores > 255:
 		// The snoop filter keeps one presence bit per cache (Cores L1s
-		// plus the L2) in a presMask, sized for 256 caches; the engine's
-		// deterministic event keys also reserve 8 bits for the core id.
-		panic("memsys: at most 255 cores supported")
+		// plus the L2) in a presMask, sized for 256 caches.
+		return errors.New("memsys: at most 255 cores supported")
 	case c.L1Size <= 0 || c.L1Ways <= 0 || c.L1Size%(c.L1Ways*LineSize) != 0:
-		panic("memsys: invalid L1 geometry")
+		return errors.New("memsys: invalid L1 geometry")
 	case c.L2Size <= 0 || c.L2Ways <= 0 || c.L2Size%(c.L2Ways*LineSize) != 0:
-		panic("memsys: invalid L2 geometry")
+		return errors.New("memsys: invalid L2 geometry")
 	case c.VIDSpace.Bits == 0 || c.VIDSpace.Bits > 8:
-		panic("memsys: VID width must be in 1..8")
+		return errors.New("memsys: VID width must be in 1..8")
 	case c.InjectBug != "" && c.InjectBug != BugDupVersionOnMigrate && c.InjectBug != BugStaleCopyOnConvert:
-		panic("memsys: unknown InjectBug " + c.InjectBug)
+		return errors.New("memsys: unknown InjectBug " + c.InjectBug)
 	}
-}
-
-// Quantum returns the conservative synchronisation quantum for domain-sharded
-// simulation: the minimum latency of any cross-core interaction. Every path by
-// which one core's activity becomes visible to another goes through the shared
-// bus or the L2 (cache-to-cache transfers, snoops, broadcasts), so no core can
-// observe an event issued by a peer fewer than Quantum cycles earlier. The
-// bound is computed from the configuration, never hard-coded.
-func (c Config) Quantum() int64 {
-	q := c.BusLat
-	if c.L2Lat < q {
-		q = c.L2Lat
-	}
-	return q
+	return nil
 }
 
 // LineAddr returns the line-aligned address containing addr.

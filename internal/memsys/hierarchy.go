@@ -60,7 +60,9 @@ type Hierarchy struct {
 
 // New builds a hierarchy for the given configuration.
 func New(cfg Config) *Hierarchy {
-	cfg.validate()
+	if err := cfg.Validate(); err != nil {
+		panic(err.Error())
+	}
 	h := &Hierarchy{cfg: cfg, mem: newMemory(), gen: 1, pres: make(map[Addr]presMask)}
 	for i := 0; i < cfg.Cores; i++ {
 		h.l1s = append(h.l1s, newCache(fmt.Sprintf("L1.%d", i), i, cfg.L1Size, cfg.L1Ways, h))

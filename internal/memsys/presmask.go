@@ -6,9 +6,9 @@ package memsys
 const presWords = 5
 
 // presMask is a fixed-width bitset over cache ids (bit i = h.all[i]), the
-// value type of the hierarchy's snoop filter. It replaces the former uint64
-// mask so configurations beyond 63 cores — the 64–256-core systems the
-// domain-sharded scheduler targets — keep the conservative-superset filter.
+// value type of the hierarchy's snoop filter. It is wider than one uint64 so
+// configurations beyond 63 cores, up to the 255-core cap, keep the
+// conservative-superset filter.
 type presMask [presWords]uint64
 
 func (m *presMask) set(i int)      { m[i>>6] |= 1 << (i & 63) }

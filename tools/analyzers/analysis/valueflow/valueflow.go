@@ -13,7 +13,7 @@
 //     can pass `&local` to a callee without the local escaping);
 //   - which functions can execute on a go-spawned goroutine, including
 //     targets reached through function values and method values?
-//     (atomicfield, domaindrain).
+//     (atomicfield).
 //
 // The escape analysis is flow-insensitive and monotone: every tracked
 // *origin* (the address of a local, an addressable composite literal, a

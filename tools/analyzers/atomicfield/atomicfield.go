@@ -1,5 +1,5 @@
-// Package atomicfield enforces the domain-worker memory discipline of
-// DESIGN.md §16/§17: a struct field that is accessed through sync/atomic
+// Package atomicfield enforces the shared-word memory discipline of
+// DESIGN.md §17: a struct field that is accessed through sync/atomic
 // anywhere in the program is a shared word, and every access to it reachable
 // from a go-spawned goroutine must also be atomic. Mixing a plain
 // `s.bound = x` with `atomic.AddInt64(&s.bound, d)` on concurrent goroutines
@@ -19,9 +19,10 @@
 //   - a value of one of the sync/atomic wrapper types (atomic.Int64,
 //     atomic.Uint64, atomic.Bool, atomic.Pointer[T], atomic.Value, ...) may
 //     only be used as a method-call receiver or through its address — the
-//     per-core bound words `[]atomic.Int64` in internal/engine/domains.go are
-//     the motivating case. Copying one (assignment, range value, argument)
-//     smuggles a stale snapshot out of the atomic domain and is reported.
+//     work-claim counter `next atomic.Int64` of the experiments worker pool
+//     (internal/experiments) is the case in the tree. Copying one
+//     (assignment, range value, argument) smuggles a stale snapshot out of
+//     the atomic domain and is reported.
 //
 // Sites on the coordinating goroutine (not go-reachable) are deliberately not
 // flagged: pre-spawn initialization and post-join reads are the intended

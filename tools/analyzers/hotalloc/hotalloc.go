@@ -1,5 +1,5 @@
 // Package hotalloc proves functions marked //hmtx:hotpath allocation-free at
-// lint time (DESIGN.md §17). The hmtx fast path — TryLocalLoad, the snoop
+// lint time (DESIGN.md §17). The hmtx fast path — the L1 load, the snoop
 // handlers, line settling — is pinned dynamically by TestHotPathZeroAllocs,
 // but an allocation that test's inputs never exercise (a panic-argument
 // escape, a cold branch, growth past a fixture-sized map) slips through; PR 8

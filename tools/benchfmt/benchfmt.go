@@ -35,10 +35,9 @@ type Doc struct {
 	// Benchmarks holds `go test -bench` microbenchmark results by name.
 	Benchmarks []Benchmark `json:"benchmarks,omitempty"`
 	// LargeRuns holds wall-clock measurements of a large simulated
-	// configuration (64+ cores) at several engine -domains settings, so a
-	// snapshot records how intra-run parallelism scales on this host. The
-	// Cycles digest must agree across entries: the domain-sharded scheduler
-	// is byte-identical to serial, so only wall-clock may differ.
+	// configuration (64+ cores), so a snapshot records how the engine
+	// scales with core count on this host. Older snapshots hold one entry
+	// per retired -domains setting; readers ignore that key.
 	LargeRuns []LargeRun `json:"large_runs,omitempty"`
 	// Notes records caveats about the snapshot (e.g. a single-CPU host
 	// cannot show parallel-suite speedups).
@@ -57,10 +56,6 @@ type Host struct {
 type Suite struct {
 	// Parallelism is the -parallel setting the suite ran with.
 	Parallelism int `json:"parallelism"`
-	// Domains is the engine -domains setting (intra-simulation parallel
-	// scheduler; 1 = serial reference). Results are byte-identical at any
-	// setting, so it is recorded purely to contextualise WallSeconds.
-	Domains int `json:"domains"`
 	// WallSeconds is the host time the suite took.
 	WallSeconds float64 `json:"wall_seconds"`
 	// GeomeanHMTX and TotalSeqCycles digest the simulated results: they
@@ -73,12 +68,10 @@ type Suite struct {
 type LargeRun struct {
 	// Cores is the simulated core count.
 	Cores int `json:"cores"`
-	// Domains is the engine scheduler setting for this run.
-	Domains int `json:"domains"`
 	// WallSeconds is the host time the run took.
 	WallSeconds float64 `json:"wall_seconds"`
-	// Cycles is the simulated execution time — deterministic, so every
-	// entry of a snapshot must report the same value.
+	// Cycles is the simulated execution time — deterministic, so two
+	// snapshots of the same core count must report the same value.
 	Cycles int64 `json:"cycles"`
 	// Instructions digests the simulated work, same determinism contract.
 	Instructions uint64 `json:"instructions"`

@@ -2,6 +2,7 @@ package benchfmt
 
 import (
 	"bytes"
+	"os"
 	"strings"
 	"testing"
 )
@@ -62,6 +63,33 @@ func TestReadWriteRoundtrip(t *testing.T) {
 	}
 	if got.Suite != doc.Suite || got.Host != doc.Host || len(got.Benchmarks) != 1 {
 		t.Fatalf("roundtrip mismatch: %+v", got)
+	}
+}
+
+// TestReadCommittedBaseline pins that the committed BENCH_2.json baseline,
+// which the CI bench job diffs against, still parses. It predates the
+// retirement of -domains, so its suite and large-run entries carry a
+// "domains" key the current structs ignore.
+func TestReadCommittedBaseline(t *testing.T) {
+	f, err := os.Open("../../BENCH_2.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	doc, err := Read(f)
+	if err != nil {
+		t.Fatalf("BENCH_2.json: %v", err)
+	}
+	if doc.Suite.TotalSeqCycles == 0 || doc.Suite.GeomeanHMTX == 0 || len(doc.Benchmarks) == 0 {
+		t.Errorf("suite digest or benchmarks missing: %+v", doc.Suite)
+	}
+	if len(doc.LargeRuns) == 0 {
+		t.Fatal("large runs missing")
+	}
+	for _, r := range doc.LargeRuns {
+		if r.Cores != 64 || r.Cycles != doc.LargeRuns[0].Cycles || r.WallSeconds <= 0 {
+			t.Errorf("large run %+v", r)
+		}
 	}
 }
 

@@ -3,13 +3,14 @@
 //
 // Usage:
 //
-//	perfsnap [-parallel N] [-scale N] [-bench-file bench.txt]
+//	perfsnap [-parallel N] [-scale N] [-large-cores N] [-bench-file bench.txt]
 //	         [-note "..."] -o BENCH_1.json
 //
 // perfsnap runs the full experiment suite under a wall-clock timer and
 // records both the host time and a digest of the simulated results (which
 // must be identical across comparable snapshots — drift means the snapshots
-// measured different work). -bench-file folds in microbenchmark results
+// measured different work). -large-cores N also times one run of a large
+// N-core configuration. -bench-file folds in microbenchmark results
 // captured separately with
 //
 //	go test ./internal/memsys/ -run '^$' -bench . -benchmem > bench.txt
@@ -38,8 +39,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("perfsnap: ")
 	parallel := flag.Int("parallel", 0, "suite parallelism (0 = GOMAXPROCS, 1 = serial)")
-	domains := flag.Int("domains", 1, "engine -domains setting for the suite run (1 = serial reference scheduler)")
-	largeCores := flag.Int("large-cores", 0, "also time a large configuration with this many simulated cores at -domains 1,2,4,8 (0 = skip)")
+	largeCores := flag.Int("large-cores", 0, "also time one run of a large configuration with this many simulated cores (0 = skip)")
 	scale := flag.Int("scale", 1, "iteration-count multiplier for every benchmark")
 	benchFile := flag.String("bench-file", "", "fold in `go test -bench -benchmem` output from this file")
 	note := flag.String("note", "", "caveat to record in the document")
@@ -76,7 +76,6 @@ func main() {
 	cfg := experiments.Default()
 	cfg.Scale = *scale
 	cfg.Parallelism = *parallel
-	cfg.Domains = *domains
 	progress := os.Stderr
 	if *quiet {
 		progress = nil
@@ -92,14 +91,13 @@ func main() {
 	}
 	doc.Suite = benchfmt.Suite{
 		Parallelism:    *parallel,
-		Domains:        *domains,
 		WallSeconds:    wall.Seconds(),
 		GeomeanHMTX:    bd.GeomeanHMTX,
 		TotalSeqCycles: totalSeq,
 	}
 
 	if *largeCores > 0 {
-		doc.LargeRuns = runLarge(*largeCores, progress)
+		doc.LargeRuns = []benchfmt.LargeRun{runLarge(*largeCores, progress)}
 	}
 
 	if *note != "" {
@@ -107,9 +105,6 @@ func main() {
 	}
 	if runtime.NumCPU() == 1 {
 		doc.Notes = append(doc.Notes, "single-CPU host: suite parallelism cannot improve wall-clock here")
-		if *largeCores > 0 {
-			doc.Notes = append(doc.Notes, "single-CPU host: large_runs record -domains overhead only; wall-clock speedup needs a multi-CPU host")
-		}
 	}
 
 	f, err := os.Create(*out)
@@ -123,14 +118,14 @@ func main() {
 	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
-	fmt.Fprintf(os.Stderr, "perfsnap: suite %.2fs wall (parallelism %d, domains %d), %d microbenchmarks -> %s\n",
-		wall.Seconds(), *parallel, *domains, len(doc.Benchmarks), *out)
+	fmt.Fprintf(os.Stderr, "perfsnap: suite %.2fs wall (parallelism %d), %d microbenchmarks -> %s\n",
+		wall.Seconds(), *parallel, len(doc.Benchmarks), *out)
 }
 
 // largeProgs builds the scaling workload for -large-cores: every core runs
 // transactions over a private line (loads, computes, learned branches), with
-// commit arbitration as the only cross-core serialisation — the same shape as
-// the engine's BenchmarkScheduler, at a configurable core count.
+// commit arbitration as the only cross-core serialisation, at a configurable
+// core count.
 func largeProgs(nCores, txs int) []engine.Program {
 	progs := make([]engine.Program, nCores)
 	for i := 0; i < nCores; i++ {
@@ -153,42 +148,27 @@ func largeProgs(nCores, txs int) []engine.Program {
 	return progs
 }
 
-// runLarge times the large configuration at -domains 1, 2, 4 and 8 and
-// verifies the determinism contract across them: identical simulated cycles
-// and instructions, only wall-clock may differ.
-func runLarge(cores int, progress *os.File) []benchfmt.LargeRun {
+// runLarge times one run of the large configuration.
+func runLarge(cores int, progress *os.File) benchfmt.LargeRun {
 	const txs = 3
-	var runs []benchfmt.LargeRun
-	for _, d := range []int{1, 2, 4, 8} {
-		cfg := engine.DefaultConfig()
-		cfg.Mem.Cores = cores
-		cfg.Mem.VIDSpace = vid.Space{Bits: 8}
-		cfg.Domains = d
-		start := time.Now()
-		s := engine.New(cfg)
-		res := s.Run(largeProgs(cores, txs))
-		wall := time.Since(start)
-		if res.Aborted {
-			log.Fatalf("large run (domains %d) aborted: %s", d, res.Cause)
-		}
-		st := s.Stats()
-		runs = append(runs, benchfmt.LargeRun{
-			Cores:        cores,
-			Domains:      d,
-			WallSeconds:  wall.Seconds(),
-			Cycles:       res.Cycles,
-			Instructions: st.Instructions,
-		})
-		if progress != nil {
-			fmt.Fprintf(progress, "perfsnap: large %d-core run, domains %d: %.3fs wall, %d cycles\n",
-				cores, d, wall.Seconds(), res.Cycles)
-		}
+	cfg := engine.DefaultConfig()
+	cfg.Mem.Cores = cores
+	cfg.Mem.VIDSpace = vid.Space{Bits: 8}
+	start := time.Now()
+	s := engine.New(cfg)
+	res := s.Run(largeProgs(cores, txs))
+	wall := time.Since(start)
+	if res.Aborted {
+		log.Fatalf("large run aborted: %s", res.Cause)
 	}
-	for _, r := range runs[1:] {
-		if r.Cycles != runs[0].Cycles || r.Instructions != runs[0].Instructions {
-			log.Fatalf("large run determinism violated: domains %d simulated %d cycles / %d instructions, serial %d / %d",
-				r.Domains, r.Cycles, r.Instructions, runs[0].Cycles, runs[0].Instructions)
-		}
+	if progress != nil {
+		fmt.Fprintf(progress, "perfsnap: large %d-core run: %.3fs wall, %d cycles\n",
+			cores, wall.Seconds(), res.Cycles)
 	}
-	return runs
+	return benchfmt.LargeRun{
+		Cores:        cores,
+		WallSeconds:  wall.Seconds(),
+		Cycles:       res.Cycles,
+		Instructions: s.Stats().Instructions,
+	}
 }
