@@ -327,6 +327,9 @@ func TestRestoreRejectsCorruptConfig(t *testing.T) {
 		{"VID bits 0", func(rs *RunState) { rs.EngineCfg.Mem.VIDSpace.Bits = 0 }},
 		{"VID bits 9", func(rs *RunState) { rs.EngineCfg.Mem.VIDSpace.Bits = 9 }},
 		{"negative RecentN", func(rs *RunState) { rs.Engine.Cores[1].RecentN = -3 }},
+		{"RecentN without a recent list", func(rs *RunState) { rs.Engine.Cores[1].RecentN, rs.Engine.Cores[1].Recent = 5, nil }},
+		{"recent list shorter than RecentN", func(rs *RunState) { rs.Engine.Cores[1].RecentN, rs.Engine.Cores[1].Recent = 40, []uint64{64, 128} }},
+		{"predictor counter 4", func(rs *RunState) { rs.Engine.Cores[0].Pred = map[uint64]uint8{1: 2, 7: 4} }},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			rs := *base.Run

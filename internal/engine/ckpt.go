@@ -178,14 +178,21 @@ func (s *System) RestoreCkpt(ck Ckpt) error {
 	for i, cc := range ck.Cores {
 		c := s.cores[i]
 		c.pred = make(map[uint64]uint8, len(cc.Pred))
+		var over uint8 // bits above a 2-bit saturating counter's range
 		for k, v := range cc.Pred {
 			c.pred[k] = v
+			over |= v &^ 3
 		}
-		if len(cc.Recent) > len(c.recent) {
-			return fmt.Errorf("engine: core %d checkpoint has %d recent addresses, pool holds %d", i, len(cc.Recent), len(c.recent))
+		if over != 0 {
+			return fmt.Errorf("engine: core %d checkpoint has a branch-predictor counter above 3", i)
 		}
 		if cc.RecentN < 0 {
 			return fmt.Errorf("engine: core %d checkpoint has negative recent-address count %d", i, cc.RecentN)
+		}
+		// CaptureCkpt writes the pool's filled prefix: min(RecentN, pool
+		// size) addresses, never more or fewer.
+		if want := min(cc.RecentN, len(c.recent)); len(cc.Recent) != want {
+			return fmt.Errorf("engine: core %d checkpoint has %d recent addresses for a recent-address count of %d, want %d", i, len(cc.Recent), cc.RecentN, want)
 		}
 		c.recent = [16]memsys.Addr{}
 		copy(c.recent[:], cc.Recent)

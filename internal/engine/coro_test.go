@@ -108,18 +108,30 @@ func TestProgramPanicSurfacesFromRun(t *testing.T) {
 }
 
 // TestHandoffAllocFree pins that handing an operation to the scheduler and
-// back allocates nothing: a run's allocations do not depend on its length.
+// back, and keeping the run queue ordered, allocates nothing: a run's
+// allocations do not depend on its length.
 func TestHandoffAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; see race_enabled_test.go")
 	}
-	allocs := func(n int) float64 {
-		s := newSys()
-		progs := []Program{computeProgram(n)}
-		return testing.AllocsPerRun(5, func() { s.Run(progs) })
-	}
-	if short, long := allocs(1000), allocs(10000); short != long {
-		t.Fatalf("allocations per Run: %v at 1k ops, %v at 10k ops; the handoff allocates", short, long)
+	for _, tc := range []struct{ cores, short, long int }{
+		{1, 1000, 10000},
+		{64, 200, 2000},
+	} {
+		allocs := func(n int) float64 {
+			cfg := DefaultConfig()
+			cfg.Mem.Cores = tc.cores
+			s := New(cfg)
+			progs := make([]Program, tc.cores)
+			for i := range progs {
+				progs[i] = computeProgram(n)
+			}
+			return testing.AllocsPerRun(5, func() { s.Run(progs) })
+		}
+		if short, long := allocs(tc.short), allocs(tc.long); short != long {
+			t.Errorf("%d cores: allocations per Run: %v at %d ops per core, %v at %d; the dispatch allocates",
+				tc.cores, short, tc.short, long, tc.long)
+		}
 	}
 }
 

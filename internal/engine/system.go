@@ -94,7 +94,6 @@ type core struct {
 	// the scheduler last resumed it. A program runs only inside resume, so
 	// no two programs ever execute at once.
 	pendingReq request
-	hasReq     bool
 
 	curSeq vid.Seq
 	// curTx caches the txStats of curSeq for txInfo. It is set at beginMTX
@@ -159,6 +158,16 @@ type System struct {
 	stats  Stats
 	nLive  int
 
+	// runq holds the runnable cores — live, not parked, a request pending —
+	// as a binary min-heap of their run keys (runKey), which order by
+	// (clock, core ID). Its storage is allocated once in New with room for
+	// every core.
+	runq []uint64
+	// wake is set by every event that can satisfy a parked core's wait: a
+	// commit, a queue push, pop or close, an abort. runSerial re-examines
+	// the parked cores only when it is set (DESIGN.md §11.7).
+	wake bool
+
 	// debug is the debugger event hook (ckpt.go); nil when no debugger is
 	// attached.
 	debug func(DebugEvent)
@@ -192,6 +201,7 @@ func New(cfg Config) *System {
 		txs:    make(map[vid.Seq]*txStats),
 		rng:    rand.New(src),
 		rngSrc: src,
+		runq:   make([]uint64, 0, cfg.Mem.Cores),
 	}
 	s.Mem.SetTracker((*sysTracker)(s))
 	for i := 0; i < cfg.Mem.Cores; i++ {
@@ -229,7 +239,6 @@ func (s *System) Run(programs []Program) RunResult {
 	live := s.cores[:len(programs)]
 	for _, c := range live {
 		c.time, c.finish, c.done, c.parked, c.curSeq = 0, 0, false, parkNone, 0
-		c.hasReq = false
 		c.curTx = nil
 	}
 	// Each program is a coroutine, started in core order and run up to its
@@ -290,38 +299,121 @@ func (s *System) Run(programs []Program) RunResult {
 }
 
 // runSerial is the scheduler loop: one event at a time, the earliest-clock
-// runnable core first (lowest core ID on ties).
+// runnable core first (lowest core ID on ties). The run queue's root is that
+// core; it stays at the root while its event is handled and is then re-keyed
+// in place, or popped if it parked or finished. Parked cores are re-examined
+// only after an event that can wake one, so a scan that would wake nobody is
+// never made.
 func (s *System) runSerial(live []*core) {
+	s.runq = s.runq[:0]
+	for _, c := range live {
+		s.pushRunnable(c)
+	}
 	for s.nLive > 0 {
-		c := s.pickRunnable(live)
-		if c == nil {
+		if len(s.runq) == 0 {
 			s.dumpDeadlock(live)
 		}
-		r := c.pendingReq
-		c.hasReq = false
-		s.handle(c, r)
-		s.retryParked(live)
+		c := s.cores[s.runq[0]&runKeyCore]
+		s.handle(c, c.pendingReq)
+		if c.done || c.parked != parkNone {
+			s.popRunnable()
+		} else {
+			s.runq[0] = runKey(c)
+			s.siftDown(0)
+		}
+		if s.wake {
+			s.retryParked(live)
+			s.wake = false
+		}
 	}
 }
 
 // resume hands resp to core c's program and runs the program, on the calling
 // goroutine, up to its next request: one coroutine switch there and one back.
+// Every program ends by yielding reqDone and is never resumed after it, so
+// the coroutine always has a next request.
 func (s *System) resume(c *core, resp response) {
 	c.resp = resp
-	c.pendingReq, c.hasReq = c.next()
+	c.pendingReq, _ = c.next()
 }
 
-func (s *System) pickRunnable(live []*core) *core {
-	var best *core
-	for _, c := range live {
-		if c.done || c.parked != parkNone || !c.hasReq {
-			continue
-		}
-		if best == nil || c.time < best.time {
-			best = c
-		}
+// runKeyCore masks the core ID out of a run key. memsys caps a machine at 255
+// cores, so the ID fits in the low 8 bits.
+const runKeyCore = 1<<8 - 1
+
+// runKey is core c's run-queue key: its clock above its core ID, so one
+// unsigned compare orders (clock, core ID) — earlier clock first, lower core
+// ID on ties.
+//
+//hmtx:hotpath
+func runKey(c *core) uint64 {
+	if uint64(c.time) >= 1<<56 {
+		panic("engine: core clock outside the run queue's key range")
 	}
-	return best
+	return uint64(c.time)<<8 | uint64(c.id)
+}
+
+// pushRunnable adds c to the run queue. Each core is queued at most once, so
+// the storage New allocated always has room.
+//
+//hmtx:hotpath
+func (s *System) pushRunnable(c *core) {
+	n := len(s.runq)
+	s.runq = s.runq[:n+1]
+	s.runq[n] = runKey(c)
+	s.siftUp(n)
+}
+
+// popRunnable removes the run queue's root.
+//
+//hmtx:hotpath
+func (s *System) popRunnable() {
+	n := len(s.runq) - 1
+	s.runq[0] = s.runq[n]
+	s.runq = s.runq[:n]
+	if n > 0 {
+		s.siftDown(0)
+	}
+}
+
+// siftUp restores the heap order above position i.
+//
+//hmtx:hotpath
+func (s *System) siftUp(i int) {
+	q := s.runq
+	k := q[i]
+	for i > 0 {
+		p := (i - 1) / 2
+		if k >= q[p] {
+			break
+		}
+		q[i] = q[p]
+		i = p
+	}
+	q[i] = k
+}
+
+// siftDown restores the heap order below position i.
+//
+//hmtx:hotpath
+func (s *System) siftDown(i int) {
+	q := s.runq
+	k := q[i]
+	for {
+		m := 2*i + 1
+		if m >= len(q) {
+			break
+		}
+		if r := m + 1; r < len(q) && q[r] < q[m] {
+			m = r
+		}
+		if k <= q[m] {
+			break
+		}
+		q[i] = q[m]
+		i = m
+	}
+	q[i] = k
 }
 
 func (s *System) dumpDeadlock(live []*core) {
@@ -488,6 +580,7 @@ func (s *System) handle(c *core, r request) {
 
 	case reqClose:
 		s.queue(r.q).closed = true
+		s.wake = true // drained consumers now see ok == false
 		c.time += s.cfg.QueueOpCost
 		if s.prof.Enabled() {
 			s.prof.Charge(c.id, uint64(c.curSeq), prof.Compute, s.cfg.QueueOpCost)
@@ -543,6 +636,7 @@ func (s *System) queue(id int) *queue {
 
 func (s *System) doProduce(c *core, q *queue, val uint64) {
 	q.items = append(q.items, qItem{val: val, ready: c.time + s.cfg.QueueLat})
+	s.wake = true // a consumer may be waiting for the item
 	c.time += s.cfg.QueueOpCost
 	s.stats.Instructions++
 	if s.prof.Enabled() {
@@ -553,6 +647,7 @@ func (s *System) doProduce(c *core, q *queue, val uint64) {
 func (s *System) doConsume(c *core, q *queue) uint64 {
 	it := q.items[0]
 	q.items = q.items[1:]
+	s.wake = true // a producer may be waiting for the free slot
 	if it.ready > c.time {
 		if s.prof.Enabled() {
 			s.prof.Charge(c.id, uint64(c.curSeq), prof.QueueWait, it.ready-c.time)
@@ -620,6 +715,7 @@ func (s *System) doCommit(c *core, seq vid.Seq) {
 		s.prof.Charge(c.id, uint64(seq), prof.Commit, res.Lat)
 	}
 	s.lastCommitted = seq
+	s.wake = true // commit, await and epoch parks wait on lastCommitted
 	if c.time > s.lastCommitTime {
 		s.lastCommitTime = c.time
 	}
@@ -731,6 +827,7 @@ func (s *System) triggerAbort(cause string, c *core) {
 	}
 	s.aborting = true
 	s.abortCause = cause
+	s.wake = true // every parked core unwinds
 	switch obs.AbortClass(cause) {
 	case "conflict":
 		s.stats.AbortsConflict++
@@ -755,11 +852,12 @@ func (s *System) triggerAbort(cause string, c *core) {
 	s.resume(c, response{abort: true})
 }
 
-// retryParked re-examines parked cores after every event, waking those whose
-// condition now holds. Iteration repeats until a fixed point so that chains
-// (commit unblocking commit unblocking a VID reset) resolve in one pass.
-// A woken core is resumed on the spot and runs alone until its next request —
-// the serialisation invariant of Run holds here too.
+// retryParked re-examines parked cores in core-ID order, waking those whose
+// condition now holds, after an event that set s.wake. Iteration repeats until
+// a fixed point so that chains (commit unblocking commit unblocking a VID
+// reset) resolve in one pass. A woken core is resumed on the spot and runs
+// alone until its next request — the serialisation invariant of Run holds here
+// too — then joins the run queue.
 func (s *System) retryParked(live []*core) {
 	for changed := true; changed; {
 		changed = false
@@ -770,6 +868,7 @@ func (s *System) retryParked(live []*core) {
 			if resp, ok := s.unpark(c); ok {
 				c.parked = parkNone
 				s.resume(c, resp)
+				s.pushRunnable(c)
 				changed = true
 			}
 		}
