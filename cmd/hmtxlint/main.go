@@ -9,33 +9,26 @@
 // -json, an "hmtx-lint/v1" document: schema header, the analyzer names and
 // versions that ran, and the sorted findings — a versioned artifact
 // hmtxreport diff understands like the metric documents). With -baseline,
-// findings recorded in the given JSON file — an earlier -json run, in either
-// the v1 document form or the legacy bare-array form — are tolerated: only
-// new findings fail the run, so a gate can be introduced before every
-// pre-existing finding is paid down.
+// findings recorded in the given hmtx-lint/v1 document (an earlier -json
+// run) are tolerated: only new findings fail the run, so a gate can be
+// introduced before every pre-existing finding is paid down.
 //
 // The rules (see tools/analyzers/*) enforce the determinism contract from
 // DESIGN.md: no map-iteration-order dependence (detrange), no wall-clock or
 // ambient randomness (noclock), no cache-line protocol mutation outside
-// internal/memsys (statemut), no unguarded trace emission on the
-// simulator fast path (tracegate), no unguarded profiler charges there
-// either (profgate), no unguarded metric-instrument records there
-// (metricsgate), statically allocation-free //hmtx:hotpath functions
-// (hotalloc), and atomically-consistent access to sync/atomic-managed struct
-// fields from goroutine-reachable code (atomicfield) — plus the
-// transactional-API rules: every engine.Env
-// Begin matched by Commit/Abort/Begin(0) with no escaping handles
-// (txbalance), model-checker snapshot methods covering every field of
-// the structs they fingerprint (statefp), and the whole-program rules:
-// interprocedural nondeterminism taint into simulation-visible state
-// (detflow) and path-sensitive MTX lifecycle checking (txpath).
+// internal/memsys (statemut), no unguarded trace emit, profiler charge or
+// metric-instrument record on the simulator fast path (fastpath),
+// statically allocation-free //hmtx:hotpath functions (hotalloc),
+// model-checker snapshot methods covering every field of the structs they
+// fingerprint (statefp), and the whole-program rules: interprocedural
+// nondeterminism taint into simulation-visible state (detflow) and
+// path-sensitive MTX lifecycle checking with Env-escape detection (txpath).
 //
 // Packages are analyzed in dependency order with a shared fact store, so
 // the interprocedural analyzers see the summaries of every dependency.
 package main
 
 import (
-	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -46,32 +39,24 @@ import (
 
 	"hmtx/internal/lintdoc"
 	"hmtx/tools/analyzers/analysis"
-	"hmtx/tools/analyzers/atomicfield"
 	"hmtx/tools/analyzers/detflow"
 	"hmtx/tools/analyzers/detrange"
+	"hmtx/tools/analyzers/fastpath"
 	"hmtx/tools/analyzers/hotalloc"
-	"hmtx/tools/analyzers/metricsgate"
 	"hmtx/tools/analyzers/noclock"
-	"hmtx/tools/analyzers/profgate"
 	"hmtx/tools/analyzers/statefp"
 	"hmtx/tools/analyzers/statemut"
-	"hmtx/tools/analyzers/tracegate"
-	"hmtx/tools/analyzers/txbalance"
 	"hmtx/tools/analyzers/txpath"
 )
 
 var analyzers = []*analysis.Analyzer{
-	atomicfield.Analyzer,
 	detflow.Analyzer,
 	detrange.Analyzer,
+	fastpath.Analyzer,
 	hotalloc.Analyzer,
-	metricsgate.Analyzer,
 	noclock.Analyzer,
-	profgate.Analyzer,
 	statefp.Analyzer,
 	statemut.Analyzer,
-	tracegate.Analyzer,
-	txbalance.Analyzer,
 	txpath.Analyzer,
 }
 
@@ -200,27 +185,18 @@ func lintDoc(findings []Finding) *lintdoc.Doc {
 	return doc
 }
 
-// readBaseline accepts both baseline formats: the hmtx-lint/v1 document and
-// the legacy bare findings array.
+// readBaseline reads the findings of an hmtx-lint/v1 document.
 func readBaseline(path string) ([]Finding, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
 		return nil, err
-	}
-	trimmed := bytes.TrimLeft(data, " \t\r\n")
-	if len(trimmed) > 0 && trimmed[0] == '[' {
-		var fs []Finding
-		if err := json.Unmarshal(data, &fs); err != nil {
-			return nil, fmt.Errorf("parsing baseline %s: %v", path, err)
-		}
-		return fs, nil
 	}
 	var doc lintdoc.Doc
 	if err := json.Unmarshal(data, &doc); err != nil {
 		return nil, fmt.Errorf("parsing baseline %s: %v", path, err)
 	}
 	if doc.Schema != lintdoc.Schema {
-		return nil, fmt.Errorf("baseline %s: unsupported schema %q (want %q or a bare findings array)", path, doc.Schema, lintdoc.Schema)
+		return nil, fmt.Errorf("baseline %s: unsupported schema %q (want %q)", path, doc.Schema, lintdoc.Schema)
 	}
 	return doc.Findings, nil
 }

@@ -64,8 +64,9 @@ func TestDiffBaselineEmptyBaseline(t *testing.T) {
 	}
 }
 
-// TestReadBaselineFormats verifies both accepted baseline formats: the
-// legacy bare array and the hmtx-lint/v1 document.
+// TestReadBaselineFormats verifies that the hmtx-lint/v1 document is the one
+// accepted baseline format: a bare findings array or a foreign schema is an
+// error.
 func TestReadBaselineFormats(t *testing.T) {
 	dir := t.TempDir()
 	write := func(name, content string) string {
@@ -75,21 +76,22 @@ func TestReadBaselineFormats(t *testing.T) {
 		}
 		return p
 	}
-	legacy := write("legacy.json", `[{"file":"x.go","line":1,"col":2,"analyzer":"hotalloc","message":"m"}]`)
 	doc := write("doc.json", `{"schema":"hmtx-lint/v1","analyzers":[{"name":"hotalloc","version":"1"}],`+
 		`"findings":[{"file":"x.go","line":1,"col":2,"analyzer":"hotalloc","message":"m"}]}`)
-	for _, path := range []string{legacy, doc} {
-		fs, err := readBaseline(path)
-		if err != nil {
-			t.Fatalf("readBaseline(%s): %v", path, err)
-		}
-		if len(fs) != 1 || fs[0].Analyzer != "hotalloc" || fs[0].Line != 1 {
-			t.Errorf("readBaseline(%s) = %+v", path, fs)
-		}
+	fs, err := readBaseline(doc)
+	if err != nil {
+		t.Fatalf("readBaseline(%s): %v", doc, err)
 	}
-	bad := write("bad.json", `{"schema":"hmtx-series/v1"}`)
-	if _, err := readBaseline(bad); err == nil {
-		t.Error("foreign schema accepted as baseline")
+	if len(fs) != 1 || fs[0].Analyzer != "hotalloc" || fs[0].Line != 1 {
+		t.Errorf("readBaseline(%s) = %+v", doc, fs)
+	}
+	for name, content := range map[string]string{
+		"array.json":   `[{"file":"x.go","line":1,"col":2,"analyzer":"hotalloc","message":"m"}]`,
+		"foreign.json": `{"schema":"hmtx-series/v1"}`,
+	} {
+		if _, err := readBaseline(write(name, content)); err == nil {
+			t.Errorf("%s accepted as baseline", name)
+		}
 	}
 }
 
@@ -115,12 +117,12 @@ func TestLintDoc(t *testing.T) {
 		vers[a.Name] = a.Version
 		names = append(names, a.Name)
 	}
-	want := "atomicfield detflow detrange hotalloc metricsgate noclock profgate statefp statemut tracegate txbalance txpath"
+	want := "detflow detrange fastpath hotalloc noclock statefp statemut txpath"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("analyzer roster = %s\nwant %s", got, want)
 	}
-	if vers["hotalloc"] != "1" || vers["atomicfield"] != "1" {
-		t.Errorf("new analyzers missing from roster: %v", vers)
+	if vers["fastpath"] != "1" || vers["txpath"] != "2" {
+		t.Errorf("analyzer versions = %v, want fastpath 1 and txpath 2", vers)
 	}
 }
 

@@ -43,14 +43,15 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 
 	switch sa.Schema {
 	case metrics.SeriesSchema:
-		var a, b metrics.SeriesDoc
-		if err := readJSON(pa, &a); err != nil {
+		a, err := readSeries(pa)
+		if err != nil {
 			return fail("%v", err)
 		}
-		if err := readJSON(pb, &b); err != nil {
+		b, err := readSeries(pb)
+		if err != nil {
 			return fail("%v", err)
 		}
-		diffSeries(stdout, &a, &b)
+		diffSeries(stdout, a, b)
 	case metrics.ConflictSchema:
 		var a, b metrics.ConflictDoc
 		if err := readJSON(pa, &a); err != nil {
@@ -226,12 +227,9 @@ func diffHists(w io.Writer, a, b *metrics.HistDoc) {
 			ha, hb := &a.Histograms[p[0]], &b.Histograms[p[1]]
 			fmt.Fprintf(w, "\n%s\n", ha.Label)
 			byName := make(map[string]*metrics.HistSnapshot, len(hb.Hists))
-			var names []string
 			for i := range hb.Hists {
 				byName[hb.Hists[i].Name] = &hb.Hists[i]
-				names = append(names, hb.Hists[i].Name)
 			}
-			_ = names
 			var t stats.Table
 			t.Add("histogram", "A count", "B count", "A p50", "B p50", "A p95", "B p95", "A p99", "B p99", "p50 B/A")
 			for i := range ha.Hists {

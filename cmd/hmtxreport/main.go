@@ -81,6 +81,28 @@ func checkSchema(path, got, want string) error {
 	return nil
 }
 
+// readSeries reads an hmtx-series/v1 document. Every renderer indexes a
+// column's values by sample, so a column whose length differs from its
+// series' cycle count is rejected here rather than panicking there.
+func readSeries(path string) (*metrics.SeriesDoc, error) {
+	var doc metrics.SeriesDoc
+	if err := readJSON(path, &doc); err != nil {
+		return nil, err
+	}
+	if err := checkSchema(path, doc.Schema, metrics.SeriesSchema); err != nil {
+		return nil, err
+	}
+	for _, s := range doc.Series {
+		for _, c := range s.Cols {
+			if len(c.Values) != len(s.Cycles) {
+				return nil, fmt.Errorf("%s: series %q column %q has %d values for %d cycles",
+					path, s.Label, c.Name, len(c.Values), len(s.Cycles))
+			}
+		}
+	}
+	return &doc, nil
+}
+
 func runReport(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("hmtxreport", stderr)
 	seriesPath := fs.String("series", "", "hmtx-series/v1 time-series document")
@@ -104,14 +126,11 @@ func runReport(args []string, stdout, stderr io.Writer) int {
 	var rep report
 	rep.Title = *title
 	if *seriesPath != "" {
-		var doc metrics.SeriesDoc
-		if err := readJSON(*seriesPath, &doc); err != nil {
+		doc, err := readSeries(*seriesPath)
+		if err != nil {
 			return fail("%v", err)
 		}
-		if err := checkSchema(*seriesPath, doc.Schema, metrics.SeriesSchema); err != nil {
-			return fail("%v", err)
-		}
-		rep.SeriesDoc = &doc
+		rep.SeriesDoc = doc
 	}
 	if *conflictsPath != "" {
 		var doc metrics.ConflictDoc

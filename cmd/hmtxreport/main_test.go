@@ -190,7 +190,7 @@ func TestDiff(t *testing.T) {
 func TestDiffLint(t *testing.T) {
 	dir := t.TempDir()
 	a := lintdoc.Doc{Schema: lintdoc.Schema,
-		Analyzers: []lintdoc.Analyzer{{Name: "atomicfield", Version: "1"}, {Name: "hotalloc", Version: "1"}},
+		Analyzers: []lintdoc.Analyzer{{Name: "fastpath", Version: "1"}, {Name: "hotalloc", Version: "1"}},
 		Findings: []lintdoc.Finding{
 			{File: "x.go", Line: 10, Col: 2, Analyzer: "hotalloc", Message: "make allocates"},
 			{File: "x.go", Line: 20, Col: 2, Analyzer: "hotalloc", Message: "fixed later"},
@@ -200,7 +200,7 @@ func TestDiffLint(t *testing.T) {
 		Findings: []lintdoc.Finding{
 			// Same finding, moved: must not count as new.
 			{File: "x.go", Line: 14, Col: 2, Analyzer: "hotalloc", Message: "make allocates"},
-			{File: "y.go", Line: 1, Col: 1, Analyzer: "atomicfield", Message: "brand new"},
+			{File: "y.go", Line: 1, Col: 1, Analyzer: "fastpath", Message: "brand new"},
 		}}
 	write := func(name string, v any) string {
 		buf, err := json.MarshalIndent(v, "", "  ")
@@ -221,7 +221,7 @@ func TestDiffLint(t *testing.T) {
 	out := stdout.String()
 	for _, want := range []string{
 		"lint diff: A has 2 findings, B has 2",
-		"atomicfield",
+		"fastpath",
 		"new in B",
 		"brand new",
 		"fixed in B",
@@ -257,5 +257,53 @@ func TestBadInput(t *testing.T) {
 	}
 	if code := run([]string{"-series", bad}, &stdout, &stderr); code != 1 {
 		t.Errorf("wrong schema: exit %d, want 1", code)
+	}
+}
+
+// TestCorruptSeriesRejected verifies that a series whose columns do not match
+// its cycle count is rejected with an error naming the series and column, by
+// both the report and the diff path, instead of panicking in a renderer.
+func TestCorruptSeriesRejected(t *testing.T) {
+	dir := t.TempDir()
+	good, _, _, _ := fixtures(t, dir)
+	buf, err := os.ReadFile(good)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, corrupt := range map[string]func(*metrics.Series){
+		"long-columns": func(s *metrics.Series) {
+			for i := range s.Cols {
+				s.Cols[i].Values = append(s.Cols[i].Values, 1, 2, 3)
+			}
+		},
+		"short-cycles": func(s *metrics.Series) { s.Cycles = s.Cycles[:2] },
+	} {
+		var doc metrics.SeriesDoc
+		if err := json.Unmarshal(buf, &doc); err != nil {
+			t.Fatal(err)
+		}
+		corrupt(&doc.Series[0])
+		out, err := json.Marshal(doc)
+		if err != nil {
+			t.Fatal(err)
+		}
+		bad := filepath.Join(dir, name+".json")
+		if err := os.WriteFile(bad, out, 0o644); err != nil {
+			t.Fatal(err)
+		}
+		for _, args := range [][]string{
+			{"-series", bad},
+			{"-series", bad, "-o", filepath.Join(dir, name+".html")},
+			{"diff", bad, good},
+			{"diff", good, bad},
+		} {
+			var stdout, stderr bytes.Buffer
+			if code := run(args, &stdout, &stderr); code != 1 {
+				t.Errorf("%s %v: exit %d, want 1", name, args, code)
+			}
+			if msg := stderr.String(); !strings.Contains(msg, `series "bench/hmtx" column "txs_committed"`) {
+				t.Errorf("%s %v: stderr %q does not name the series and column", name, args, msg)
+			}
+		}
 	}
 }

@@ -8,7 +8,7 @@ import (
 
 // SetTracer installs the event tracer on the system and its memory hierarchy
 // (nil disables tracing). Every emit site in this package is behind an
-// Enabled guard (enforced by the tracegate analyzer), so the disabled path
+// Enabled guard (enforced by the fastpath analyzer), so the disabled path
 // costs one predictable branch per site.
 func (s *System) SetTracer(t *obs.Tracer) {
 	s.tracer = t

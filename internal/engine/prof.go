@@ -10,7 +10,7 @@ import (
 // so every site that advances a core clock charges the same amount to a
 // prof bucket; the memory system contributes the per-line contention
 // counters. Every emit site is behind an Enabled guard (enforced by the
-// profgate analyzer), so the disabled path costs one predictable branch per
+// fastpath analyzer), so the disabled path costs one predictable branch per
 // site.
 func (s *System) SetProf(p *prof.Collector) {
 	s.prof = p

@@ -11,7 +11,6 @@ package hmtx
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"hmtx/internal/engine"
 	"hmtx/internal/paradigm"
@@ -106,13 +105,16 @@ type driver struct {
 	cores int
 	opts  Options
 
-	exitSeq atomic.Int64
+	// exitSeq is the VID whose Stage2 took the loop exit, or 0. Every
+	// program runs as a coroutine on the goroutine that called Run, so
+	// these fields need no synchronisation.
+	exitSeq int64
 	// stopped records that a pipeline program ended the loop for a
 	// data-dependent reason (Stage1 returned false) rather than by reaching
 	// its segment's iteration limit. Without it a segment boundary would be
 	// indistinguishable from the loop deciding to stop, and the next
 	// segment would wrongly run more iterations.
-	stopped atomic.Bool
+	stopped bool
 }
 
 func (d *driver) run() Outcome {
@@ -139,17 +141,17 @@ func (d *driver) run() Outcome {
 // having merely reached the segment boundary).
 func (d *driver) runSegment(startIt, endIt int, out *Outcome) bool {
 	for {
-		d.exitSeq.Store(0)
-		d.stopped.Store(false)
+		d.exitSeq = 0
+		d.stopped = false
 		res := d.sys.Run(d.programs(startIt, endIt))
 		out.Cycles += res.Cycles
 		out.Runs++
 		if !res.Aborted {
 			out.Iterations = int(res.LastCommitted)
-			return d.stopped.Load() || int(res.LastCommitted) >= d.loop.Iters()
+			return d.stopped || int(res.LastCommitted) >= d.loop.Iters()
 		}
 		out.Aborts++
-		if exit := d.exitSeq.Load(); exit != 0 && vid.Seq(exit) == res.LastCommitted {
+		if d.exitSeq != 0 && vid.Seq(d.exitSeq) == res.LastCommitted {
 			// The abort was the intentional squash of iterations
 			// speculated past an early loop exit (Figure 3's
 			// abortMTX(vid+1)); the loop is done.
@@ -231,7 +233,7 @@ func (d *driver) stage1Prog(startIt, endIt int) engine.Program {
 			e.Begin(0) // done with this transaction, but do not commit
 			e.Produce(qVIDs, uint64(seq))
 			if !cont {
-				d.stopped.Store(true)
+				d.stopped = true
 				break
 			}
 		}
@@ -255,7 +257,7 @@ func (d *driver) stage2Prog() engine.Program {
 			if exit {
 				// The loop exit was control-flow speculated away;
 				// squash the iterations that over-speculated.
-				d.exitSeq.Store(int64(seq))
+				d.exitSeq = int64(seq)
 				e.Abort(seq + 1)
 			}
 		}
@@ -271,7 +273,7 @@ func (d *driver) doallProg(startIt, endIt, w int) engine.Program {
 			exit := d.loop.Stage2(e, it)
 			e.Commit(seq)
 			if exit {
-				d.exitSeq.Store(int64(seq))
+				d.exitSeq = int64(seq)
 				e.Abort(seq + 1)
 			}
 		}
@@ -308,11 +310,11 @@ func (d *driver) doacrossProg(startIt, endIt, w int) engine.Program {
 			exit := d.loop.Stage2(e, it)
 			e.Commit(seq)
 			if exit {
-				d.exitSeq.Store(int64(seq))
+				d.exitSeq = int64(seq)
 				e.Abort(seq + 1)
 			}
 			if !cont {
-				d.stopped.Store(true)
+				d.stopped = true
 				return
 			}
 		}

@@ -11,7 +11,7 @@ import (
 // mismatches (§5.1), and speculative overflow past the last-level cache
 // (§5.4) — while the engine, which owns simulated time, stamps the recorder's
 // clock and contributes software abortMTX edges. Every emit site is behind an
-// Enabled guard (enforced by the metricsgate analyzer), so the disabled path
+// Enabled guard (enforced by the fastpath analyzer), so the disabled path
 // costs one predictable branch per site.
 func (h *Hierarchy) SetConflicts(r *metrics.Recorder) { h.conflicts = r }
 

@@ -8,7 +8,7 @@ import (
 
 // SetTracer installs the event tracer (nil disables tracing). Every emit site
 // in this package is behind an Enabled guard, so a nil tracer costs one
-// predictable branch per site (enforced by the tracegate analyzer).
+// predictable branch per site (enforced by the fastpath analyzer).
 func (h *Hierarchy) SetTracer(t *obs.Tracer) { h.tracer = t }
 
 // Tracer returns the installed tracer (possibly nil).

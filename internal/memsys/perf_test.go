@@ -182,7 +182,7 @@ func TestSettleSkipStamp(t *testing.T) {
 // TestDisabledMetricsZeroAllocs pins the §15 disabled-instrument contract:
 // with no conflict recorder installed (the nil instrument), the store paths
 // that carry the recording hooks — conflict detection, SLA replay, victim
-// placement — must not allocate. The metricsgate analyzer proves the guards
+// placement — must not allocate. The fastpath analyzer proves the guards
 // are present; this test proves the guarded fast path stays free.
 func TestDisabledMetricsZeroAllocs(t *testing.T) {
 	if raceEnabled {

@@ -7,7 +7,7 @@ import "hmtx/internal/prof"
 // conflict aborts, overflow aborts and peer transfers — while the engine,
 // which owns simulated time, charges the latency buckets using Result.Src.
 // Every emit site in this package is behind an Enabled guard (enforced by
-// the profgate analyzer), so the disabled path costs one predictable branch
+// the fastpath analyzer), so the disabled path costs one predictable branch
 // per site.
 func (h *Hierarchy) SetProf(p *prof.Collector) { h.prof = p }
 

@@ -5,7 +5,7 @@
 // prof.Collector, the nil value of every instrument is a valid disabled
 // instance: Enabled reports false and every method is safe to call, so the
 // emit sites in the simulation packages cost one predictable branch when the
-// instrument is off (enforced by the metricsgate analyzer).
+// instrument is off (enforced by the fastpath analyzer).
 //
 // Everything in this package is deterministic by construction: only simulated
 // quantities enter any instrument, buckets and bounds are integers (no floats

@@ -23,8 +23,8 @@
 //
 // Performance contract: with tracing disabled (nil Tracer) every emit site
 // must be behind an Enabled/nil guard so the hot path pays one predictable
-// branch and zero allocations. The tracegate analyzer
-// (tools/analyzers/tracegate) enforces the guard in internal/memsys and
+// branch and zero allocations. The fastpath analyzer
+// (tools/analyzers/fastpath) enforces the guard in internal/memsys and
 // internal/engine.
 package obs
 

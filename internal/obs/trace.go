@@ -74,7 +74,7 @@ func (t *Tracer) Now() int64 {
 // Emit records e, stamping e.Cycle from the last SetTime. Events of disabled
 // categories are dropped. Safe on a nil tracer, but emit sites in the
 // simulation packages must still guard with Enabled so the disabled path
-// never constructs the Event (enforced by the tracegate analyzer).
+// never constructs the Event (enforced by the fastpath analyzer).
 func (t *Tracer) Emit(e Event) {
 	if t == nil || t.mask&e.Kind.Category() == 0 {
 		return

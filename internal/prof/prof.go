@@ -17,7 +17,7 @@
 // Like obs.Tracer, the zero value of *Collector (nil) is a valid disabled
 // profiler: Enabled reports false and every method is safe to call, so emit
 // sites in the simulation packages cost one predictable branch when profiling
-// is off (enforced by the profgate analyzer).
+// is off (enforced by the fastpath analyzer).
 package prof
 
 import "fmt"

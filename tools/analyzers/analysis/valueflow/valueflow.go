@@ -1,19 +1,15 @@
 // Package valueflow is the SSA-lite value-flow layer of the analysis
-// framework: def-use chains over one function's syntax, an
-// address-taken/escape lattice for its variables, and (reach.go) a
-// goroutine-reachability computation over the package call graph.
+// framework: def-use chains over one function's syntax and an
+// address-taken/escape lattice for its variables.
 //
 // It deliberately stops short of full SSA. The hmtx analyzers need to answer
-// three questions a plain AST walk cannot:
+// two questions a plain AST walk cannot:
 //
 //   - does the address of this variable reach the heap? (hotalloc: an
 //     escaping parameter is heap-moved at every call — the PR 8 install()
 //     `&ln` panic-argument bug class);
 //   - does this function leak the pointer values passed to it? (so a caller
-//     can pass `&local` to a callee without the local escaping);
-//   - which functions can execute on a go-spawned goroutine, including
-//     targets reached through function values and method values?
-//     (atomicfield).
+//     can pass `&local` to a callee without the local escaping).
 //
 // The escape analysis is flow-insensitive and monotone: every tracked
 // *origin* (the address of a local, an addressable composite literal, a

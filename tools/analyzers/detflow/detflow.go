@@ -18,8 +18,7 @@
 //
 // Sinks:
 //   - a store into a field (or composite literal) of a struct defined in a
-//     simulation-visible package (internal/memsys, engine, prof, obs,
-//     stats, check, experiments, hmtx, smtx, vid);
+//     simulation-visible package (simscope.SimPackages);
 //   - a call into a simulation-visible package, or into the
 //     deterministic-output encoders (encoding/json), passing a tainted
 //     argument;
@@ -63,38 +62,13 @@ import (
 	"hmtx/tools/analyzers/analysis"
 	"hmtx/tools/analyzers/analysis/callgraph"
 	"hmtx/tools/analyzers/analysis/cfg"
+	"hmtx/tools/analyzers/simscope"
 )
 
 var Analyzer = &analysis.Analyzer{
 	Name: "detflow",
 	Doc:  "reports interprocedural flows from nondeterminism sources into simulation-visible state",
 	Run:  run,
-}
-
-// simVisible are the package-path suffixes whose types and APIs count as
-// simulation-visible state (the byte-identical-output surface of DESIGN.md
-// §9 plus the experiment/report builders).
-var simVisible = []string{
-	"internal/memsys",
-	"internal/engine",
-	"internal/prof",
-	"internal/obs",
-	"internal/stats",
-	"internal/check",
-	"internal/experiments",
-	"internal/hmtx",
-	"internal/smtx",
-	"internal/vid",
-}
-
-func isSimVisiblePath(path string) bool {
-	path = strings.TrimSuffix(path, "_test")
-	for _, s := range simVisible {
-		if strings.HasSuffix(path, s) {
-			return true
-		}
-	}
-	return false
 }
 
 // summary is the exported per-function fact.
@@ -577,7 +551,7 @@ func (s *state) store(lhs ast.Expr, t taint, cur tmap, check bool) {
 	case *ast.SelectorExpr:
 		if check && t.has() {
 			if sel, ok := s.pass.TypesInfo.Selections[lhs]; ok && sel.Kind() == types.FieldVal {
-				if owner := namedOwner(sel.Recv()); owner != nil && isSimVisiblePath(owner.Obj().Pkg().Path()) {
+				if owner := namedOwner(sel.Recv()); owner != nil && simscope.IsSim(owner.Obj().Pkg().Path()) {
 					s.sink(lhs.Pos(), t, fmt.Sprintf("simulation-visible field %s.%s", owner.Obj().Name(), lhs.Sel.Name))
 				}
 			}
@@ -592,7 +566,7 @@ func (s *state) store(lhs ast.Expr, t taint, cur tmap, check bool) {
 				t = stripOrder(t)
 			}
 			if check && t.has() {
-				if owner := namedOwner(tv.Type); owner != nil && isSimVisiblePath(owner.Obj().Pkg().Path()) {
+				if owner := namedOwner(tv.Type); owner != nil && simscope.IsSim(owner.Obj().Pkg().Path()) {
 					s.sink(lhs.Pos(), t, fmt.Sprintf("simulation-visible container %s", owner.Obj().Name()))
 				}
 			}
@@ -763,7 +737,7 @@ func (s *state) expr(e ast.Expr, cur tmap, check bool) taint {
 		var t taint
 		simOwner := ""
 		if tv, ok := s.pass.TypesInfo.Types[e]; ok {
-			if owner := namedOwner(tv.Type); owner != nil && isSimVisiblePath(owner.Obj().Pkg().Path()) {
+			if owner := namedOwner(tv.Type); owner != nil && simscope.IsSim(owner.Obj().Pkg().Path()) {
 				simOwner = owner.Obj().Name()
 			}
 		}
@@ -911,7 +885,7 @@ func (s *state) call(e ast.Expr, cur tmap, check bool) []taint {
 		}
 		// No summary: a call into a simulation-visible package with a
 		// tainted argument is itself a sink; otherwise propagate.
-		if pkg := callee.Pkg(); pkg != nil && isSimVisiblePath(pkg.Path()) {
+		if pkg := callee.Pkg(); pkg != nil && simscope.IsSim(pkg.Path()) {
 			if allArgs.has() {
 				s.sinkIfCheck(check, call.Pos(), allArgs,
 					fmt.Sprintf("simulation API %s.%s", pkg.Name(), callee.Name()))

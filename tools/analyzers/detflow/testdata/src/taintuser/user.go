@@ -9,6 +9,7 @@ import (
 	"sort"
 
 	"hmtx/internal/memsys"
+	"hmtx/internal/metrics"
 	"taintlib"
 )
 
@@ -18,6 +19,12 @@ import (
 func InterproceduralMapLeak(h *memsys.Hierarchy, m map[string]int) {
 	k := taintlib.FirstKey(m)
 	h.Note = k // want `nondeterministic value \(map iteration order\) flows into simulation-visible field Hierarchy\.Note`
+}
+
+// MetricsSeriesName stores a map-order key into a metrics series: the
+// series document is simulation output like the memory system's state.
+func MetricsSeriesName(s *metrics.Series, m map[string]int) {
+	s.Name = taintlib.FirstKey(m) // want `nondeterministic value \(map iteration order\) flows into simulation-visible field Series\.Name`
 }
 
 // DoubleLaundered pushes the taint through two helpers.

@@ -1,0 +1,149 @@
+// Package fastpath keeps instrumentation off the simulator's fast path.
+//
+// The instrument contract (DESIGN.md §10, §13, §15) is that a run with an
+// instrument disabled pays one nil-check per potential record: every guarded
+// instrument call inside internal/memsys and internal/engine must sit in the
+// body of an if statement whose condition calls Enabled on an instrument of
+// the same kind, so no event is built, no charge entry made, no row appended
+// and no bucket touched when the instrument is off. The guarded calls are
+// listed in gates, one row per instrument kind:
+//
+//   - obs.Tracer: Emit;
+//   - prof.Collector: every method but Enabled (Charge, ChargeLine, the
+//     heatmap counters, CoreDone, RunEnd);
+//   - every internal/metrics type (Sampler, Recorder, LatHists, Hist): every
+//     method but Enabled.
+//
+// Enabled itself is the guard and is exempt. Test files are exempt: tests
+// drive the instruments deliberately and are not on the simulated fast path.
+package fastpath
+
+import (
+	"go/ast"
+	"go/token"
+	"go/types"
+	"strings"
+
+	"hmtx/tools/analyzers/analysis"
+)
+
+var Analyzer = &analysis.Analyzer{
+	Name: "fastpath",
+	Doc:  "requires every trace emit, profiler charge and metrics-instrument call in memsys/engine to be inside an Enabled() guard",
+	Run:  run,
+}
+
+// A gate names one instrument kind and how a finding tells the user to
+// guard it.
+type gate struct {
+	pkg    string // package-path suffix of the instrument
+	typ    string // receiver type name; "" matches every named type in pkg
+	method string // the one guarded method; "" guards every method but Enabled
+	guard  string // the guard the message suggests
+	why    string // what the guard keeps the fast path
+}
+
+var gates = []gate{
+	{"internal/obs", "Tracer", "Emit", "if tr.Enabled(cat)", "allocation-free"},
+	{"internal/prof", "Collector", "", "if p.Enabled()", "free when profiling is off"},
+	{"internal/metrics", "", "", "if m.Enabled()", "free when metrics are off"},
+}
+
+// guardBody is the body of an if statement whose condition consults Enabled
+// on the instruments of the gates set in rows (bit i is gates[i]).
+type guardBody struct {
+	lo, hi token.Pos
+	rows   uint
+}
+
+func run(pass *analysis.Pass) (any, error) {
+	pkg := strings.TrimSuffix(pass.PkgPath, "_test")
+	if !strings.HasSuffix(pkg, "internal/memsys") && !strings.HasSuffix(pkg, "internal/engine") {
+		return nil, nil
+	}
+	for _, file := range pass.Files {
+		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
+			continue
+		}
+		// First pass: the guard bodies. A call inside one (at any nesting
+		// depth) is guarded for the gates its condition consults.
+		var guards []guardBody
+		ast.Inspect(file, func(n ast.Node) bool {
+			if ifs, ok := n.(*ast.IfStmt); ok {
+				if rows := enabledRows(pass, ifs.Cond); rows != 0 {
+					guards = append(guards, guardBody{ifs.Body.Pos(), ifs.Body.End(), rows})
+				}
+			}
+			return true
+		})
+		// Second pass: every guarded call must fall inside a guard body of
+		// its own gate.
+		ast.Inspect(file, func(n ast.Node) bool {
+			call, ok := n.(*ast.CallExpr)
+			if !ok {
+				return true
+			}
+			row, recv, method := instrumentCall(pass, call)
+			if row < 0 || method == "Enabled" {
+				return true
+			}
+			g := gates[row]
+			if g.method != "" && method != g.method {
+				return true
+			}
+			for _, gb := range guards {
+				if gb.rows&(1<<row) != 0 && gb.lo <= call.Pos() && call.Pos() < gb.hi {
+					return true
+				}
+			}
+			pass.Reportf(call.Pos(), "%s.%s.%s outside an Enabled() guard; wrap it in `%s { ... }` to keep the fast path %s",
+				recv.Pkg().Name(), recv.Name(), method, g.guard, g.why)
+			return true
+		})
+	}
+	return nil, nil
+}
+
+// enabledRows returns the gates whose Enabled method the expression calls,
+// however the calls are combined (negation, &&, ||).
+func enabledRows(pass *analysis.Pass, cond ast.Expr) uint {
+	var rows uint
+	ast.Inspect(cond, func(n ast.Node) bool {
+		if call, ok := n.(*ast.CallExpr); ok {
+			if row, _, method := instrumentCall(pass, call); row >= 0 && method == "Enabled" {
+				rows |= 1 << row
+			}
+		}
+		return true
+	})
+	return rows
+}
+
+// instrumentCall reports which gate's instrument type call invokes a method
+// on (a value of the type or a pointer to it), with the receiver type and
+// method name; row is -1 when the call is not an instrument method call.
+func instrumentCall(pass *analysis.Pass, call *ast.CallExpr) (row int, recv *types.TypeName, method string) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return -1, nil, ""
+	}
+	selection, ok := pass.TypesInfo.Selections[sel]
+	if !ok || selection.Kind() != types.MethodVal {
+		return -1, nil, ""
+	}
+	t := selection.Recv()
+	if ptr, ok := t.(*types.Pointer); ok {
+		t = ptr.Elem()
+	}
+	named, ok := t.(*types.Named)
+	if !ok || named.Obj().Pkg() == nil {
+		return -1, nil, ""
+	}
+	obj := named.Obj()
+	for i, g := range gates {
+		if strings.HasSuffix(obj.Pkg().Path(), g.pkg) && (g.typ == "" || g.typ == obj.Name()) {
+			return i, obj, sel.Sel.Name
+		}
+	}
+	return -1, nil, ""
+}

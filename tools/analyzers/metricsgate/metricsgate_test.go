@@ -1,15 +1,16 @@
-package metricsgate_test
+// Package metricsgate tests the fastpath analyzer's internal/metrics row, which
+// took over the metricsgate rule.
+package metricsgate
 
 import (
+	"path/filepath"
 	"testing"
 
 	"hmtx/tools/analyzers/analysis/analysistest"
-	"hmtx/tools/analyzers/metricsgate"
+	"hmtx/tools/analyzers/fastpath"
 )
 
 func TestMetricsgate(t *testing.T) {
-	// sim/internal/engine carries the want comments; other is out of scope
-	// and must stay silent despite its unguarded records.
-	analysistest.Run(t, analysistest.TestData(), metricsgate.Analyzer,
-		"sim/internal/engine", "other")
+	analysistest.Run(t, filepath.Join("..", "fastpath", "testdata"), fastpath.Analyzer,
+		"metrics/internal/engine")
 }

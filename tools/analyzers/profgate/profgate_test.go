@@ -1,15 +1,16 @@
-package profgate_test
+// Package profgate tests the fastpath analyzer's prof.Collector row, which
+// took over the profgate rule.
+package profgate
 
 import (
+	"path/filepath"
 	"testing"
 
 	"hmtx/tools/analyzers/analysis/analysistest"
-	"hmtx/tools/analyzers/profgate"
+	"hmtx/tools/analyzers/fastpath"
 )
 
 func TestProfgate(t *testing.T) {
-	// sim/internal/engine carries the want comments; other is out of scope
-	// and must stay silent despite its unguarded charges.
-	analysistest.Run(t, analysistest.TestData(), profgate.Analyzer,
-		"sim/internal/engine", "other")
+	analysistest.Run(t, filepath.Join("..", "fastpath", "testdata"), fastpath.Analyzer,
+		"prof/internal/engine")
 }

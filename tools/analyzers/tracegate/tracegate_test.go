@@ -1,15 +1,16 @@
-package tracegate_test
+// Package tracegate tests the fastpath analyzer's obs.Tracer Emit row, which
+// took over the tracegate rule.
+package tracegate
 
 import (
+	"path/filepath"
 	"testing"
 
 	"hmtx/tools/analyzers/analysis/analysistest"
-	"hmtx/tools/analyzers/tracegate"
+	"hmtx/tools/analyzers/fastpath"
 )
 
 func TestTracegate(t *testing.T) {
-	// sim/internal/memsys carries the want comments; other is out of scope
-	// and must stay silent despite its unguarded Emit.
-	analysistest.Run(t, analysistest.TestData(), tracegate.Analyzer,
-		"sim/internal/memsys", "other")
+	analysistest.Run(t, filepath.Join("..", "fastpath", "testdata"), fastpath.Analyzer,
+		"trace/internal/memsys")
 }

@@ -1,12 +1,15 @@
-package txbalance_test
+// Package txbalance tests txpath's Begin/Commit balance and Env-escape rules
+// on the txb fixture; txpath took over the txbalance rule.
+package txbalance
 
 import (
+	"path/filepath"
 	"testing"
 
 	"hmtx/tools/analyzers/analysis/analysistest"
-	"hmtx/tools/analyzers/txbalance"
+	"hmtx/tools/analyzers/txpath"
 )
 
 func TestTxbalance(t *testing.T) {
-	analysistest.Run(t, analysistest.TestData(), txbalance.Analyzer, "txb")
+	analysistest.Run(t, filepath.Join("..", "txpath", "testdata"), txpath.Analyzer, "txb")
 }

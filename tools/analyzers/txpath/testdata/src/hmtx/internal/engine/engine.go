@@ -1,5 +1,5 @@
 // Package engine is a fixture stand-in for hmtx/internal/engine: just enough
-// of the Env surface for txbalance to classify calls.
+// of the Env surface for txpath to classify calls.
 package engine
 
 // Env mimics the per-thread simulated environment handle.

@@ -1,12 +1,14 @@
 // Package txpath checks the MTX lifecycle of code driving engine.Env with a
-// path-sensitive walk over each function's control-flow graph. Where
-// txbalance abstracts branches into an open/maybe/closed lattice, txpath
-// carries a set of exact per-path states — which VID the open epoch belongs
-// to and which VIDs have already committed — so it can enforce the paper's
-// per-transaction rules, not just balance:
+// path-sensitive walk over each function's control-flow graph. It carries a
+// set of exact per-path states — which VID the open epoch belongs to and
+// which VIDs have already committed — so it enforces the paper's
+// per-transaction rules (§4.6–4.7), not just balance:
 //
 //   - every Begin(seq) must reach a Commit, Abort or Begin(0) detach on
-//     every path out of the function (a commit-less branch leaks the epoch);
+//     every path out of the function (a commit-less branch leaks the epoch),
+//     and must not run while another transaction is open on the path (a
+//     loop iteration that exits open double-Begins on the next pass); a
+//     deferred Commit/Abort/Begin(0) discharges the exit obligation;
 //   - a VID that has committed must not be begun again until its backing
 //     variable takes a fresh value (VIDs are unique until a VID reset, §4.6;
 //     re-attaching a detached-but-uncommitted VID is the legal stage-2 idiom
@@ -16,7 +18,12 @@
 //     legal — that is the SMTX commit-process idiom);
 //   - tracked memory accesses (Load/Store) must happen inside an open
 //     epoch — enforced only in functions that open transactions themselves,
-//     since sequential baselines and workload stages run non-speculatively.
+//     since sequential baselines and workload stages run non-speculatively;
+//   - the Env handle must not escape the synchronous scope it was handed to:
+//     captured by a goroutine, returned, sent, or stored into a struct,
+//     slice, map, global or composite literal. Env methods may only be
+//     called from the program's own coroutine (internal/engine/env.go), and
+//     a stored handle outlives the scope the lifecycle rules reason about.
 //
 // The memory-access rule is interprocedural: a function that performs
 // tracked accesses through an *engine.Env parameter (directly or via its
@@ -26,8 +33,9 @@
 // VID keys are tracked symbolically: a constant argument is its value, an
 // identifier is its object until the variable is reassigned (a loop that
 // rebinds seq each iteration begins a genuinely fresh VID). Arguments the
-// analysis cannot name are unconstrained. Like txbalance, test files and
-// internal/engine itself are exempt.
+// analysis cannot name are unconstrained. Test files and internal/engine
+// itself are exempt: engine tests exercise unbalanced sequences on purpose,
+// and the engine constructs the handles it hands to programs.
 package txpath
 
 import (
@@ -44,9 +52,10 @@ import (
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name: "txpath",
-	Doc:  "path-sensitively checks that every MTX Begin reaches one commit-or-abort on all paths, VIDs are not reused after committing, and tracked memory accesses happen inside an open epoch",
-	Run:  run,
+	Name:    "txpath",
+	Doc:     "path-sensitively checks that every MTX Begin reaches one commit-or-abort on all paths, VIDs are not reused after committing, tracked memory accesses happen inside an open epoch, and Env handles do not escape",
+	Version: "2",
+	Run:     run,
 }
 
 // TxFact marks a function that performs tracked memory accesses through an
@@ -93,6 +102,7 @@ func run(pass *analysis.Pass) (any, error) {
 			}
 			return true
 		})
+		checkEscapes(pass, file)
 	}
 	return nil, nil
 }
@@ -465,7 +475,7 @@ func (c *checker) classify(call *ast.CallExpr, out *[]event) {
 	}
 	for _, j := range c.factFor(callee) {
 		if j < len(call.Args) {
-			if tv, ok := c.pass.TypesInfo.Types[call.Args[j]]; ok && isEnvType(tv.Type) {
+			if isEnvExpr(c.pass, call.Args[j]) {
 				*out = append(*out, event{kind: opAccess, pos: call.Pos()})
 				return
 			}
@@ -477,11 +487,7 @@ func (c *checker) classify(call *ast.CallExpr, out *[]event) {
 // calls that do not affect the epoch.
 func (c *checker) envCall(call *ast.CallExpr) (opKind, string) {
 	sel, ok := call.Fun.(*ast.SelectorExpr)
-	if !ok {
-		return -1, ""
-	}
-	recv, ok := c.pass.TypesInfo.Types[sel.X]
-	if !ok || !isEnvType(recv.Type) {
+	if !ok || !isEnvExpr(c.pass, sel.X) {
 		return -1, ""
 	}
 	argKey := func() string {
@@ -583,7 +589,7 @@ func (c *checker) usesEnv(body *ast.BlockStmt) bool {
 		}
 		if call, ok := m.(*ast.CallExpr); ok {
 			if sel, ok := call.Fun.(*ast.SelectorExpr); ok {
-				if tv, ok := c.pass.TypesInfo.Types[sel.X]; ok && isEnvType(tv.Type) {
+				if isEnvExpr(c.pass, sel.X) {
 					found = true
 				}
 			}
@@ -604,4 +610,94 @@ func isEnvType(t types.Type) bool {
 	}
 	obj := n.Obj()
 	return obj.Name() == "Env" && obj.Pkg() != nil && strings.HasSuffix(obj.Pkg().Path(), "internal/engine")
+}
+
+// checkEscapes reports Env handles leaving the synchronous scope they were
+// handed to: captured by a goroutine, returned, stored into a struct, slice,
+// map, global or channel.
+func checkEscapes(pass *analysis.Pass, file *ast.File) {
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.GoStmt:
+			reportEnvRefs(pass, n, "engine.Env handle captured by a goroutine; Env methods may only be called from the program's own goroutine")
+			return false
+		case *ast.ReturnStmt:
+			for _, r := range n.Results {
+				if isEnvExpr(pass, r) {
+					pass.Reportf(r.Pos(), "engine.Env handle returned; the handle must not outlive the program function it was passed to")
+				}
+			}
+		case *ast.SendStmt:
+			if isEnvExpr(pass, n.Value) {
+				pass.Reportf(n.Value.Pos(), "engine.Env handle sent on a channel; the handle must not cross goroutines")
+			}
+		case *ast.AssignStmt:
+			for i, lhs := range n.Lhs {
+				if i < len(n.Rhs) && isEnvExpr(pass, n.Rhs[i]) && storesBeyondScope(pass, lhs) {
+					pass.Reportf(n.Rhs[i].Pos(), "engine.Env handle stored outside the transaction scope; keep the handle in locals")
+				}
+			}
+		case *ast.CompositeLit:
+			for _, el := range n.Elts {
+				if kv, ok := el.(*ast.KeyValueExpr); ok {
+					el = kv.Value
+				}
+				if isEnvExpr(pass, el) {
+					pass.Reportf(el.Pos(), "engine.Env handle stored in a composite literal; keep the handle in locals")
+				}
+			}
+		}
+		return true
+	})
+}
+
+// reportEnvRefs reports each Env-typed object referenced inside n but
+// declared outside it (a capture), once per object.
+func reportEnvRefs(pass *analysis.Pass, n ast.Node, msg string) {
+	seen := map[types.Object]bool{}
+	ast.Inspect(n, func(m ast.Node) bool {
+		id, ok := m.(*ast.Ident)
+		if !ok {
+			return true
+		}
+		obj := pass.TypesInfo.Uses[id]
+		if obj == nil || seen[obj] || !isEnvType(obj.Type()) {
+			return true
+		}
+		if obj.Pos() >= n.Pos() && obj.Pos() < n.End() {
+			return true // declared inside the goroutine; stays there
+		}
+		seen[obj] = true
+		pass.Reportf(id.Pos(), "%s", msg)
+		return true
+	})
+}
+
+func isEnvExpr(pass *analysis.Pass, e ast.Expr) bool {
+	tv, ok := pass.TypesInfo.Types[e]
+	return ok && isEnvType(tv.Type)
+}
+
+// storesBeyondScope reports whether assigning to lhs makes the value outlive
+// the enclosing function: a package-level variable, a struct field, or an
+// element of a slice or map.
+func storesBeyondScope(pass *analysis.Pass, lhs ast.Expr) bool {
+	switch lhs := lhs.(type) {
+	case *ast.Ident:
+		obj := pass.TypesInfo.Defs[lhs]
+		if obj == nil {
+			obj = pass.TypesInfo.Uses[lhs]
+		}
+		if v, ok := obj.(*types.Var); ok {
+			return v.Parent() == v.Pkg().Scope()
+		}
+		return false
+	case *ast.SelectorExpr:
+		// A struct field, or a qualified package-level identifier (pkg.Var).
+		sel, ok := pass.TypesInfo.Selections[lhs]
+		return !ok || sel.Kind() == types.FieldVal
+	case *ast.IndexExpr, *ast.StarExpr:
+		return true
+	}
+	return false
 }
