@@ -89,6 +89,9 @@ func main() {
 			if err != nil {
 				log.Fatal(err)
 			}
+			if pkg.DepOnly {
+				continue // analyzed for the facts its importers need
+			}
 			for _, d := range diags {
 				pos := pkg.Fset.Position(d.Pos)
 				findings = append(findings, Finding{

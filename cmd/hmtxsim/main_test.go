@@ -2,7 +2,9 @@ package main
 
 import (
 	"bytes"
+	"crypto/sha256"
 	"encoding/json"
+	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
@@ -315,6 +317,34 @@ func TestCheckpointResumeCLI(t *testing.T) {
 		if !bytes.Equal(full, res) {
 			t.Errorf("%s differs between full and resumed run", name)
 		}
+	}
+}
+
+// TestCheckpointBytesPinned pins the on-disk hmtx-ckpt/v1 bytes of a halted
+// run. The round-trip tests cannot see a change to the encoding, because its
+// writer and reader would change together; this digest can. A deliberate
+// format change must bump the format's version and record a new digest.
+func TestCheckpointBytesPinned(t *testing.T) {
+	const (
+		wantSize   = 107392907
+		wantSHA256 = "3429be8c1b678a824ffd2c28118dea586914a85e0ed488db8539152f798457af"
+	)
+	ckptFile := filepath.Join(t.TempDir(), "ckpt.json")
+	var out, errb bytes.Buffer
+	code := run([]string{"-bench", "052.alvinn", "-cores", "4", "-ckpt-every", "10",
+		"-ckpt-halt", "-ckpt-out", ckptFile}, &out, &errb)
+	if code != 0 {
+		t.Fatalf("halted run: exit %d, stderr: %s", code, errb.String())
+	}
+	data, err := os.ReadFile(ckptFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(data) != wantSize {
+		t.Errorf("checkpoint is %d bytes, want %d", len(data), wantSize)
+	}
+	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != wantSHA256 {
+		t.Errorf("checkpoint SHA-256 %s, want %s", got, wantSHA256)
 	}
 }
 

@@ -10,6 +10,11 @@ import (
 // versions of the same line (same Tag, different VID ranges) may occupy
 // different ways of the same set (§4.1).
 //
+// Sets are allocated on first install: sets[si] stays nil until pickVictim
+// places a line there, and a nil set reads as a set of Invalid lines, so
+// every loop over a set's ways treats both alike. A 32 MB L2 thereby costs
+// only the sets a run touches (DESIGN.md §11.8).
+//
 // Per-access work in this file is allocation-free: lookups iterate the ways
 // of one set inline instead of materialising version slices, and a per-set
 // generation stamp skips the settle scan entirely when nothing committed
@@ -43,9 +48,6 @@ func newCache(name string, id, size, ways int, h *Hierarchy) *cache {
 	numSets := size / (ways * LineSize)
 	c := &cache{name: name, id: id, hier: h, numSets: numSets, ways: ways}
 	c.sets = make([][]Line, numSets)
-	for i := range c.sets {
-		c.sets[i] = make([]Line, ways)
-	}
 	c.setGen = make([]uint64, numSets)
 	c.setTag = make([]Addr, numSets)
 	return c
@@ -55,11 +57,11 @@ func (c *cache) setIndex(lineAddr Addr) int {
 	return int((lineAddr / LineSize) % Addr(c.numSets))
 }
 
-// set returns the ways of the set holding lineAddr, with every resident
-// version of lineAddr settled against pending lazy commits. Only versions of
-// lineAddr itself are settled — other tags in the set keep their lazy state,
-// exactly as before the generation-stamp fast path existed, so victim
-// selection is unchanged.
+// set returns the ways of the set holding lineAddr (nil if no line was ever
+// installed there), with every resident version of lineAddr settled against
+// pending lazy commits. Only versions of lineAddr itself are settled — other
+// tags in the set keep their lazy state, exactly as before the
+// generation-stamp fast path existed, so victim selection is unchanged.
 //
 //hmtx:hotpath
 func (c *cache) set(lineAddr Addr) []Line {
@@ -154,9 +156,15 @@ func victimClass(l *Line) int {
 // pickVictim chooses a way of the set holding lineAddr to evict. Sibling
 // versions of lineAddr itself are eligible but dispreferred: when a hot line
 // accumulates many live versions they spill to the next level rather than
-// blocking the insert.
+// blocking the insert. It is the only place a set is allocated: a nil set
+// becomes a set of Invalid lines, of which way 0 is chosen, as it would be
+// in a set allocated up front.
 func (c *cache) pickVictim(lineAddr Addr) *Line {
 	s := c.set(lineAddr)
+	if s == nil {
+		s = make([]Line, c.ways)
+		c.sets[c.setIndex(lineAddr)] = s
+	}
 	var best *Line
 	bestClass := 99
 	for i := range s {

@@ -1,7 +1,9 @@
 package memsys
 
 import (
+	"bytes"
 	"encoding/binary"
+	"errors"
 	"fmt"
 	"reflect"
 	"sort"
@@ -105,17 +107,31 @@ func (h *Hierarchy) geometry() []uint64 {
 	}
 }
 
+// appendExact encodes every set as its ways, in order. A set that was never
+// allocated encodes as ways zero Lines, exactly the bytes an all-Invalid set
+// allocated up front would give, so the encoding does not depend on which
+// sets happen to be allocated.
 func (c *cache) appendExact(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, c.lruClock)
 	buf = binary.BigEndian.AppendUint64(buf, c.hits)
-	for si := range c.sets {
+	zero := c.zeroSetExact()
+	for si, s := range c.sets {
 		buf = binary.BigEndian.AppendUint64(buf, c.setGen[si])
 		buf = binary.BigEndian.AppendUint64(buf, c.setTag[si])
-		for wi := range c.sets[si] {
-			buf = c.sets[si][wi].appendExact(buf)
+		if s == nil {
+			buf = append(buf, zero...)
+			continue
+		}
+		for wi := range s {
+			buf = s[wi].appendExact(buf)
 		}
 	}
 	return buf
+}
+
+// zeroSetExact returns the exact encoding of one set of ways zero Lines.
+func (c *cache) zeroSetExact() []byte {
+	return bytes.Repeat(new(Line).appendExact(nil), c.ways)
 }
 
 func (l *Line) appendExact(buf []byte) []byte {
@@ -195,12 +211,19 @@ func (h *Hierarchy) RestoreExact(enc []byte) error {
 		sv.Field(i).SetUint(r.u64())
 	}
 
+	var caches presMask // a bit for every cache of this machine
+	for i := range h.all {
+		caches.set(i)
+	}
 	h.pres = make(map[Addr]presMask)
 	for n := r.u64(); n > 0 && r.err == nil; n-- {
 		a := r.u64()
 		var m presMask
 		for wi := 0; wi < presWords; wi++ {
 			m[wi] = r.u64()
+			if m[wi]&^caches[wi] != 0 && r.err == nil {
+				r.err = fmt.Errorf("memsys: presence mask of %#x names a cache beyond the machine's %d", a, len(h.all))
+			}
 		}
 		h.pres[a] = m
 	}
@@ -222,18 +245,46 @@ func (h *Hierarchy) RestoreExact(enc []byte) error {
 	if len(r.buf) != 0 {
 		return fmt.Errorf("memsys: %d trailing bytes after exact encoding", len(r.buf))
 	}
+	// A corrupt line (a state byte out of range, a Tag that is not
+	// line-aligned or indexes to another set, overlapping versions) would
+	// restore silently and panic deep inside a later access. MOESI-San's
+	// invariants hold after every operation of a correct run, so any
+	// violation means the encoding is corrupt. Only allocated sets can hold
+	// a valid line, so the check costs as much as the sets the run touched.
+	if err := h.CheckInvariants(); err != nil {
+		var iv *InvariantViolation
+		if errors.As(err, &iv) {
+			return fmt.Errorf("memsys: corrupt exact encoding: line %#x: %s", iv.Addr, iv.Msg)
+		}
+		return err
+	}
 	h.san = sanitizer{}
 	return nil
 }
 
+// restoreExact decodes the sets appendExact wrote. A set whose ways all
+// decode to the zero Line is left nil; since the encoding maps every field
+// to its own bytes, that is the case exactly when the set's bytes equal the
+// zero block. Any other set is decoded into a fresh allocation.
 func (c *cache) restoreExact(r *exactReader) {
 	c.lruClock = r.u64()
 	c.hits = r.u64()
+	zero := c.zeroSetExact()
 	for si := range c.sets {
 		c.setGen[si] = r.u64()
 		c.setTag[si] = r.u64()
-		for wi := range c.sets[si] {
-			c.sets[si][wi].restoreExact(r)
+		if r.err == nil && len(r.buf) >= len(zero) && bytes.Equal(r.buf[:len(zero)], zero) {
+			r.buf = r.buf[len(zero):]
+			c.sets[si] = nil
+			continue
+		}
+		s := make([]Line, c.ways)
+		for wi := range s {
+			s[wi].restoreExact(r)
+		}
+		c.sets[si] = s
+		if r.err != nil {
+			return
 		}
 	}
 }

@@ -3,6 +3,7 @@ package memsys
 import (
 	"bytes"
 	"math/rand"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -151,5 +152,89 @@ func TestExactRestoreErrors(t *testing.T) {
 	}
 	if err := New(exactTestCfg(2)).RestoreExact([]byte("not a checkpoint")); err == nil {
 		t.Error("bad magic: want error")
+	}
+
+	// Corrupt line state and presence masks decode without a format error
+	// but must still be rejected: each of these panicked inside a later
+	// access instead.
+	base := buildSnapState(t)
+	la := LineAddr(addrA)
+	corrupt := []struct {
+		name string
+		mut  func(h *Hierarchy, s []Line, wi int)
+		want string
+	}{
+		{"state byte above SpecShared", func(h *Hierarchy, s []Line, wi int) {
+			s[wi].St = SpecShared + 1
+		}, "state out of range"},
+		{"tag not line-aligned", func(h *Hierarchy, s []Line, wi int) {
+			s[wi].Tag += WordSize
+		}, "not line-aligned"},
+		{"tag indexes to another set", func(h *Hierarchy, s []Line, wi int) {
+			s[wi].Tag += LineSize
+		}, "belongs in set"},
+		{"two latest versions", func(h *Hierarchy, s []Line, wi int) {
+			for i := range s {
+				if s[i].St.Speculative() && s[i].St.superseded() && s[i].Tag == la {
+					s[i].St = SpecModified
+					return
+				}
+			}
+			t.Fatal("snapshot state has no superseded version of addrA in L1.1")
+		}, "overlap"},
+		{"presence bit beyond the last cache", func(h *Hierarchy, s []Line, wi int) {
+			m := h.pres[la]
+			m.set(len(h.all))
+			h.pres[la] = m
+		}, "presence mask"},
+	}
+	for _, tc := range corrupt {
+		h := base.Clone()
+		c := h.l1s[1]
+		s := c.sets[c.setIndex(la)]
+		wi := -1
+		for i := range s {
+			if s[i].St == SpecModified && s[i].Tag == la {
+				wi = i
+			}
+		}
+		if wi < 0 {
+			t.Fatal("snapshot state has no S-M version of addrA in L1.1")
+		}
+		tc.mut(h, s, wi)
+		err := New(h.Config()).RestoreExact(h.AppendExact(nil))
+		if err == nil {
+			t.Errorf("%s: want error", tc.name)
+		} else if !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.want)
+		}
+	}
+}
+
+// TestExactRestoreByteCorruption flips each byte of an encoding in turn.
+// Every corrupted encoding must either fail to restore or restore into a
+// machine that random stimuli drive without a panic.
+func TestExactRestoreByteCorruption(t *testing.T) {
+	cfg := exactTestCfg(2)
+	h := New(cfg)
+	lc := vid.V(0)
+	driveRandom(h, rand.New(rand.NewSource(3)), 120, &lc)
+	enc := h.AppendExact(nil)
+	for i := range enc {
+		bad := append([]byte(nil), enc...)
+		bad[i] ^= 0xff
+		h2 := New(cfg)
+		if h2.RestoreExact(bad) != nil {
+			continue
+		}
+		func() {
+			defer func() {
+				if r := recover(); r != nil {
+					t.Fatalf("byte %d of %d flipped: restored, then panicked: %v", i, len(enc), r)
+				}
+			}()
+			lc2 := h2.lc
+			driveRandom(h2, rand.New(rand.NewSource(int64(i))), 200, &lc2)
+		}()
 	}
 }

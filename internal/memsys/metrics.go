@@ -27,7 +27,8 @@ func (h *Hierarchy) seqOf(v vid.V) uint64 {
 
 // SpecOccupancy returns the number of cache lines currently in a speculative
 // state across every cache. It is a sampling probe, not a fast-path
-// operation: the walk visits every way of every cache.
+// operation: the walk visits every way of every allocated set (DESIGN.md
+// §11.8).
 func (h *Hierarchy) SpecOccupancy() uint64 {
 	var n uint64
 	for _, c := range h.all {

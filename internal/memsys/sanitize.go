@@ -128,19 +128,22 @@ func (h *Hierarchy) sanCheck() {
 	}
 }
 
-// CheckInvariants verifies the whole hierarchy: every set of every cache
-// structurally, and the cross-cache invariants for every resident line. It
-// returns nil when all invariants hold. Tests may call it directly; AbortAll
-// runs it automatically under Config.Sanitize.
+// CheckInvariants verifies the whole hierarchy: every allocated set of every
+// cache structurally (an unallocated set holds no line), and the cross-cache
+// invariants for every resident line. It returns nil when all invariants
+// hold. Tests may call it directly; AbortAll runs it automatically under
+// Config.Sanitize, and RestoreExact runs it on every restored state.
 func (h *Hierarchy) CheckInvariants() error {
 	var tags []Addr
 	seen := make(map[Addr]struct{})
 	for _, c := range h.allCaches() {
-		for si := range c.sets {
+		for si, set := range c.sets {
+			if set == nil {
+				continue // never allocated: all Invalid
+			}
 			if err := h.checkSet(c, si); err != nil {
 				return err
 			}
-			set := c.sets[si]
 			for wi := range set {
 				if set[wi].St == Invalid {
 					continue

@@ -8,9 +8,14 @@ import (
 )
 
 // plant writes a raw line into cache c's correct set, bypassing the protocol,
-// to construct illegal states the sanitizer must reject.
+// to construct illegal states the sanitizer must reject. Like pickVictim, it
+// allocates the set if no line was installed there yet.
 func plant(h *Hierarchy, c *cache, ln Line) {
-	set := c.sets[c.setIndex(ln.Tag)]
+	si := c.setIndex(ln.Tag)
+	if c.sets[si] == nil {
+		c.sets[si] = make([]Line, c.ways)
+	}
+	set := c.sets[si]
 	for i := range set {
 		if set[i].St == Invalid {
 			c.lruClock++

@@ -65,8 +65,10 @@ func (c *cache) clone(h *Hierarchy) *cache {
 		lruClock: c.lruClock,
 	}
 	cp.sets = make([][]Line, len(c.sets))
-	for i := range c.sets {
-		cp.sets[i] = append([]Line(nil), c.sets[i]...)
+	for i, s := range c.sets {
+		if s != nil { // an unallocated set stays unallocated in the copy
+			cp.sets[i] = append([]Line(nil), s...)
+		}
 	}
 	cp.setGen = append([]uint64(nil), c.setGen...)
 	cp.setTag = append([]Addr(nil), c.setTag...)

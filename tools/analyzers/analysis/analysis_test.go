@@ -175,6 +175,48 @@ func TestLoadDependencyOrder(t *testing.T) {
 	}
 }
 
+// TestLoadBetweenPackages loads two packages with a third on the import path
+// between them (internal/hmtx imports internal/paradigm, which imports
+// internal/engine). The third must come from source, marked DepOnly, so
+// that both importers see one engine package; from export data it carried a
+// second copy and type-checking internal/hmtx failed.
+func TestLoadBetweenPackages(t *testing.T) {
+	pkgs, err := analysis.Load("hmtx/internal/engine", "hmtx/internal/hmtx")
+	if err != nil {
+		t.Fatal(err)
+	}
+	byPath := make(map[string]*analysis.Package)
+	for _, p := range pkgs {
+		byPath[p.PkgPath] = p
+	}
+	want := map[string]bool{ // loaded package -> DepOnly
+		"hmtx/internal/engine":   false,
+		"hmtx/internal/hmtx":     false,
+		"hmtx/internal/paradigm": true,
+	}
+	for path, dep := range want {
+		p, ok := byPath[path]
+		if !ok {
+			t.Fatalf("%s missing from Load result", path)
+		}
+		if p.DepOnly != dep {
+			t.Errorf("%s: DepOnly = %v, want %v", path, p.DepOnly, dep)
+		}
+	}
+	if len(byPath) != len(want) {
+		var got []string
+		for path := range byPath {
+			got = append(got, path)
+		}
+		t.Errorf("loaded %v, want only %d packages (dependencies importing no matched package stay export data)", got, len(want))
+	}
+	for _, imp := range byPath["hmtx/internal/paradigm"].Types.Imports() {
+		if imp.Path() == "hmtx/internal/engine" && imp != byPath["hmtx/internal/engine"].Types {
+			t.Error("paradigm imports a different engine package than the source-checked one")
+		}
+	}
+}
+
 // TestDependencyOrderDeterministic checks the topological sort breaks ties
 // lexicographically and still emits every unit when the edges form a cycle.
 func TestDependencyOrderDeterministic(t *testing.T) {

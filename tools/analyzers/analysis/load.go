@@ -25,6 +25,10 @@ type Package struct {
 	Files   []*ast.File
 	Types   *types.Package
 	Info    *types.Info
+	// DepOnly marks a package Load checked from source only because it
+	// lies on an import path between two matched packages. Analyze it for
+	// the facts its importers need, but do not report its diagnostics.
+	DepOnly bool
 }
 
 // ListedPackage mirrors the fields of `go list -json` output that the loader reads.
@@ -81,6 +85,12 @@ func GoList(patterns ...string) ([]*ListedPackage, error) {
 // loaded packages it imports, ties broken by import path — so a caller
 // running a fact-exporting analyzer over the slice in order gives each
 // package the facts of its dependencies.
+//
+// A dependency that imports a matched package, directly or not, is checked
+// from source as well (without its test files) and comes back with DepOnly
+// set. Loaded from export data it would carry its own copy of the matched
+// package it imports, whose types the importing package's source-checked
+// copy does not match.
 func Load(patterns ...string) ([]*Package, error) {
 	listed, err := GoList(patterns...)
 	if err != nil {
@@ -88,7 +98,7 @@ func Load(patterns ...string) ([]*Package, error) {
 	}
 
 	c := NewChecker()
-	var targets []*ListedPackage
+	var targets, deps []*ListedPackage
 	for _, p := range listed {
 		// Test variants ("pkg [pkg.test]", "pkg.test") duplicate the plain
 		// entries; only the plain entry describes the package's file split.
@@ -98,14 +108,17 @@ func Load(patterns ...string) ([]*Package, error) {
 		if p.Export != "" {
 			c.exports[p.ImportPath] = p.Export
 		}
-		if p.DepOnly || p.Standard {
-			continue
-		}
-		if len(p.CgoFiles) > 0 {
+		switch {
+		case p.Standard:
+		case len(p.CgoFiles) > 0 && !p.DepOnly:
 			return nil, fmt.Errorf("%s: cgo packages are not supported", p.ImportPath)
+		case p.DepOnly:
+			deps = append(deps, p)
+		default:
+			targets = append(targets, p)
 		}
-		targets = append(targets, p)
 	}
+	between := betweenDeps(targets, deps)
 
 	// Register every target as a source unit first so that imports between
 	// targets (and the external test package's import of its own package)
@@ -118,6 +131,18 @@ func Load(patterns ...string) ([]*Package, error) {
 		if len(p.XTestGoFiles) > 0 {
 			isUnit[p.ImportPath+"_test"] = true
 		}
+	}
+	depOnly := make(map[string]bool, len(between))
+	for _, p := range between {
+		if len(p.CgoFiles) > 0 {
+			return nil, fmt.Errorf("%s: cgo packages are not supported", p.ImportPath)
+		}
+		isUnit[p.ImportPath] = true
+		depOnly[p.ImportPath] = true
+	}
+	for _, p := range between {
+		c.AddUnit(p.ImportPath, joinDir(p.Dir, p.GoFiles))
+		unitImports[p.ImportPath] = unitEdges(isUnit, p.Imports)
 	}
 	for _, p := range targets {
 		files := joinDir(p.Dir, p.GoFiles)
@@ -137,9 +162,46 @@ func Load(patterns ...string) ([]*Package, error) {
 		if err != nil {
 			return nil, err
 		}
+		pkg.DepOnly = depOnly[path]
 		pkgs = append(pkgs, pkg)
 	}
 	return pkgs, nil
+}
+
+// betweenDeps returns the dependencies that import a target, directly or
+// through other dependencies, in listing order. Every dependency go list
+// reports is imported by some target, so these are exactly the packages on
+// an import path between two targets.
+func betweenDeps(targets, deps []*ListedPackage) []*ListedPackage {
+	reaches := make(map[string]bool) // import path -> imports a target
+	for _, p := range targets {
+		reaches[p.ImportPath] = true
+	}
+	imports := make(map[string][]string, len(deps))
+	for _, p := range deps {
+		imports[p.ImportPath] = p.Imports
+	}
+	var visit func(path string) bool
+	visit = func(path string) bool {
+		if r, ok := reaches[path]; ok {
+			return r
+		}
+		reaches[path] = false // standard library, or a cycle in bad input
+		for _, imp := range imports[path] {
+			if visit(imp) {
+				reaches[path] = true
+				break
+			}
+		}
+		return reaches[path]
+	}
+	var out []*ListedPackage
+	for _, p := range deps {
+		if visit(p.ImportPath) {
+			out = append(out, p)
+		}
+	}
+	return out
 }
 
 // unitEdges filters the concatenation of the import lists down to loaded
