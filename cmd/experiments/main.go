@@ -46,7 +46,6 @@ import (
 
 	"hmtx/internal/ckpt"
 	"hmtx/internal/experiments"
-	"hmtx/internal/prof"
 	"hmtx/internal/workloads"
 )
 
@@ -186,44 +185,23 @@ func main() {
 		} else {
 			results = experiments.RunAll(cfg, progress)
 		}
-		if *jsonOut != "" {
-			f, err := os.Create(*jsonOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := experiments.WriteJSON(f, experiments.BuildDoc(cfg, results)); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if *profOut != "" {
-			f, err := os.Create(*profOut)
-			if err != nil {
-				log.Fatal(err)
-			}
-			if err := prof.WriteDoc(f, experiments.BuildProfDoc(cfg, results)); err != nil {
-				log.Fatal(err)
-			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
 		writeDoc := func(path string, doc any) {
-			if path == "" {
-				return
-			}
 			f, err := os.Create(path)
 			if err != nil {
 				log.Fatal(err)
 			}
-			if err := experiments.WriteAnyJSON(f, doc); err != nil {
+			if err := experiments.WriteJSON(f, doc); err != nil {
 				log.Fatal(err)
 			}
 			if err := f.Close(); err != nil {
 				log.Fatal(err)
 			}
+		}
+		if *jsonOut != "" {
+			writeDoc(*jsonOut, experiments.BuildDoc(cfg, results))
+		}
+		if *profOut != "" {
+			writeDoc(*profOut, experiments.BuildProfDoc(cfg, results))
 		}
 		if *seriesOut != "" {
 			writeDoc(*seriesOut, experiments.BuildSeriesDoc(cfg, results))

@@ -121,8 +121,8 @@ func TestLintDoc(t *testing.T) {
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("analyzer roster = %s\nwant %s", got, want)
 	}
-	if vers["fastpath"] != "1" || vers["txpath"] != "2" {
-		t.Errorf("analyzer versions = %v, want fastpath 1 and txpath 2", vers)
+	if vers["fastpath"] != "2" || vers["txpath"] != "2" {
+		t.Errorf("analyzer versions = %v, want fastpath 2 and txpath 2", vers)
 	}
 }
 

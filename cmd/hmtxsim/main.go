@@ -53,6 +53,7 @@
 package main
 
 import (
+	"bytes"
 	"encoding/json"
 	"flag"
 	"fmt"
@@ -64,6 +65,7 @@ import (
 	"hmtx/internal/ckpt"
 	"hmtx/internal/engine"
 	"hmtx/internal/hmtx"
+	"hmtx/internal/instr"
 	"hmtx/internal/metrics"
 	"hmtx/internal/obs"
 	"hmtx/internal/paradigm"
@@ -99,6 +101,16 @@ type runDoc struct {
 	Speedup    float64 `json:"speedup"`
 	Aborts     int     `json:"aborts"`
 	Runs       int     `json:"runs"`
+}
+
+// writeJSON writes v to path as indented JSON with a trailing newline, the
+// layout of every hmtx-* document.
+func writeJSON(path string, v any) error {
+	buf, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		return err
+	}
+	return os.WriteFile(path, append(buf, '\n'), 0o644)
 }
 
 // run is main's testable body: it parses args, runs the simulation and
@@ -332,29 +344,19 @@ func run(args []string, stdout, stderr io.Writer) int {
 	wantHists := *histOut != ""
 	if rdoc != nil {
 		// RestoreRun reattached exactly the instruments the checkpoint was
-		// taken with; the output flags must ask for the same set, or the
-		// resumed documents could not be byte-identical.
-		for _, in := range []struct {
-			name        string
-			saved, want bool
-		}{
-			{"profiler", rdoc.Run.Prof != nil, wantProf},
-			{"time-series sampler", rdoc.Run.Series != nil, wantSeries},
-			{"conflict recorder", rdoc.Run.Conflicts != nil, wantConflicts},
-			{"latency histograms", rdoc.Run.Hists != nil, wantHists},
-			{"statistics registry", rdoc.Run.ObsHists != nil, reg != nil},
-		} {
-			if in.saved != in.want {
-				if in.saved {
-					return fail("checkpoint was taken with the %s attached; pass the matching output flags to resume", in.name)
-				}
-				return fail("checkpoint was taken without the %s; it cannot be attached mid-run", in.name)
+		// taken with (and Register restored the registry's histograms); the
+		// output flags must ask for the same set, or the resumed documents
+		// could not be byte-identical.
+		saved := rdoc.Run.Attached()
+		if want := [...]bool{wantProf, wantSeries, wantConflicts, wantHists, reg != nil}; saved != want {
+			i := 0
+			for saved[i] == want[i] {
+				i++
 			}
-		}
-		// The registry's histograms only exist once Register has run, so
-		// their state restores here rather than in ckpt.RestoreRun.
-		if err := ckpt.RestoreObsHists(target, rdoc.Run); err != nil {
-			return fail("%v", err)
+			if saved[i] {
+				return fail("checkpoint was taken with the %s attached; pass the matching output flags to resume", instr.Instruments[i])
+			}
+			return fail("checkpoint was taken without the %s; it cannot be attached mid-run", instr.Instruments[i])
 		}
 	} else {
 		if wantProf {
@@ -505,11 +507,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 			},
 			Stats: tree,
 		}
-		buf, err := json.MarshalIndent(doc, "", "  ")
-		if err != nil {
-			return fail("%v", err)
-		}
-		if err := os.WriteFile(*statsJSON, append(buf, '\n'), 0o644); err != nil {
+		if err := writeJSON(*statsJSON, doc); err != nil {
 			return fail("%v", err)
 		}
 	}
@@ -529,38 +527,21 @@ func run(args []string, stdout, stderr io.Writer) int {
 			fmt.Fprint(stdout, p.Text())
 		}
 		if *profOut != "" {
-			f, err := os.Create(*profOut)
-			if err != nil {
-				return fail("%v", err)
-			}
-			if err := prof.WriteDoc(f, doc); err != nil {
-				return fail("%v", err)
-			}
-			if err := f.Close(); err != nil {
+			if err := writeJSON(*profOut, doc); err != nil {
 				return fail("%v", err)
 			}
 		}
 		if *profFolded != "" {
-			f, err := os.Create(*profFolded)
-			if err != nil {
+			var folded bytes.Buffer
+			if err := prof.WriteFolded(&folded, doc); err != nil {
 				return fail("%v", err)
 			}
-			if err := prof.WriteFolded(f, doc); err != nil {
-				return fail("%v", err)
-			}
-			if err := f.Close(); err != nil {
+			if err := os.WriteFile(*profFolded, folded.Bytes(), 0o644); err != nil {
 				return fail("%v", err)
 			}
 		}
 	}
 
-	writeJSON := func(path string, v any) error {
-		buf, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			return err
-		}
-		return os.WriteFile(path, append(buf, '\n'), 0o644)
-	}
 	label := spec.Name + "/" + *system
 
 	if target.Series().Enabled() {

@@ -320,31 +320,98 @@ func TestCheckpointResumeCLI(t *testing.T) {
 	}
 }
 
-// TestCheckpointBytesPinned pins the on-disk hmtx-ckpt/v1 bytes of a halted
-// run. The round-trip tests cannot see a change to the encoding, because its
-// writer and reader would change together; this digest can. A deliberate
-// format change must bump the format's version and record a new digest.
+// TestCheckpointBytesPinned pins the on-disk hmtx-ckpt/v1 bytes of halted
+// runs, bare and with every checkpointed instrument attached. The round-trip
+// tests cannot see a change to the encoding, because its writer and reader
+// would change together; these digests can. A deliberate format change must
+// bump the format's version and record new digests.
 func TestCheckpointBytesPinned(t *testing.T) {
-	const (
-		wantSize   = 107392907
-		wantSHA256 = "3429be8c1b678a824ffd2c28118dea586914a85e0ed488db8539152f798457af"
-	)
-	ckptFile := filepath.Join(t.TempDir(), "ckpt.json")
-	var out, errb bytes.Buffer
-	code := run([]string{"-bench", "052.alvinn", "-cores", "4", "-ckpt-every", "10",
-		"-ckpt-halt", "-ckpt-out", ckptFile}, &out, &errb)
-	if code != 0 {
-		t.Fatalf("halted run: exit %d, stderr: %s", code, errb.String())
+	for _, tc := range []struct {
+		name       string
+		outputs    []string // output-document flags; each takes a file name
+		wantSize   int
+		wantSHA256 string
+	}{
+		{"bare", nil, 107392907, "3429be8c1b678a824ffd2c28118dea586914a85e0ed488db8539152f798457af"},
+		{"instrumented", []string{"-prof-out", "-series", "-conflicts", "-hist", "-stats-json"},
+			107457703, "086606cc235d75b42367c901662bc8a74c9fe1e614bab30569ceffb3a9d1172c"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			ckptFile := filepath.Join(dir, "ckpt.json")
+			args := []string{"-bench", "052.alvinn", "-cores", "4", "-ckpt-every", "10",
+				"-ckpt-halt", "-ckpt-out", ckptFile}
+			for i, flag := range tc.outputs {
+				args = append(args, flag, filepath.Join(dir, fmt.Sprintf("out%d.json", i)))
+			}
+			var out, errb bytes.Buffer
+			if code := run(args, &out, &errb); code != 0 {
+				t.Fatalf("halted run: exit %d, stderr: %s", code, errb.String())
+			}
+			data, err := os.ReadFile(ckptFile)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if len(data) != tc.wantSize {
+				t.Errorf("checkpoint is %d bytes, want %d", len(data), tc.wantSize)
+			}
+			if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.wantSHA256 {
+				t.Errorf("checkpoint SHA-256 %s, want %s", got, tc.wantSHA256)
+			}
+		})
 	}
-	data, err := os.ReadFile(ckptFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(data) != wantSize {
-		t.Errorf("checkpoint is %d bytes, want %d", len(data), wantSize)
-	}
-	if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != wantSHA256 {
-		t.Errorf("checkpoint SHA-256 %s, want %s", got, wantSHA256)
+}
+
+// TestInstrumentedOutputsPinned pins every instrument's output document
+// against digests recorded before the instruments shared one hook.
+// TestRunDeterministic compares two runs of the same code, so it cannot see
+// a refactor change the bytes; these digests can. 197.parser under hmtx
+// without SLAs records conflict edges; 052.alvinn under smtx-max covers the
+// runtime's validation spans (Env.Emit).
+func TestInstrumentedOutputsPinned(t *testing.T) {
+	docs := []string{"-trace-out", "-prof-out", "-series", "-conflicts", "-hist", "-stats-json"}
+	for _, tc := range []struct {
+		name string
+		args []string
+		want []string // SHA-256 of each document, in docs order
+	}{
+		{"197.parser/hmtx", []string{"-bench", "197.parser", "-system", "hmtx", "-no-sla", "-cores", "8"}, []string{
+			"f270cc25469dec59ccc2ec23d6c07947afaab497ae3d82c407cb9efd1f92a638",
+			"66aef95f7955e3444ff2e60987f1d2e772cfb2199d9a76968f15f70157b28e9d",
+			"82010d57cc5d59f5d60310a23f7c0e792d464b2c80f2195cd7ba83d9a436744b",
+			"d459161bacee7543d5df32c8226801d65b971519f4788bd49f832b58ee1eaadd",
+			"8715847af99def8fd0ded458a0ed07be098cb16085368d6fa14859585428d08e",
+			"76ba2ff4a9ad86ccfcc075390dde005b42a7b5a16ef92eec23681c9bae0a934c",
+		}},
+		{"052.alvinn/smtx-max", []string{"-bench", "052.alvinn", "-system", "smtx-max", "-cores", "4"}, []string{
+			"6948578e3a9de1df92298b98ad0cdcdafc191605a58820b7dac99848d34c4256",
+			"7b94105653952b6286dea95eb1758da2ddf870c39d7d8a296e4b8ac139da7635",
+			"966201b0690b688f563ee67b247df23c191e69ea3fa6157986a012c900aacdc5",
+			"7b6787341f1d7774aa5a5824453a6a79d1cf6809d5ec39746bcb2e00c5574e68",
+			"6fc6fea8d6bdc1483875caea2f50e8e562a13c1e657693b14d1f7a6a063b4433",
+			"7342d2c55e8ee6f6294f5957e537e89394148e3a30c0a0e7bc96706449f3e02c",
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			dir := t.TempDir()
+			args := append([]string{}, tc.args...)
+			for i, flag := range docs {
+				args = append(args, flag, filepath.Join(dir, fmt.Sprintf("doc%d.json", i)))
+			}
+			var out, errb bytes.Buffer
+			if code := run(args, &out, &errb); code != 0 {
+				t.Fatalf("exit %d, stderr: %s", code, errb.String())
+			}
+			for i, flag := range docs {
+				data, err := os.ReadFile(filepath.Join(dir, fmt.Sprintf("doc%d.json", i)))
+				if err != nil {
+					t.Fatal(err)
+				}
+				if got := fmt.Sprintf("%x", sha256.Sum256(data)); got != tc.want[i] {
+					t.Errorf("%s document SHA-256 %s, want %s", flag, got, tc.want[i])
+				}
+			}
+		})
 	}
 }
 

@@ -28,9 +28,9 @@
 // tracer (a resumed run with -trace yields the tail of the trace only, on
 // a per-engine-run clock). The obs registry's counters and scalars read
 // live engine/memory state and need no capture of their own; its
-// histograms record at observation time and are carried in ObsHists, so
-// -stats-json is resume-stable alongside bench, prof, series, conflicts
-// and hist.
+// histograms record at observation time and are carried with the other
+// instrument state (instr.Ckpt), so -stats-json is resume-stable alongside
+// bench, prof, series, conflicts and hist.
 package ckpt
 
 import (
@@ -44,9 +44,7 @@ import (
 	"hmtx/internal/engine"
 	"hmtx/internal/experiments"
 	"hmtx/internal/hmtx"
-	"hmtx/internal/metrics"
-	"hmtx/internal/obs"
-	"hmtx/internal/prof"
+	"hmtx/internal/instr"
 )
 
 // Schema is the checkpoint document's schema tag. The version is bumped on
@@ -101,21 +99,12 @@ type RunState struct {
 	Engine engine.Ckpt `json:"engine"`
 	Mem    string      `json:"mem"`
 
-	// Instrument state; nil when the corresponding instrument was not
-	// attached. A resume must attach exactly the same instruments.
-	Prof      *prof.Ckpt            `json:"prof,omitempty"`
-	Series    *metrics.SamplerCkpt  `json:"series,omitempty"`
-	Conflicts *metrics.RecorderCkpt `json:"conflicts,omitempty"`
-	Hists     *metrics.LatHistsCkpt `json:"hists,omitempty"`
-
-	// ObsHists is the statistics-registry histogram state (engine/... and
-	// memsys/... keys), present when a registry was attached (-stats or
-	// -stats-json). Counters and scalars in the registry read live engine
-	// and memory state, so only the histograms carry recording-time state of
-	// their own. Restored by RestoreObsHists after the resumed run
-	// re-registers; like the instruments, a resume must attach the registry
-	// exactly when the checkpoint did.
-	ObsHists map[string]obs.HistCkpt `json:"obs_hists,omitempty"`
+	// Instrument state (prof, series, conflicts, hists, obs_hists); a
+	// section is nil when its instrument was not attached, and a resume
+	// must attach exactly the same instruments (Attached). The
+	// statistics-registry histograms restore when the resumed run
+	// re-registers (-stats or -stats-json).
+	instr.Ckpt
 }
 
 // ExperimentsState is the "experiments" kind: a partially completed suite,
@@ -146,44 +135,8 @@ type CheckState struct {
 func CaptureRun(sys *engine.System, rs RunState) *Doc {
 	rs.Engine = sys.CaptureCkpt()
 	rs.Mem = hex.EncodeToString(sys.Mem.AppendExact(nil))
-	if sys.Prof().Enabled() {
-		ck := sys.Prof().CaptureCkpt()
-		rs.Prof = &ck
-	}
-	if sys.Series().Enabled() {
-		ck := sys.Series().CaptureCkpt()
-		rs.Series = &ck
-	}
-	if sys.Conflicts().Enabled() {
-		ck := sys.Conflicts().CaptureCkpt()
-		rs.Conflicts = &ck
-	}
-	if sys.LatHists().Enabled() {
-		ck := sys.LatHists().CaptureCkpt()
-		rs.Hists = &ck
-	}
-	oh := map[string]obs.HistCkpt{}
-	sys.AddObsHistCkpts("engine/", oh)
-	sys.Mem.AddObsHistCkpts("memsys/", oh)
-	if len(oh) > 0 {
-		rs.ObsHists = oh
-	}
+	rs.Ckpt = sys.CaptureInstr()
 	return &Doc{Schema: Schema, Kind: KindRun, Run: &rs}
-}
-
-// RestoreObsHists restores the statistics-registry histogram state onto a
-// system rebuilt by RestoreRun. It must run after the caller re-registers
-// the system (engine Register + memsys Register), because the histograms
-// only exist while registered; RestoreRun itself cannot do this — the
-// registry belongs to the driver, not the machine.
-func RestoreObsHists(sys *engine.System, rs *RunState) error {
-	if rs.ObsHists == nil {
-		return nil
-	}
-	if err := sys.RestoreObsHistCkpts("engine/", rs.ObsHists); err != nil {
-		return err
-	}
-	return sys.Mem.RestoreObsHistCkpts("memsys/", rs.ObsHists)
 }
 
 // RestoreRun rebuilds a simulation from a run checkpoint: a fresh system
@@ -200,38 +153,9 @@ func RestoreRun(doc *Doc) (*engine.System, error) {
 		return nil, fmt.Errorf("ckpt: engine config: %v", err)
 	}
 	sys := engine.New(rs.EngineCfg)
-
-	// Instruments first: the sampler's probes must exist before its rows
-	// are restored, and SetSeries reads the profiler.
-	if rs.Prof != nil {
-		p := prof.New()
-		if err := p.RestoreCkpt(*rs.Prof); err != nil {
-			return nil, err
-		}
-		sys.SetProf(p)
+	if err := sys.RestoreInstr(rs.Ckpt); err != nil {
+		return nil, err
 	}
-	if rs.Series != nil {
-		sm := metrics.NewSampler(rs.Series.Window)
-		sys.SetSeries(sm) // registers the standard probe set
-		if err := sm.RestoreCkpt(*rs.Series); err != nil {
-			return nil, err
-		}
-	}
-	if rs.Conflicts != nil {
-		rec := metrics.NewRecorder(rs.Conflicts.Window)
-		if err := rec.RestoreCkpt(*rs.Conflicts); err != nil {
-			return nil, err
-		}
-		sys.SetConflicts(rec)
-	}
-	if rs.Hists != nil {
-		lh := metrics.NewLatHists()
-		if err := lh.RestoreCkpt(*rs.Hists); err != nil {
-			return nil, err
-		}
-		sys.SetLatHists(lh)
-	}
-
 	if err := sys.RestoreCkpt(rs.Engine); err != nil {
 		return nil, err
 	}

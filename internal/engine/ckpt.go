@@ -11,9 +11,8 @@ import (
 
 // This file implements the engine's half of the hmtx-ckpt/v1 checkpoint
 // format (internal/ckpt, DESIGN.md §18): capturing and restoring the
-// System state that persists across Run calls, plus the per-event debug hook
-// cmd/hmtxdbg uses to seek, watch and step through a deterministic
-// re-execution.
+// System state that persists across Run calls. The instruments' state is
+// captured by the instrument hook (CaptureInstr, obs.go).
 //
 // Checkpoints are only taken at run boundaries, where the machine is
 // quiescent: no program coroutines are live, no core is parked, the bus is
@@ -223,49 +222,4 @@ func (s *System) RestoreCkpt(ck Ckpt) error {
 		s.txs[vid.Seq(seq)] = ts
 	}
 	return nil
-}
-
-// DebugEvent describes one scheduler event for an attached debugger: the
-// global simulated cycle at which the event is handled, the issuing core,
-// its current transaction sequence number, the operation mnemonic, and the
-// line address for memory operations (zero otherwise).
-type DebugEvent struct {
-	Cycle int64
-	Core  int
-	Seq   vid.Seq
-	Op    string
-	Addr  memsys.Addr
-}
-
-var reqKindNames = [...]string{
-	"load", "store", "compute", "branch", "begin", "commit", "abort",
-	"produce", "consume", "close", "await", "txinfo", "done",
-}
-
-func (k reqKind) String() string {
-	if int(k) < len(reqKindNames) {
-		return reqKindNames[k]
-	}
-	return fmt.Sprintf("req(%d)", int(k))
-}
-
-// SetDebugHook attaches fn to be called for every scheduler event, before it
-// executes, stamped with the global simulated cycle. Pass nil to detach.
-func (s *System) SetDebugHook(fn func(DebugEvent)) { s.debug = fn }
-
-// debugEvent reports one event to the attached hook.
-func (s *System) debugEvent(c *core, r request) {
-	ev := DebugEvent{
-		Cycle: s.cumCycles + c.time,
-		Core:  c.id,
-		Seq:   c.curSeq,
-		Op:    r.kind.String(),
-	}
-	switch r.kind {
-	case reqLoad, reqStore:
-		ev.Addr = memsys.LineAddr(r.addr)
-	case reqBegin, reqCommit, reqAbortTx, reqAwait:
-		ev.Seq = r.seq
-	}
-	s.debug(ev)
 }

@@ -1,6 +1,8 @@
 package engine
 
 import (
+	"fmt"
+
 	"hmtx/internal/memsys"
 	"hmtx/internal/prof"
 	"hmtx/internal/vid"
@@ -23,6 +25,19 @@ const (
 	reqTxInfo
 	reqDone
 )
+
+var reqKindNames = [...]string{
+	"load", "store", "compute", "branch", "begin", "commit", "abort",
+	"produce", "consume", "close", "await", "txinfo", "done",
+}
+
+// String is the request's debugger mnemonic (DebugEvent.Op).
+func (k reqKind) String() string {
+	if int(k) < len(reqKindNames) {
+		return reqKindNames[k]
+	}
+	return fmt.Sprintf("req(%d)", int(k))
+}
 
 type request struct {
 	kind  reqKind

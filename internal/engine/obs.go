@@ -3,26 +3,131 @@ package engine
 import (
 	"fmt"
 
+	"hmtx/internal/instr"
+	"hmtx/internal/memsys"
+	"hmtx/internal/metrics"
 	"hmtx/internal/obs"
+	"hmtx/internal/prof"
 )
 
-// SetTracer installs the event tracer on the system and its memory hierarchy
-// (nil disables tracing). Every emit site in this package is behind an
-// Enabled guard (enforced by the fastpath analyzer), so the disabled path
-// costs one predictable branch per site.
-func (s *System) SetTracer(t *obs.Tracer) {
-	s.tracer = t
-	s.Mem.SetTracer(t)
+// hook returns the instrument hook (DESIGN.md §10.3), shared with and
+// created by the hierarchy. Each setter below installs one instrument into
+// it (nil detaches it); each getter returns the installed one or nil.
+func (s *System) hook() *instr.Hook {
+	s.ins = s.Mem.Hook()
+	return s.ins
 }
 
-// Tracer returns the installed tracer (possibly nil).
-func (s *System) Tracer() *obs.Tracer { return s.tracer }
+// SetTracer installs the event tracer.
+func (s *System) SetTracer(t *obs.Tracer) { s.hook().Tracer = t }
 
-// setBounds buckets per-transaction footprint sizes in bytes.
-var setBounds = []uint64{256, 1 << 10, 4 << 10, 16 << 10, 64 << 10}
+// Tracer returns the installed tracer.
+func (s *System) Tracer() *obs.Tracer { return s.ins.Attached().Tracer }
 
-// latBounds buckets begin-to-commit latencies in cycles.
-var latBounds = []uint64{64, 256, 1024, 4096, 16384}
+// SetProf installs the cycle-attribution profiler: every cycle a core clock
+// advances is charged to a bucket (advance).
+func (s *System) SetProf(p *prof.Collector) { s.hook().Prof = p }
+
+// Prof returns the installed profiler.
+func (s *System) Prof() *prof.Collector { return s.ins.Attached().Prof }
+
+// SetSeries installs the windowed time-series sampler and registers the
+// standard probe set. Every scheduler event ticks it with the global
+// simulated cycle (completed runs' cycles plus the core clock), appending one
+// row per crossed window boundary. The validation_cycles and commit_cycles
+// columns read the profiler's live buckets and stay zero without one.
+func (s *System) SetSeries(sm *metrics.Sampler) {
+	s.hook().Series = sm
+	if sm.Enabled() {
+		ms := s.Mem.Stats()
+		sm.Probe("instructions", func() uint64 { return s.stats.Instructions })
+		sm.Probe("txs_committed", func() uint64 { return s.stats.Txs })
+		sm.Probe("aborts", func() uint64 {
+			return s.stats.AbortsConflict + s.stats.AbortsOverflow + s.stats.AbortsSLA +
+				s.stats.AbortsExplicit + s.stats.AbortsOther
+		})
+		sm.Probe("commit_stall_cycles", func() uint64 { return s.stats.CommitStallCycles })
+		sm.Probe("bus_messages", func() uint64 { return ms.BusMessages })
+		sm.Probe("spec_lines", func() uint64 { return s.Mem.SpecOccupancy() })
+		sm.Probe("validation_cycles", func() uint64 { return uint64(s.ins.Live(prof.Validation)) })
+		sm.Probe("commit_cycles", func() uint64 { return uint64(s.ins.Live(prof.Commit)) })
+	}
+}
+
+// Series returns the installed sampler.
+func (s *System) Series() *metrics.Sampler { return s.ins.Attached().Series }
+
+// FlushSeries takes one final sample at the current global simulated cycle,
+// capturing the tail of the execution past the last window boundary. Callers
+// invoke it once after the workload (including recovery runs) completes.
+func (s *System) FlushSeries() {
+	if sm := s.Series(); sm.Enabled() {
+		sm.Flush(s.cumCycles)
+	}
+}
+
+// SetConflicts installs the who-aborted-whom conflict recorder.
+func (s *System) SetConflicts(r *metrics.Recorder) { s.hook().Conflicts = r }
+
+// Conflicts returns the installed recorder.
+func (s *System) Conflicts() *metrics.Recorder { return s.ins.Attached().Conflicts }
+
+// SetLatHists installs the latency-histogram bundle: open→commit latency per
+// commit, validation-batch latency per ComputeValidation charge, and
+// commit-arbitration stall per commit (zero when the commit never parked).
+func (s *System) SetLatHists(l *metrics.LatHists) { s.hook().Lat = l }
+
+// LatHists returns the installed histogram bundle.
+func (s *System) LatHists() *metrics.LatHists { return s.ins.Attached().Lat }
+
+// SetDebugHook installs fn to be called for every scheduler event, before it
+// executes, stamped with the global simulated cycle.
+func (s *System) SetDebugHook(fn func(DebugEvent)) { s.hook().Debug = fn }
+
+// DebugEvent describes one scheduler event for an attached debugger
+// (cmd/hmtxdbg).
+type DebugEvent = instr.DebugEvent
+
+// debugEvent describes request r of core c as the debugger sees it.
+func (s *System) debugEvent(c *core, r request) DebugEvent {
+	ev := DebugEvent{
+		Cycle: s.cumCycles + c.time,
+		Core:  c.id,
+		Seq:   c.curSeq,
+		Op:    r.kind.String(),
+	}
+	switch r.kind {
+	case reqLoad, reqStore:
+		ev.Addr = memsys.LineAddr(r.addr)
+	case reqBegin, reqCommit, reqAbortTx, reqAwait:
+		ev.Seq = r.seq
+	}
+	return ev
+}
+
+// CaptureInstr snapshots every attached instrument for a checkpoint.
+func (s *System) CaptureInstr() instr.Ckpt { return s.ins.CaptureCkpt() }
+
+// RestoreInstr attaches the instruments a checkpoint was captured with and
+// restores their state; registry-histogram state applies when Register runs.
+func (s *System) RestoreInstr(ck instr.Ckpt) error {
+	if ck.Attached() == ([len(instr.Instruments)]bool{}) {
+		return nil // a bare checkpoint leaves the hook off
+	}
+	if ck.Prof != nil {
+		s.SetProf(prof.New())
+	}
+	if ck.Series != nil {
+		s.SetSeries(metrics.NewSampler(ck.Series.Window)) // registers the probes
+	}
+	if ck.Conflicts != nil {
+		s.SetConflicts(metrics.NewRecorder(ck.Conflicts.Window))
+	}
+	if ck.Hists != nil {
+		s.SetLatHists(metrics.NewLatHists())
+	}
+	return s.hook().RestoreCkpt(ck)
+}
 
 // Register mounts the engine's statistics under "engine" in r: instruction
 // and branch counters, per-transaction aggregates, the abort-cause breakdown,
@@ -56,58 +161,17 @@ func (s *System) Register(r *obs.Registry) {
 		g.Group(fmt.Sprintf("core[%d]", i)).CounterFunc("cycles", "core cycle count at snapshot", func() uint64 { return uint64(c.time) })
 	}
 
-	s.histCommitLat = g.Histogram("commit_latency", "begin-to-commit latency in cycles", latBounds)
-	s.histReadSet = g.Histogram("tx_read_set", "per-transaction read set in bytes", setBounds)
-	s.histWriteSet = g.Histogram("tx_write_set", "per-transaction write set in bytes", setBounds)
-}
-
-// AddObsHistCkpts adds the engine's registry-histogram state to dst under
-// prefix, for hmtx-ckpt/v1 checkpoints (DESIGN.md §18). A no-op when no
-// registry is attached: the histograms only exist — and only fill — while
-// registered.
-func (s *System) AddObsHistCkpts(prefix string, dst map[string]obs.HistCkpt) {
-	if s.histCommitLat == nil {
-		return
-	}
-	dst[prefix+"commit_latency"] = s.histCommitLat.Ckpt()
-	dst[prefix+"tx_read_set"] = s.histReadSet.Ckpt()
-	dst[prefix+"tx_write_set"] = s.histWriteSet.Ckpt()
-}
-
-// RestoreObsHistCkpts restores the engine's registry-histogram state from a
-// checkpoint. Register must have been called first.
-func (s *System) RestoreObsHistCkpts(prefix string, src map[string]obs.HistCkpt) error {
-	if s.histCommitLat == nil {
-		return fmt.Errorf("engine: RestoreObsHistCkpts before Register")
-	}
-	for _, e := range []struct {
-		name string
-		h    *obs.Histogram
-	}{
-		{"commit_latency", s.histCommitLat},
-		{"tx_read_set", s.histReadSet},
-		{"tx_write_set", s.histWriteSet},
-	} {
-		ck, ok := src[prefix+e.name]
-		if !ok {
-			return fmt.Errorf("engine: checkpoint is missing histogram %s%s", prefix, e.name)
-		}
-		if err := e.h.RestoreCkpt(ck); err != nil {
-			return err
-		}
-	}
-	return nil
+	s.hook().Register(g, "engine")
 }
 
 // Emit records a software-runtime event (e.g. an SMTX validation span) on
-// this program's core, stamped with the core's current cycle. Events of
-// disabled categories cost one branch and are dropped without being built —
-// callers pass a literal, so construction is cheap either way.
+// this program's core, stamped with the core's current cycle.
 func (e *Env) Emit(ev obs.Event) {
-	tr := e.sys.tracer
-	if tr.Enabled(ev.Kind.Category()) {
-		ev.Core = int32(e.c.id)
-		tr.SetTime(e.c.time)
-		tr.Emit(ev)
+	if ins := e.sys.ins; ins.Enabled() {
+		ins.OnEmit(e.c.time, e.c.id, ev)
 	}
 }
+
+// srcBucket maps the hierarchy level that served a memory operation to its
+// latency-attribution bucket.
+var srcBucket = [...]prof.Bucket{memsys.SrcL1: prof.L1, memsys.SrcPeer: prof.Peer, memsys.SrcL2: prof.L2, memsys.SrcMem: prof.Mem}

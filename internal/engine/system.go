@@ -10,8 +10,8 @@ import (
 	"iter"
 	"math/rand"
 
+	"hmtx/internal/instr"
 	"hmtx/internal/memsys"
-	"hmtx/internal/metrics"
 	"hmtx/internal/obs"
 	"hmtx/internal/prof"
 	"hmtx/internal/vid"
@@ -168,27 +168,15 @@ type System struct {
 	// the parked cores only when it is set (DESIGN.md §11.7).
 	wake bool
 
-	// debug is the debugger event hook (ckpt.go); nil when no debugger is
+	// ins is the instrument hook shared with Mem (obs.go): tracer,
+	// profiler, metrics, registry histograms and debugger. nil when none is
 	// attached.
-	debug func(DebugEvent)
-
-	tracer *obs.Tracer     // nil when tracing is disabled (obs.go)
-	prof   *prof.Collector // nil when profiling is disabled (prof.go)
-
-	// Temporal/causal instruments (metrics.go); each is nil when disabled.
-	series    *metrics.Sampler
-	conflicts *metrics.Recorder
-	lat       *metrics.LatHists
+	ins *instr.Hook
 
 	// cumCycles is the summed makespan of completed runs: the global-time
 	// base added to a core clock to stamp metrics with monotone simulated
 	// time across recovery runs.
 	cumCycles int64
-
-	// Histograms registered by Register (obs.go); nil until then.
-	histCommitLat *obs.Histogram
-	histReadSet   *obs.Histogram
-	histWriteSet  *obs.Histogram
 }
 
 // New builds a system; the memory hierarchy is fresh and empty.
@@ -230,9 +218,8 @@ func (s *System) Run(programs []Program) RunResult {
 	s.aborting = false
 	s.abortCause = ""
 	s.busFreeAt = 0
-	if s.tracer.Enabled(obs.CatEngine) {
-		s.tracer.SetTime(0)
-		s.tracer.Emit(obs.Event{Kind: obs.KRunStart, Core: -1, Arg: uint64(len(programs))})
+	if s.ins.Enabled() {
+		s.ins.OnRunStart(len(programs))
 	}
 	s.queues = make(map[int]*queue)
 	s.nLive = len(programs)
@@ -280,14 +267,8 @@ func (s *System) Run(programs []Program) RunResult {
 			cycles = c.finish
 		}
 	}
-	if s.tracer.Enabled(obs.CatEngine) {
-		s.tracer.SetTime(cycles)
-		s.tracer.Emit(obs.Event{Kind: obs.KRunEnd, Core: -1, Arg: uint64(cycles), Note: s.abortCause})
-	}
-	if s.prof.Enabled() {
-		// The run's outcome is known: fold this run's charges, moving
-		// work done for rolled-back transactions to the wasted bucket.
-		s.prof.RunEnd(cycles, s.abortCause != "", uint64(s.lastCommitted))
+	if s.ins.Enabled() {
+		s.ins.OnRunEnd(cycles, s.abortCause, uint64(s.lastCommitted))
 	}
 	s.cumCycles += cycles
 	return RunResult{
@@ -456,26 +437,22 @@ func (s *System) txInfo(c *core) uint64 {
 }
 
 func (s *System) handle(c *core, r request) {
-	// Stamp subsequent trace events (including the memory system's, which
-	// has no clock of its own) with the issuing core's time.
-	s.tracer.SetTime(c.time)
-	if s.series.Enabled() {
-		s.series.Tick(s.cumCycles + c.time)
-	}
-	if s.conflicts.Enabled() {
-		s.conflicts.SetTime(s.cumCycles + c.time)
-	}
-	if s.debug != nil {
-		s.debugEvent(c, r)
+	if s.ins.Enabled() {
+		// Stamps subsequent events (including the memory system's, which
+		// has no clock of its own) with the issuing core's time.
+		s.ins.OnStep(c.time, s.cumCycles+c.time)
+		if s.ins.Debug != nil {
+			s.ins.Debug(s.debugEvent(c, r))
+		}
 	}
 	if r.kind == reqDone {
 		c.done = true
 		c.finish = c.time
 		s.nLive--
-		if s.prof.Enabled() {
+		if s.ins.Enabled() {
 			// Sum-to-total invariant: every cycle of this core's clock
 			// must have been charged to a bucket (panics on a gap).
-			s.prof.CoreDone(c.id, c.time)
+			s.ins.OnCoreDone(c.id, c.time)
 		}
 		return
 	}
@@ -498,11 +475,8 @@ func (s *System) handle(c *core, r request) {
 		}
 		busWait := s.charge(c, res.Lat, s.Mem.Stats().BusMessages-busBefore)
 		s.stats.Instructions++
-		if s.prof.Enabled() {
-			if busWait > 0 {
-				s.prof.Charge(c.id, uint64(c.curSeq), prof.Bus, busWait)
-			}
-			s.prof.ChargeLine(c.id, uint64(c.curSeq), srcBucket(res.Src), res.Lat, memsys.LineAddr(r.addr))
+		if s.ins.Enabled() {
+			s.ins.OnAccess(c.id, uint64(c.curSeq), busWait, srcBucket[res.Src], res.Lat, memsys.LineAddr(r.addr))
 		}
 		c.pushRecent(r.addr)
 		if res.Conflict {
@@ -511,14 +485,8 @@ func (s *System) handle(c *core, r request) {
 		}
 
 	case reqCompute:
-		c.time += int64(r.val)
+		s.advance(c, c.curSeq, r.tag, int64(r.val))
 		s.stats.Instructions += r.val
-		if s.prof.Enabled() {
-			s.prof.Charge(c.id, uint64(c.curSeq), r.tag, int64(r.val))
-		}
-		if s.lat.Enabled() && r.tag == prof.Validation {
-			s.lat.Validation.Observe(r.val)
-		}
 
 	case reqBranch:
 		if !s.branch(c, r) {
@@ -535,18 +503,13 @@ func (s *System) handle(c *core, r request) {
 			s.park(c, parkCommit, r)
 			return
 		}
-		if s.lat.Enabled() {
-			// The commit proceeded without parking: zero arbitration
-			// stall, recorded so the percentiles cover every commit.
-			s.lat.CommitArb.Observe(0)
-		}
-		s.doCommit(c, r.seq)
+		// The commit proceeded without parking: zero arbitration stall,
+		// recorded so the percentiles cover every commit.
+		s.doCommit(c, r.seq, 0, false)
 
 	case reqAbortTx:
-		if s.conflicts.Enabled() {
-			// A software abort: the transaction rolled itself back.
-			s.conflicts.SetTime(s.cumCycles + c.time)
-			s.conflicts.Record(uint64(r.seq), uint64(r.seq), 0, metrics.EdgeExplicit)
+		if s.ins.Enabled() {
+			s.ins.OnExplicitAbort(uint64(r.seq))
 		}
 		s.triggerAbort(fmt.Sprintf("explicit abortMTX by core %d (seq %d)", c.id, r.seq), c)
 		return
@@ -557,11 +520,7 @@ func (s *System) handle(c *core, r request) {
 			s.park(c, parkProduce, r)
 			return
 		}
-		s.doProduce(c, q, r.val)
-		if s.tracer.Enabled(obs.CatQueue) {
-			s.tracer.SetTime(c.time)
-			s.tracer.Emit(obs.Event{Kind: obs.KQueueProduce, Core: int32(c.id), Arg: uint64(r.q)})
-		}
+		s.doProduce(c, r.q, q, r.val)
 
 	case reqConsume:
 		q := s.queue(r.q)
@@ -572,22 +531,14 @@ func (s *System) handle(c *core, r request) {
 			}
 			break // closed and drained: ok == false
 		}
-		resp.val, resp.ok = s.doConsume(c, q), true
-		if s.tracer.Enabled(obs.CatQueue) {
-			s.tracer.SetTime(c.time)
-			s.tracer.Emit(obs.Event{Kind: obs.KQueueConsume, Core: int32(c.id), Arg: uint64(r.q)})
-		}
+		resp.val, resp.ok = s.doConsume(c, r.q, q), true
 
 	case reqClose:
 		s.queue(r.q).closed = true
 		s.wake = true // drained consumers now see ok == false
-		c.time += s.cfg.QueueOpCost
-		if s.prof.Enabled() {
-			s.prof.Charge(c.id, uint64(c.curSeq), prof.Compute, s.cfg.QueueOpCost)
-		}
-		if s.tracer.Enabled(obs.CatQueue) {
-			s.tracer.SetTime(c.time)
-			s.tracer.Emit(obs.Event{Kind: obs.KQueueClose, Core: int32(c.id), Arg: uint64(r.q)})
+		s.advance(c, c.curSeq, prof.Compute, s.cfg.QueueOpCost)
+		if s.ins.Enabled() {
+			s.ins.OnQueue(c.time, c.id, obs.KQueueClose, r.q)
 		}
 
 	case reqAwait:
@@ -603,6 +554,17 @@ func (s *System) handle(c *core, r request) {
 		panic(fmt.Sprintf("engine: unknown request kind %d", r.kind))
 	}
 	s.resume(c, resp)
+}
+
+// advance moves core c's clock forward n cycles and charges them to bucket b
+// of transaction seq, so every cycle a clock moves is charged by
+// construction. Memory operations, whose cycles split between bus
+// arbitration and latency, are charged by charge and OnAccess instead.
+func (s *System) advance(c *core, seq vid.Seq, b prof.Bucket, n int64) {
+	c.time += n
+	if s.ins.Enabled() {
+		s.ins.OnCharge(c.id, uint64(seq), b, n)
+	}
 }
 
 // charge advances the core's clock by lat cycles; if the operation used the
@@ -634,31 +596,30 @@ func (s *System) queue(id int) *queue {
 	return q
 }
 
-func (s *System) doProduce(c *core, q *queue, val uint64) {
+// doProduce appends val to queue q (ID id).
+func (s *System) doProduce(c *core, id int, q *queue, val uint64) {
 	q.items = append(q.items, qItem{val: val, ready: c.time + s.cfg.QueueLat})
 	s.wake = true // a consumer may be waiting for the item
-	c.time += s.cfg.QueueOpCost
+	s.advance(c, c.curSeq, prof.Compute, s.cfg.QueueOpCost)
 	s.stats.Instructions++
-	if s.prof.Enabled() {
-		s.prof.Charge(c.id, uint64(c.curSeq), prof.Compute, s.cfg.QueueOpCost)
+	if s.ins.Enabled() {
+		s.ins.OnQueue(c.time, c.id, obs.KQueueProduce, id)
 	}
 }
 
-func (s *System) doConsume(c *core, q *queue) uint64 {
+// doConsume pops the head of queue q (ID id), waiting for it to arrive.
+func (s *System) doConsume(c *core, id int, q *queue) uint64 {
 	it := q.items[0]
 	q.items = q.items[1:]
 	s.wake = true // a producer may be waiting for the free slot
 	if it.ready > c.time {
-		if s.prof.Enabled() {
-			s.prof.Charge(c.id, uint64(c.curSeq), prof.QueueWait, it.ready-c.time)
-		}
-		c.time = it.ready
+		s.advance(c, c.curSeq, prof.QueueWait, it.ready-c.time)
 	}
-	c.time += s.cfg.QueueOpCost
+	s.advance(c, c.curSeq, prof.Compute, s.cfg.QueueOpCost)
 	q.lastPopTime = c.time
 	s.stats.Instructions++
-	if s.prof.Enabled() {
-		s.prof.Charge(c.id, uint64(c.curSeq), prof.Compute, s.cfg.QueueOpCost)
+	if s.ins.Enabled() {
+		s.ins.OnQueue(c.time, c.id, obs.KQueueConsume, id)
 	}
 	return it.val
 }
@@ -678,42 +639,37 @@ func (s *System) begin(c *core, r request) bool {
 				return false
 			}
 			res := s.Mem.VIDReset()
-			c.time += res.Lat
-			if s.prof.Enabled() {
-				// Epoch machinery, not any one transaction's work:
-				// charge to seq 0 so it never folds into wasted.
-				s.prof.Charge(c.id, 0, prof.CommitStall, res.Lat)
-			}
+			// Epoch machinery, not any one transaction's work: charge
+			// to seq 0 so it never folds into wasted.
+			s.advance(c, 0, prof.CommitStall, res.Lat)
 		}
 	}
 	c.curSeq = r.seq
 	c.curTx = nil
-	c.time++ // the beginMTX instruction itself
+	s.advance(c, r.seq, prof.Compute, 1) // the beginMTX instruction itself
 	s.stats.Instructions++
-	if s.prof.Enabled() {
-		s.prof.Charge(c.id, uint64(r.seq), prof.Compute, 1)
-	}
 	if r.seq != 0 {
 		t := s.tx(r.seq)
 		c.curTx = t
 		if !t.begun {
 			t.begun, t.beginAt = true, c.time
 		}
-		if s.tracer.Enabled(obs.CatTxn) {
-			s.tracer.SetTime(c.time)
-			s.tracer.Emit(obs.Event{Kind: obs.KTxBegin, Core: int32(c.id), VID: uint64(r.seq)})
+		if s.ins.Enabled() {
+			s.ins.OnTx(obs.KTxBegin, c.time, c.id, uint64(r.seq), "")
 		}
 	}
 	return true
 }
 
-func (s *System) doCommit(c *core, seq vid.Seq) {
-	res := s.Mem.Commit(s.hwVID(seq))
-	c.time += res.Lat
-	s.stats.Instructions++
-	if s.prof.Enabled() {
-		s.prof.Charge(c.id, uint64(seq), prof.Commit, res.Lat)
+// doCommit commits seq on core c after stall cycles of commit arbitration;
+// resumed reports that the core had parked for its turn.
+func (s *System) doCommit(c *core, seq vid.Seq, stall int64, resumed bool) {
+	if s.ins.Enabled() {
+		s.ins.OnCommitStart(c.time, c.id, uint64(seq), stall, resumed)
 	}
+	res := s.Mem.Commit(s.hwVID(seq))
+	s.advance(c, seq, prof.Commit, res.Lat)
+	s.stats.Instructions++
 	s.lastCommitted = seq
 	s.wake = true // commit, await and epoch parks wait on lastCommitted
 	if c.time > s.lastCommitTime {
@@ -746,17 +702,8 @@ func (s *System) doCommit(c *core, seq vid.Seq) {
 		if t.begun && c.time > t.beginAt {
 			lat = c.time - t.beginAt
 		}
-		if s.histCommitLat != nil {
-			s.histCommitLat.Observe(uint64(lat))
-			s.histReadSet.Observe(rb)
-			s.histWriteSet.Observe(wb)
-		}
-		if s.lat.Enabled() {
-			s.lat.Open.Observe(uint64(lat))
-		}
-		if s.tracer.Enabled(obs.CatTxn) {
-			s.tracer.SetTime(c.time)
-			s.tracer.Emit(obs.Event{Kind: obs.KTxCommit, Core: int32(c.id), VID: uint64(seq), Arg: uint64(lat)})
+		if s.ins.Enabled() {
+			s.ins.OnTxCommit(c.time, c.id, uint64(seq), uint64(lat), rb, wb)
 		}
 		delete(s.txs, seq)
 	}
@@ -768,18 +715,12 @@ func (s *System) doCommit(c *core, seq vid.Seq) {
 func (s *System) branch(c *core, r request) bool {
 	s.stats.Branches++
 	s.stats.Instructions++
-	c.time++
-	if s.prof.Enabled() {
-		s.prof.Charge(c.id, uint64(c.curSeq), prof.Compute, 1)
-	}
+	s.advance(c, c.curSeq, prof.Compute, 1)
 	ctr := c.pred[r.site]
 	predictTaken := ctr >= 2
 	if predictTaken != r.taken {
 		s.stats.Mispredicts++
-		c.time += s.cfg.MispredictPenalty
-		if s.prof.Enabled() {
-			s.prof.Charge(c.id, uint64(c.curSeq), prof.Compute, s.cfg.MispredictPenalty)
-		}
+		s.advance(c, c.curSeq, prof.Compute, s.cfg.MispredictPenalty)
 		// Squashed wrong-path loads execute before the misprediction
 		// is discovered (§5.1). They pull data through the caches but,
 		// with SLAs, never mark lines.
@@ -819,12 +760,9 @@ func (s *System) branch(c *core, r request) bool {
 
 func (s *System) triggerAbort(cause string, c *core) {
 	res := s.Mem.AbortAll()
-	c.time += res.Lat
-	if s.prof.Enabled() {
-		// Charged to seq 0: the rollback sweep itself is machine
-		// overhead, distinct from the wasted re-execution it causes.
-		s.prof.Charge(c.id, 0, prof.Abort, res.Lat)
-	}
+	// Charged to seq 0: the rollback sweep itself is machine overhead,
+	// distinct from the wasted re-execution it causes.
+	s.advance(c, 0, prof.Abort, res.Lat)
 	s.aborting = true
 	s.abortCause = cause
 	s.wake = true // every parked core unwinds
@@ -840,9 +778,8 @@ func (s *System) triggerAbort(cause string, c *core) {
 	default:
 		s.stats.AbortsOther++
 	}
-	if s.tracer.Enabled(obs.CatTxn) {
-		s.tracer.SetTime(c.time)
-		s.tracer.Emit(obs.Event{Kind: obs.KTxAbort, Core: int32(c.id), VID: uint64(c.curSeq), Note: cause})
+	if s.ins.Enabled() {
+		s.ins.OnTx(obs.KTxAbort, c.time, c.id, uint64(c.curSeq), cause)
 	}
 	// Discard in-flight transaction footprints; they never committed.
 	s.txs = make(map[vid.Seq]*txStats)
@@ -889,27 +826,16 @@ func (s *System) unpark(c *core) (resp response, ok bool) {
 		if len(q.items) == 0 {
 			return resp, q.closed // closed and drained: ok == false
 		}
-		resp.val, resp.ok = s.doConsume(c, q), true
-		if s.tracer.Enabled(obs.CatQueue) {
-			s.tracer.SetTime(c.time)
-			s.tracer.Emit(obs.Event{Kind: obs.KQueueConsume, Core: int32(c.id), Arg: uint64(r.q)})
-		}
+		resp.val, resp.ok = s.doConsume(c, r.q, q), true
 	case parkProduce:
 		q := s.queue(r.q)
 		if len(q.items) >= s.cfg.QueueCap {
 			return resp, false
 		}
 		if q.lastPopTime > c.time {
-			if s.prof.Enabled() {
-				s.prof.Charge(c.id, uint64(c.curSeq), prof.QueueWait, q.lastPopTime-c.time)
-			}
-			c.time = q.lastPopTime
+			s.advance(c, c.curSeq, prof.QueueWait, q.lastPopTime-c.time)
 		}
-		s.doProduce(c, q, r.val)
-		if s.tracer.Enabled(obs.CatQueue) {
-			s.tracer.SetTime(c.time)
-			s.tracer.Emit(obs.Event{Kind: obs.KQueueProduce, Core: int32(c.id), Arg: uint64(r.q)})
-		}
+		s.doProduce(c, r.q, q, r.val)
 	case parkCommit:
 		if r.seq != s.lastCommitted+1 {
 			return resp, false
@@ -917,14 +843,7 @@ func (s *System) unpark(c *core) (resp response, ok bool) {
 		s.waitLastCommit(c, r.seq)
 		stall := max(c.time-c.parkedAt, 0)
 		s.stats.CommitStallCycles += uint64(stall)
-		if s.lat.Enabled() {
-			s.lat.CommitArb.Observe(uint64(stall))
-		}
-		if s.tracer.Enabled(obs.CatCommit) {
-			s.tracer.SetTime(c.time)
-			s.tracer.Emit(obs.Event{Kind: obs.KCommitResume, Core: int32(c.id), VID: uint64(r.seq), Arg: uint64(stall)})
-		}
-		s.doCommit(c, r.seq)
+		s.doCommit(c, r.seq, stall, true)
 	case parkAwait:
 		if s.lastCommitted < r.seq {
 			return resp, false
@@ -945,10 +864,7 @@ func (s *System) unpark(c *core) (resp response, ok bool) {
 // the wait to seq's commit-stall bucket.
 func (s *System) waitLastCommit(c *core, seq vid.Seq) {
 	if s.lastCommitTime > c.time {
-		if s.prof.Enabled() {
-			s.prof.Charge(c.id, uint64(seq), prof.CommitStall, s.lastCommitTime-c.time)
-		}
-		c.time = s.lastCommitTime
+		s.advance(c, seq, prof.CommitStall, s.lastCommitTime-c.time)
 	}
 }
 
@@ -956,9 +872,8 @@ func (s *System) park(c *core, k parkKind, r request) {
 	c.parked = k
 	c.parkedReq = r
 	c.parkedAt = c.time
-	if k == parkCommit && s.tracer.Enabled(obs.CatCommit) {
-		s.tracer.SetTime(c.time)
-		s.tracer.Emit(obs.Event{Kind: obs.KCommitStall, Core: int32(c.id), VID: uint64(r.seq)})
+	if k == parkCommit && s.ins.Enabled() {
+		s.ins.OnTx(obs.KCommitStall, c.time, c.id, uint64(r.seq), "")
 	}
 }
 
@@ -982,8 +897,6 @@ func (t *sysTracker) SpecTouch(coreID int, lineAddr memsys.Addr, isStore bool) b
 	}
 	return inR || inW
 }
-
-func (t *sysTracker) WrongPath(coreID int, lineAddr memsys.Addr) {}
 
 func (t *sysTracker) AvoidedAbort(coreID int) {
 	s := (*System)(t)

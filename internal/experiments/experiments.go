@@ -104,29 +104,36 @@ func (r *BenchResult) metricSets() []*MetricSet {
 	return []*MetricSet{r.SeqMetrics, r.HMTXMetrics, r.SMTXMinMetrics, r.SMTXMaxMetrics}
 }
 
-// instrument attaches the metric instruments to a unit's system when
-// Config.Metrics is set. Like the profiler, the instruments are pure
-// observers: they never change the simulated execution.
+// instrument attaches the profiler to a unit's system when Config.Profile or
+// Config.Metrics is set (the sampler reads it), and the metric instruments
+// when Config.Metrics is set. The instruments are pure observers: they never
+// change the simulated execution.
 func instrument(cfg Config, sys *engine.System) {
+	if cfg.Profile || cfg.Metrics {
+		sys.SetProf(prof.New())
+	}
 	if !cfg.Metrics {
 		return
-	}
-	if !sys.Prof().Enabled() {
-		sys.SetProf(prof.New())
 	}
 	sys.SetSeries(metrics.NewSampler(cfg.MetricsWindow))
 	sys.SetConflicts(metrics.NewRecorder(0))
 	sys.SetLatHists(metrics.NewLatHists())
 }
 
-// metricSnapshot captures a unit's metric set (nil when metrics are off).
-func metricSnapshot(cfg Config, sys *engine.System, r *BenchResult, system string) *MetricSet {
+// observe captures a unit's profile and metric set; each is nil when its
+// instruments are off.
+func observe(cfg Config, sys *engine.System, r *BenchResult, system string, kind paradigm.Kind) (*prof.Profile, *MetricSet) {
+	var p *prof.Profile
+	if sys.Prof().Enabled() {
+		snap := sys.Prof().Snapshot(r.Spec.Name, system, kind.String(), 0)
+		p = &snap
+	}
 	if !cfg.Metrics {
-		return nil
+		return p, nil
 	}
 	sys.FlushSeries()
 	label := r.Spec.Name + "/" + system
-	return &MetricSet{
+	return p, &MetricSet{
 		Series:    sys.Series().Snapshot(label),
 		Conflicts: sys.Conflicts().Snapshot(label),
 		Hists:     sys.LatHists().Snapshot(label),
@@ -168,34 +175,18 @@ func activity(cycles int64, eng *engine.Stats, mem *memsys.Stats) power.Activity
 // runSeq measures the sequential baseline, writing only the Seq* fields.
 func runSeq(cfg Config, r *BenchResult) {
 	sys := engine.New(cfg.engineConfig())
-	if cfg.Profile {
-		sys.SetProf(prof.New())
-	}
 	instrument(cfg, sys)
 	loop := r.Spec.New(cfg.Scale)
 	loop.Setup(sys.Mem)
 	r.SeqCycles = paradigm.RunSequential(sys, loop)
 	r.SeqAct = activity(r.SeqCycles, sys.Stats(), sys.Mem.Stats())
-	r.SeqProf = snapshot(sys, r, "seq", paradigm.Sequential)
-	r.SeqMetrics = metricSnapshot(cfg, sys, r, "seq")
-}
-
-// snapshot captures the system's profile (nil when profiling is off).
-func snapshot(sys *engine.System, r *BenchResult, system string, kind paradigm.Kind) *prof.Profile {
-	if !sys.Prof().Enabled() {
-		return nil
-	}
-	p := sys.Prof().Snapshot(r.Spec.Name, system, kind.String(), 0)
-	return &p
+	r.SeqProf, r.SeqMetrics = observe(cfg, sys, r, "seq", paradigm.Sequential)
 }
 
 // runHMTX measures HMTX with maximal validation — every load and store inside
 // every transaction is validated (§6.1) — writing only the HMTX* fields.
 func runHMTX(cfg Config, r *BenchResult) {
 	sys := engine.New(cfg.engineConfig())
-	if cfg.Profile {
-		sys.SetProf(prof.New())
-	}
 	instrument(cfg, sys)
 	loop := r.Spec.New(cfg.Scale)
 	loop.Setup(sys.Mem)
@@ -203,17 +194,13 @@ func runHMTX(cfg Config, r *BenchResult) {
 	r.HMTXEng = *sys.Stats()
 	r.HMTXMem = *sys.Mem.Stats()
 	r.HMTXAct = activity(r.HMTXOut.Cycles, sys.Stats(), sys.Mem.Stats())
-	r.HMTXProf = snapshot(sys, r, "hmtx", r.Spec.Paradigm)
-	r.HMTXMetrics = metricSnapshot(cfg, sys, r, "hmtx")
+	r.HMTXProf, r.HMTXMetrics = observe(cfg, sys, r, "hmtx", r.Spec.Paradigm)
 }
 
 // runSMTX measures SMTX with the given read/write-set mode, writing only the
 // corresponding SMTX* fields.
 func runSMTX(cfg Config, r *BenchResult, mode smtx.Mode) {
 	sys := engine.New(cfg.engineConfig())
-	if cfg.Profile {
-		sys.SetProf(prof.New())
-	}
 	instrument(cfg, sys)
 	loop := r.Spec.New(cfg.Scale)
 	loop.Setup(sys.Mem)
@@ -221,12 +208,10 @@ func runSMTX(cfg Config, r *BenchResult, mode smtx.Mode) {
 	act := activity(out.Cycles, sys.Stats(), sys.Mem.Stats())
 	if mode == smtx.MaxSet {
 		r.SMTXMaxOut, r.SMTXMaxAct = out, act
-		r.SMTXMaxProf = snapshot(sys, r, "smtx-max", r.Spec.Paradigm)
-		r.SMTXMaxMetrics = metricSnapshot(cfg, sys, r, "smtx-max")
+		r.SMTXMaxProf, r.SMTXMaxMetrics = observe(cfg, sys, r, "smtx-max", r.Spec.Paradigm)
 	} else {
 		r.SMTXMinOut, r.SMTXMinAct = out, act
-		r.SMTXMinProf = snapshot(sys, r, "smtx-min", r.Spec.Paradigm)
-		r.SMTXMinMetrics = metricSnapshot(cfg, sys, r, "smtx-min")
+		r.SMTXMinProf, r.SMTXMinMetrics = observe(cfg, sys, r, "smtx-min", r.Spec.Paradigm)
 	}
 }
 

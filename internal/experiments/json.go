@@ -90,8 +90,8 @@ func BuildDoc(cfg Config, results []BenchResult) Doc {
 	return doc
 }
 
-// WriteJSON writes the document as indented JSON with a trailing newline.
-func WriteJSON(w io.Writer, doc Doc) error {
+// WriteJSON writes any document as indented JSON with a trailing newline.
+func WriteJSON(w io.Writer, doc any) error {
 	buf, err := json.MarshalIndent(doc, "", "  ")
 	if err != nil {
 		return err
@@ -99,61 +99,42 @@ func WriteJSON(w io.Writer, doc Doc) error {
 	buf = append(buf, '\n')
 	_, err = w.Write(buf)
 	return err
+}
+
+// collect gathers one part of every metric set in the suite, in spec order
+// with the per-benchmark system order seq, hmtx, smtx-min, smtx-max. Results
+// from a Config without Metrics set contribute nothing.
+func collect[T any](results []BenchResult, part func(*MetricSet) T) []T {
+	var out []T
+	for i := range results {
+		for _, m := range results[i].metricSets() {
+			if m != nil {
+				out = append(out, part(m))
+			}
+		}
+	}
+	return out
 }
 
 // BuildSeriesDoc collects the suite's time-series snapshots into one
-// hmtx-series/v1 document, in spec order with the per-benchmark system order
-// seq, hmtx, smtx-min, smtx-max. Results from a Config without Metrics set
-// produce an empty series list.
+// hmtx-series/v1 document, in collect's order.
 func BuildSeriesDoc(cfg Config, results []BenchResult) metrics.SeriesDoc {
-	doc := metrics.SeriesDoc{Schema: metrics.SeriesSchema, Scale: cfg.Scale, Cores: cfg.Cores}
-	for i := range results {
-		for _, m := range results[i].metricSets() {
-			if m != nil {
-				doc.Series = append(doc.Series, m.Series)
-			}
-		}
-	}
-	return doc
+	return metrics.SeriesDoc{Schema: metrics.SeriesSchema, Scale: cfg.Scale, Cores: cfg.Cores,
+		Series: collect(results, func(m *MetricSet) metrics.Series { return m.Series })}
 }
 
 // BuildConflictDoc collects the suite's conflict graphs into one
-// hmtx-conflicts/v1 document, in the same order as BuildSeriesDoc.
+// hmtx-conflicts/v1 document, in collect's order.
 func BuildConflictDoc(cfg Config, results []BenchResult) metrics.ConflictDoc {
-	doc := metrics.ConflictDoc{Schema: metrics.ConflictSchema, Scale: cfg.Scale, Cores: cfg.Cores}
-	for i := range results {
-		for _, m := range results[i].metricSets() {
-			if m != nil {
-				doc.Graphs = append(doc.Graphs, m.Conflicts)
-			}
-		}
-	}
-	return doc
+	return metrics.ConflictDoc{Schema: metrics.ConflictSchema, Scale: cfg.Scale, Cores: cfg.Cores,
+		Graphs: collect(results, func(m *MetricSet) metrics.Graph { return m.Conflicts })}
 }
 
 // BuildHistDoc collects the suite's latency histograms into one hmtx-hist/v1
-// document, in the same order as BuildSeriesDoc.
+// document, in collect's order.
 func BuildHistDoc(cfg Config, results []BenchResult) metrics.HistDoc {
-	doc := metrics.HistDoc{Schema: metrics.HistSchema, Scale: cfg.Scale, Cores: cfg.Cores}
-	for i := range results {
-		for _, m := range results[i].metricSets() {
-			if m != nil {
-				doc.Histograms = append(doc.Histograms, m.Hists)
-			}
-		}
-	}
-	return doc
-}
-
-// WriteAnyJSON writes any document as indented JSON with a trailing newline.
-func WriteAnyJSON(w io.Writer, doc any) error {
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
+	return metrics.HistDoc{Schema: metrics.HistSchema, Scale: cfg.Scale, Cores: cfg.Cores,
+		Histograms: collect(results, func(m *MetricSet) metrics.LabeledHists { return m.Hists })}
 }
 
 // BuildProfDoc collects the suite's cycle-attribution profiles into one

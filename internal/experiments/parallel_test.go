@@ -105,7 +105,7 @@ func TestParallelMetricsDeterminism(t *testing.T) {
 			BuildHistDoc(cfg, results),
 		} {
 			var buf bytes.Buffer
-			if err := WriteAnyJSON(&buf, doc); err != nil {
+			if err := WriteJSON(&buf, doc); err != nil {
 				t.Fatal(err)
 			}
 			out[i] = buf.Bytes()

@@ -4,9 +4,9 @@ import (
 	"fmt"
 	"math/bits"
 
+	"hmtx/internal/instr"
 	"hmtx/internal/metrics"
 	"hmtx/internal/obs"
-	"hmtx/internal/prof"
 	"hmtx/internal/vid"
 )
 
@@ -18,18 +18,16 @@ import (
 // one of {some L1, the L2} at a time, except for SpecShared (and Shared)
 // copies, which may replicate a version held elsewhere.
 type Hierarchy struct {
-	cfg       Config
-	l1s       []*cache
-	l2        *cache
-	all       []*cache // every cache: l1s in core order, then l2 (built once in New)
-	mem       *memory
-	lc        vid.V  // latest committed VID (LC VID register, §5.3)
-	epoch     uint64 // VID epoch, advanced by VID Reset (§4.6)
-	stats     Stats
-	tracker   Tracker
-	tracer    *obs.Tracer       // nil when tracing is disabled (obs.go)
-	prof      *prof.Collector   // nil when profiling is disabled (prof.go)
-	conflicts *metrics.Recorder // nil when conflict recording is disabled (metrics.go)
+	cfg     Config
+	l1s     []*cache
+	l2      *cache
+	all     []*cache // every cache: l1s in core order, then l2 (built once in New)
+	mem     *memory
+	lc      vid.V  // latest committed VID (LC VID register, §5.3)
+	epoch   uint64 // VID epoch, advanced by VID Reset (§4.6)
+	stats   Stats
+	tracker Tracker
+	ins     *instr.Hook // instrument hook shared with the engine (obs.go); nil when none is attached
 
 	// gen is the coherence generation, bumped whenever (epoch, lc) moves or
 	// an abort sweep rewrites lines. Each cache set records the generation
@@ -44,10 +42,6 @@ type Hierarchy struct {
 	// broadcasting to all Cores+1 caches. MOESI-San asserts the superset
 	// property after every operation (invariant 8, sanitize.go).
 	pres map[Addr]presMask
-
-	// Latency histograms, registered by Register (obs.go); nil until then.
-	histLoadLat  *obs.Histogram
-	histStoreLat *obs.Histogram
 
 	// pendingOverflow records that a speculative line was evicted past
 	// the last-level cache during the current operation, forcing an
@@ -186,8 +180,8 @@ func (h *Hierarchy) Load(core int, addr Addr, a vid.V) (uint64, Result) {
 	h.sanBegin(addr)
 	val, res := h.load(core, addr, a, true)
 	h.sanCheck()
-	if h.histLoadLat != nil {
-		h.histLoadLat.Observe(uint64(res.Lat))
+	if h.ins.Enabled() {
+		h.ins.OnMemOp(false, res.Lat)
 	}
 	return val, res
 }
@@ -198,8 +192,8 @@ func (h *Hierarchy) Load(core int, addr Addr, a vid.V) (uint64, Result) {
 // misspeculations SLAs avoid (Table 1).
 func (h *Hierarchy) WrongPathLoad(core int, addr Addr, a vid.V) (uint64, Result) {
 	h.stats.WrongPathLoads++
-	if h.tracer.Enabled(obs.CatSLA) {
-		h.tracer.Emit(obs.Event{Kind: obs.KWrongPath, Core: int32(core), Addr: uint64(LineAddr(addr)), VID: uint64(a)})
+	if h.ins.Enabled() {
+		h.ins.OnLine(obs.KWrongPath, core, LineAddr(addr), uint64(a), "")
 	}
 	h.sanBegin(addr)
 	// With SLAs disabled, prior systems mark lines directly from squashed
@@ -237,8 +231,8 @@ func (h *Hierarchy) load(core int, addr Addr, a vid.V, mark bool) (uint64, Resul
 
 	h.stats.BusMessages++
 	res.Lat += h.cfg.BusLat
-	if h.tracer.Enabled(obs.CatBus) {
-		h.tracer.Emit(obs.Event{Kind: obs.KBusRequest, Core: int32(core), Addr: uint64(la), VID: uint64(a), Note: "load"})
+	if h.ins.Enabled() {
+		h.ins.OnLine(obs.KBusRequest, core, la, uint64(a), "load")
 	}
 
 	if owner, oc := h.snoop(core, la, eff); owner != nil {
@@ -249,8 +243,8 @@ func (h *Hierarchy) load(core int, addr Addr, a vid.V, mark bool) (uint64, Resul
 		} else {
 			h.stats.PeerTransfers++
 			res.Src = SrcPeer
-			if h.prof.Enabled() {
-				h.prof.LinePeer(la)
+			if h.ins.Enabled() {
+				h.ins.OnPeer(la)
 			}
 		}
 		oc.hits++
@@ -291,7 +285,7 @@ func (h *Hierarchy) load(core int, addr Addr, a vid.V, mark bool) (uint64, Resul
 	}
 	installed := h.install(l1, nl)
 	if spec && !mark {
-		h.shadowMark(core, installed, la, a)
+		h.shadowMark(installed, a)
 	}
 	h.checkOverflow(&res)
 	return val, res
@@ -301,7 +295,7 @@ func (h *Hierarchy) load(core int, addr Addr, a vid.V, mark bool) (uint64, Resul
 // requester's own L1.
 func (h *Hierarchy) localLoadMark(core int, l1 *cache, ln *Line, la Addr, a vid.V, mark bool, res *Result) {
 	if !mark {
-		h.shadowMark(core, ln, la, a)
+		h.shadowMark(ln, a)
 		return
 	}
 	switch {
@@ -311,8 +305,8 @@ func (h *Hierarchy) localLoadMark(core int, l1 *cache, ln *Line, la Addr, a vid.
 		if ln.St == Shared || ln.St == Owned {
 			h.stats.BusMessages++
 			res.Lat += h.cfg.BusLat
-			if h.tracer.Enabled(obs.CatBus) {
-				h.tracer.Emit(obs.Event{Kind: obs.KBusRequest, Core: int32(core), Addr: uint64(la), VID: uint64(a), Note: "upgrade"})
+			if h.ins.Enabled() {
+				h.ins.OnLine(obs.KBusRequest, core, la, uint64(a), "upgrade")
 			}
 			dirty := h.invalidateNonSpecCopies(la, ln)
 			if ln.St == Owned || dirty {
@@ -346,7 +340,7 @@ func (h *Hierarchy) remoteLoadMark(core int, owner *Line, oc *cache, la Addr, a,
 	l1 := h.l1s[core]
 	spec := a != vid.NonSpec
 	if !mark {
-		h.shadowMark(core, owner, la, a)
+		h.shadowMark(owner, a)
 		return
 	}
 	switch {
@@ -432,23 +426,19 @@ func (h *Hierarchy) specReadTransition(ln *Line, a vid.V) {
 	ln.High = a
 	ln.Epoch = h.epoch
 	ln.SettledLC = h.lc
-	if h.tracer.Enabled(obs.CatCache) {
-		h.tracer.Emit(obs.Event{Kind: obs.KStateChange, Core: -1, Addr: uint64(ln.Tag), VID: uint64(a),
-			Note: old.String() + "->" + ln.St.String()})
+	if h.ins.Enabled() {
+		h.ins.OnStateChange(ln.Tag, uint64(a), old, ln.St)
 	}
 }
 
 // shadowMark records what a squashed wrong-path load would have marked.
-func (h *Hierarchy) shadowMark(core int, ln *Line, la Addr, a vid.V) {
+func (h *Hierarchy) shadowMark(ln *Line, a vid.V) {
 	if a == vid.NonSpec {
 		return
 	}
 	if ln.shadow(h.epoch) < a {
 		ln.ShadowHigh = a
 		ln.ShadowEpoch = h.epoch
-	}
-	if h.tracker != nil {
-		h.tracker.WrongPath(core, la)
 	}
 }
 
@@ -462,8 +452,8 @@ func (h *Hierarchy) trackLoad(core int, la Addr, res *Result) {
 	if already := h.tracker.SpecTouch(core, la, false); !already {
 		res.NeedsSLA = true
 		h.stats.SLAsSent++
-		if h.tracer.Enabled(obs.CatSLA) {
-			h.tracer.Emit(obs.Event{Kind: obs.KSLASent, Core: int32(core), Addr: uint64(la)})
+		if h.ins.Enabled() {
+			h.ins.OnLine(obs.KSLASent, core, la, 0, "")
 		}
 	}
 }
@@ -493,22 +483,19 @@ func (h *Hierarchy) Store(core int, addr Addr, val uint64, a vid.V) Result {
 		if h.tracker != nil {
 			h.tracker.AvoidedAbort(core)
 		}
-		if h.tracer.Enabled(obs.CatSLA) {
-			h.tracer.Emit(obs.Event{Kind: obs.KSLAAvoided, Core: int32(core), Addr: uint64(la), VID: uint64(a)})
+		if h.ins.Enabled() {
+			h.ins.OnLine(obs.KSLAAvoided, core, la, uint64(a), "")
 		}
 		h.clearShadows(la)
 	}
 	if maxHigh > eff {
 		res.Conflict = true
 		res.Cause = fmt.Sprintf("store vid %d to line %#x already accessed by vid %d", a, la, maxHigh)
-		if h.prof.Enabled() {
-			h.prof.LineConflict(la)
-		}
-		if h.conflicts.Enabled() {
+		if h.ins.Enabled() {
 			// The storing transaction is the aborter: its late store
 			// invalidates the later transaction that already read or
 			// wrote the line (the victim of the rollback).
-			h.conflicts.Record(h.seqOf(a), h.seqOf(maxHigh), uint64(la), metrics.EdgeConflict)
+			h.ins.OnConflict(la, h.seqOf(a), h.seqOf(maxHigh), metrics.EdgeConflict)
 		}
 		return res
 	}
@@ -528,8 +515,8 @@ func (h *Hierarchy) Store(core int, addr Addr, val uint64, a vid.V) Result {
 	} else {
 		h.stats.BusMessages++
 		res.Lat += h.cfg.BusLat
-		if h.tracer.Enabled(obs.CatBus) {
-			h.tracer.Emit(obs.Event{Kind: obs.KBusRequest, Core: int32(core), Addr: uint64(la), VID: uint64(a), Note: "store"})
+		if h.ins.Enabled() {
+			h.ins.OnLine(obs.KBusRequest, core, la, uint64(a), "store")
 		}
 		hit, oc = h.snoop(core, la, eff)
 		switch {
@@ -542,8 +529,8 @@ func (h *Hierarchy) Store(core int, addr Addr, val uint64, a vid.V) Result {
 		default:
 			h.stats.PeerTransfers++
 			res.Src = SrcPeer
-			if h.prof.Enabled() {
-				h.prof.LinePeer(la)
+			if h.ins.Enabled() {
+				h.ins.OnPeer(la)
 			}
 			oc.hits++
 		}
@@ -645,15 +632,15 @@ func (h *Hierarchy) Store(core int, addr Addr, val uint64, a vid.V) Result {
 		nl.SetWord(addr, val)
 		h.install(l1, nl)
 		h.stats.VersionsCreated++
-		if h.tracer.Enabled(obs.CatVersion) {
-			h.tracer.Emit(obs.Event{Kind: obs.KVersionCreate, Core: int32(core), Addr: uint64(la), VID: uint64(a)})
+		if h.ins.Enabled() {
+			h.ins.OnLine(obs.KVersionCreate, core, la, uint64(a), "")
 		}
 	}
 
 	h.checkOverflow(&res)
 	h.sanCheck()
-	if h.histStoreLat != nil {
-		h.histStoreLat.Observe(uint64(res.Lat))
+	if h.ins.Enabled() {
+		h.ins.OnMemOp(true, res.Lat)
 	}
 	return res
 }
@@ -669,14 +656,11 @@ func (h *Hierarchy) SLA(core int, addr Addr, a vid.V, expected uint64) Result {
 	if val != expected {
 		res.Conflict = true
 		res.Cause = fmt.Sprintf("SLA mismatch at %#x vid %d: loaded %#x, now %#x", addr, a, expected, val)
-		if h.prof.Enabled() {
-			h.prof.LineConflict(LineAddr(addr))
-		}
-		if h.conflicts.Enabled() {
+		if h.ins.Enabled() {
 			// The conflicting store already retired, so hardware cannot
 			// name the aborter; the victim is the acknowledging load's
 			// transaction.
-			h.conflicts.Record(0, h.seqOf(a), uint64(LineAddr(addr)), metrics.EdgeSLA)
+			h.ins.OnConflict(LineAddr(addr), 0, h.seqOf(a), metrics.EdgeSLA)
 		}
 	}
 	return res
@@ -706,8 +690,8 @@ func (h *Hierarchy) Commit(v vid.V) Result {
 		}
 		lat += int64(frames / 8) // 8 frames examined per cycle
 	}
-	if h.tracer.Enabled(obs.CatCommit) {
-		h.tracer.Emit(obs.Event{Kind: obs.KCommit, Core: -1, VID: uint64(v), Arg: uint64(frames)})
+	if h.ins.Enabled() {
+		h.ins.OnLC(obs.KCommit, uint64(v), uint64(frames))
 	}
 	return Result{Lat: lat}
 }
@@ -720,8 +704,8 @@ func (h *Hierarchy) AbortAll() Result {
 	h.gen++ // the eager sweep rewrites lines under every set's stamp
 	h.stats.Aborts++
 	h.stats.BusMessages++
-	if h.tracer.Enabled(obs.CatCommit) {
-		h.tracer.Emit(obs.Event{Kind: obs.KAbortSweep, Core: -1, VID: uint64(h.lc)})
+	if h.ins.Enabled() {
+		h.ins.OnLC(obs.KAbortSweep, uint64(h.lc), 0)
 	}
 	for _, c := range h.allCaches() {
 		c.forEach(func(ln *Line) {
@@ -751,8 +735,8 @@ func (h *Hierarchy) VIDReset() Result {
 	h.gen++ // every line's epoch is now stale; force re-scans
 	h.stats.VIDResets++
 	h.stats.BusMessages++
-	if h.tracer.Enabled(obs.CatTxn) {
-		h.tracer.Emit(obs.Event{Kind: obs.KVIDReset, Core: -1, Arg: h.epoch})
+	if h.ins.Enabled() {
+		h.ins.OnLC(obs.KVIDReset, 0, h.epoch)
 	}
 	return Result{Lat: h.cfg.BusLat}
 }
@@ -1011,8 +995,8 @@ func (h *Hierarchy) placeVictim(v Line, from *cache) {
 		h.mem.write(v.Tag, v.Data)
 		h.stats.MemWrites++
 		h.stats.SOWritebacks++
-		if h.tracer.Enabled(obs.CatVersion) {
-			h.tracer.Emit(obs.Event{Kind: obs.KSOWriteback, Core: -1, Addr: uint64(v.Tag), VID: uint64(v.High)})
+		if h.ins.Enabled() {
+			h.ins.OnLine(obs.KSOWriteback, -1, v.Tag, uint64(v.High), "")
 		}
 	default:
 		if v.St == SpecModified && v.Mod == 0 {
@@ -1027,16 +1011,10 @@ func (h *Hierarchy) placeVictim(v Line, from *cache) {
 		}
 		h.stats.OverflowAborts++
 		h.pendingOverflow = true
-		if h.prof.Enabled() {
-			h.prof.LineOverflow(v.Tag)
-		}
-		if h.conflicts.Enabled() {
-			// Capacity, not contention: the machine evicted the victim
-			// transaction's speculative line past the last-level cache.
-			h.conflicts.Record(0, h.seqOf(v.Mod), uint64(v.Tag), metrics.EdgeOverflow)
-		}
-		if h.tracer.Enabled(obs.CatOverflow) {
-			h.tracer.Emit(obs.Event{Kind: obs.KOverflowAbort, Core: -1, Addr: uint64(v.Tag), VID: uint64(v.Mod)})
+		if h.ins.Enabled() {
+			// The machine evicted the victim transaction's speculative
+			// line past the last-level cache.
+			h.ins.OnOverflow(v.Tag, h.seqOf(v.Mod), uint64(v.Mod))
 		}
 		// The dropped line tears the version chain until the forced
 		// abort repairs it: suppress invariant checks in between.

@@ -1,22 +1,6 @@
 package memsys
 
-import (
-	"hmtx/internal/metrics"
-	"hmtx/internal/vid"
-)
-
-// SetConflicts installs the causal conflict recorder (nil disables it). The
-// hierarchy records a who-aborted-whom edge at every point the protocol
-// detects misspeculation — the store dependence check (§4.3), SLA replay
-// mismatches (§5.1), and speculative overflow past the last-level cache
-// (§5.4) — while the engine, which owns simulated time, stamps the recorder's
-// clock and contributes software abortMTX edges. Every emit site is behind an
-// Enabled guard (enforced by the fastpath analyzer), so the disabled path
-// costs one predictable branch per site.
-func (h *Hierarchy) SetConflicts(r *metrics.Recorder) { h.conflicts = r }
-
-// Conflicts returns the installed recorder (possibly nil).
-func (h *Hierarchy) Conflicts() *metrics.Recorder { return h.conflicts }
+import "hmtx/internal/vid"
 
 // seqOf widens a hardware VID to its global program-order sequence number
 // using the current epoch, so recorded conflict edges stay meaningful across

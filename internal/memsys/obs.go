@@ -3,20 +3,18 @@ package memsys
 import (
 	"fmt"
 
+	"hmtx/internal/instr"
 	"hmtx/internal/obs"
 )
 
-// SetTracer installs the event tracer (nil disables tracing). Every emit site
-// in this package is behind an Enabled guard, so a nil tracer costs one
-// predictable branch per site (enforced by the fastpath analyzer).
-func (h *Hierarchy) SetTracer(t *obs.Tracer) { h.tracer = t }
-
-// Tracer returns the installed tracer (possibly nil).
-func (h *Hierarchy) Tracer() *obs.Tracer { return h.tracer }
-
-// latencyBounds buckets operation latencies: an L1 hit, a bus transfer, an
-// L2 hit, a memory round trip, and everything slower.
-var latencyBounds = []uint64{4, 16, 64, 256, 1024}
+// Hook returns the instrument hook the hierarchy feeds (DESIGN.md §10.3),
+// creating it on first use; an engine.System shares it.
+func (h *Hierarchy) Hook() *instr.Hook {
+	if h.ins == nil {
+		h.ins = &instr.Hook{}
+	}
+	return h.ins
+}
 
 // Register mounts the hierarchy's statistics under prefix in r:
 // per-cache hit counters, every Stats field, derived hit-rate scalars, and
@@ -54,41 +52,5 @@ func (h *Hierarchy) Register(r *obs.Registry, prefix string) {
 		return float64(s.L1Hits) / float64(total)
 	})
 
-	h.histLoadLat = g.Histogram("load_latency", "load latency in cycles", latencyBounds)
-	h.histStoreLat = g.Histogram("store_latency", "store latency in cycles", latencyBounds)
-}
-
-// AddObsHistCkpts adds the hierarchy's registry-histogram state to dst under
-// prefix, for hmtx-ckpt/v1 checkpoints (DESIGN.md §18). A no-op when no
-// registry is attached.
-func (h *Hierarchy) AddObsHistCkpts(prefix string, dst map[string]obs.HistCkpt) {
-	if h.histLoadLat == nil {
-		return
-	}
-	dst[prefix+"load_latency"] = h.histLoadLat.Ckpt()
-	dst[prefix+"store_latency"] = h.histStoreLat.Ckpt()
-}
-
-// RestoreObsHistCkpts restores the hierarchy's registry-histogram state from
-// a checkpoint. Register must have been called first.
-func (h *Hierarchy) RestoreObsHistCkpts(prefix string, src map[string]obs.HistCkpt) error {
-	if h.histLoadLat == nil {
-		return fmt.Errorf("memsys: RestoreObsHistCkpts before Register")
-	}
-	for _, e := range []struct {
-		name string
-		h    *obs.Histogram
-	}{
-		{"load_latency", h.histLoadLat},
-		{"store_latency", h.histStoreLat},
-	} {
-		ck, ok := src[prefix+e.name]
-		if !ok {
-			return fmt.Errorf("memsys: checkpoint is missing histogram %s%s", prefix, e.name)
-		}
-		if err := e.h.RestoreCkpt(ck); err != nil {
-			return err
-		}
-	}
-	return nil
+	h.Hook().Register(g, "memsys")
 }

@@ -41,7 +41,7 @@ func TestRegisterAndTrace(t *testing.T) {
 	reg := obs.NewRegistry()
 	h.Register(reg, "memsys")
 	tr := obs.NewTracer(obs.CatAll, 0)
-	h.SetTracer(tr)
+	h.Hook().Tracer = tr
 
 	h.PokeWord(addrA, 1)
 	h.Load(0, addrA, vid.NonSpec) // miss -> bus + mem read
@@ -99,7 +99,7 @@ func TestNilTracerNoEvents(t *testing.T) {
 	h.PokeWord(addrA, 1)
 	h.Load(0, addrA, 1)
 	h.Store(0, addrA, 2, 1)
-	if h.Tracer() != nil {
-		t.Fatal("tracer should default to nil")
+	if h.ins != nil {
+		t.Fatal("instrument hook should default to nil")
 	}
 }

@@ -180,17 +180,17 @@ func TestSettleSkipStamp(t *testing.T) {
 }
 
 // TestDisabledMetricsZeroAllocs pins the §15 disabled-instrument contract:
-// with no conflict recorder installed (the nil instrument), the store paths
-// that carry the recording hooks — conflict detection, SLA replay, victim
-// placement — must not allocate. The fastpath analyzer proves the guards
+// with no instrument attached (the nil hook), the store paths that carry
+// the recording hooks — conflict detection, SLA replay, victim placement —
+// must not allocate. The fastpath analyzer proves the guards
 // are present; this test proves the guarded fast path stays free.
 func TestDisabledMetricsZeroAllocs(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-runtime shadow allocations break AllocsPerRun; contract pinned in non-race runs")
 	}
 	h := newBenchH(2)
-	if h.Conflicts().Enabled() {
-		t.Fatal("bench hierarchy unexpectedly has a recorder")
+	if h.ins.Enabled() {
+		t.Fatal("bench hierarchy unexpectedly has an instrument hook")
 	}
 	h.Store(0, addrA, 1, 1)
 	val := uint64(0)

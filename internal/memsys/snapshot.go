@@ -21,8 +21,7 @@ import (
 
 // Clone returns a deep copy of the hierarchy sharing no mutable state with
 // the original. Observers are deliberately not carried over: the clone has no
-// tracker, no tracer, no registered histograms, and a fresh sanitizer
-// scratch. Statistics and LRU/generation bookkeeping are copied, so a clone
+// tracker, no instrument hook, and a fresh sanitizer scratch. Statistics and LRU/generation bookkeeping are copied, so a clone
 // behaves cycle-identically to the original under the same stimuli.
 func (h *Hierarchy) Clone() *Hierarchy {
 	c := &Hierarchy{
@@ -35,11 +34,7 @@ func (h *Hierarchy) Clone() *Hierarchy {
 		pendingOverflow: h.pendingOverflow,
 		pres:            make(map[Addr]presMask, len(h.pres)),
 		tracker:         nil,
-		tracer:          nil,
-		prof:            nil,
-		conflicts:       nil,
-		histLoadLat:     nil,
-		histStoreLat:    nil,
+		ins:             nil,
 		san:             sanitizer{},
 	}
 	for a, m := range h.pres {

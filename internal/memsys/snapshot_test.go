@@ -168,12 +168,13 @@ func TestFingerprintDistinct(t *testing.T) {
 	}
 }
 
-// TestCloneDropsObservers: clones must not inherit trackers, tracers or
-// histogram sinks — checker edges would otherwise emit events.
+// TestCloneDropsObservers: clones must not inherit trackers or the instrument
+// hook — checker edges would otherwise emit events.
 func TestCloneDropsObservers(t *testing.T) {
 	h := buildSnapState(t)
+	h.Hook()
 	c := h.Clone()
-	if c.tracker != nil || c.tracer != nil || c.histLoadLat != nil || c.histStoreLat != nil {
+	if c.tracker != nil || c.ins != nil {
 		t.Fatal("clone carried observers over")
 	}
 }

@@ -58,8 +58,6 @@ type Tracker interface {
 	// reports whether that transaction had already logged an access to
 	// the line — in which case no SLA needs to be sent (§5.1).
 	SpecTouch(core int, lineAddr Addr, isStore bool) (already bool)
-	// WrongPath records a squashed wrong-path load by core.
-	WrongPath(core int, lineAddr Addr)
 	// AvoidedAbort records that, without SLAs, a wrong-path mark would
 	// have caused a false misspeculation on this store (Table 1).
 	AvoidedAbort(core int)

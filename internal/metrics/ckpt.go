@@ -55,6 +55,11 @@ func (s *Sampler) RestoreCkpt(ck SamplerCkpt) error {
 	if len(ck.Cols) != len(ck.Probes) {
 		return fmt.Errorf("metrics: checkpoint probe/column tables are not index-aligned")
 	}
+	for i, col := range ck.Cols {
+		if len(col) != len(ck.Cycles) {
+			return fmt.Errorf("metrics: checkpoint column %q has %d rows, want %d", ck.Probes[i], len(col), len(ck.Cycles))
+		}
+	}
 	s.next = ck.Next
 	s.cycles = append([]int64(nil), ck.Cycles...)
 	for i := range s.cols {
@@ -88,24 +93,25 @@ func (r *Recorder) RestoreCkpt(ck RecorderCkpt) error {
 	if r.window != ck.Window {
 		return fmt.Errorf("metrics: checkpoint cascade window %d, recorder window %d", ck.Window, r.window)
 	}
-	r.now = ck.Now
-	r.edges = append([]Edge(nil), ck.Edges...)
-	for i := range r.edges {
-		// KindName is derived; recompute so a hand-edited checkpoint cannot
-		// desynchronise the two fields.
-		r.edges[i].Kind = kindFromName(r.edges[i].KindName)
-		r.edges[i].KindName = r.edges[i].Kind.String()
+	edges := append([]Edge(nil), ck.Edges...)
+	for i := range edges {
+		k, ok := kindFromName(edges[i].KindName) // Kind is not serialised
+		if !ok {
+			return fmt.Errorf("metrics: checkpoint edge %d has unknown kind %q", i, edges[i].KindName)
+		}
+		edges[i].Kind = k
 	}
+	r.now, r.edges = ck.Now, edges
 	return nil
 }
 
-func kindFromName(name string) EdgeKind {
+func kindFromName(name string) (EdgeKind, bool) {
 	for k := EdgeKind(0); k < numEdgeKinds; k++ {
 		if edgeKindNames[k] == name {
-			return k
+			return k, true
 		}
 	}
-	return numEdgeKinds // String() renders it as kind(N); harmless sentinel
+	return 0, false
 }
 
 // HistCkpt is one histogram's state: sparse non-zero buckets by index plus

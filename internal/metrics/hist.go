@@ -3,9 +3,9 @@
 // causal who-aborted-whom conflict recorder (conflict.go), and deterministic
 // log-bucketed latency histograms (this file). Like obs.Tracer and
 // prof.Collector, the nil value of every instrument is a valid disabled
-// instance: Enabled reports false and every method is safe to call, so the
-// emit sites in the simulation packages cost one predictable branch when the
-// instrument is off (enforced by the fastpath analyzer).
+// instance: Enabled reports false, and the instrument hook (internal/instr)
+// calls the other methods behind that guard (enforced by the fastpath
+// analyzer).
 //
 // Everything in this package is deterministic by construction: only simulated
 // quantities enter any instrument, buckets and bounds are integers (no floats

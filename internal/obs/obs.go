@@ -23,9 +23,9 @@
 //
 // Performance contract: with tracing disabled (nil Tracer) every emit site
 // must be behind an Enabled/nil guard so the hot path pays one predictable
-// branch and zero allocations. The fastpath analyzer
-// (tools/analyzers/fastpath) enforces the guard in internal/memsys and
-// internal/engine.
+// branch and zero allocations. The emit sites live in the instrument hook
+// (internal/instr), where the fastpath analyzer (tools/analyzers/fastpath)
+// enforces the guard.
 package obs
 
 import (

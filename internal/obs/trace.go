@@ -63,14 +63,6 @@ func (t *Tracer) SetTime(cycle int64) {
 	t.now = cycle
 }
 
-// Now returns the cycle that would be stamped on the next event.
-func (t *Tracer) Now() int64 {
-	if t == nil {
-		return 0
-	}
-	return t.now
-}
-
 // Emit records e, stamping e.Cycle from the last SetTime. Events of disabled
 // categories are dropped. Safe on a nil tracer, but emit sites in the
 // simulation packages must still guard with Enabled so the disabled path
@@ -85,6 +77,12 @@ func (t *Tracer) Emit(e Event) {
 	for _, s := range t.sinks {
 		s.Emit(e)
 	}
+}
+
+// EmitAt is SetTime(cycle) followed by Emit(e).
+func (t *Tracer) EmitAt(cycle int64, e Event) {
+	t.SetTime(cycle)
+	t.Emit(e)
 }
 
 // Count returns the total number of events emitted (including any that have

@@ -15,9 +15,9 @@
 // obs.TxTimeline view with the cost of each abort-then-recommit.
 //
 // Like obs.Tracer, the zero value of *Collector (nil) is a valid disabled
-// profiler: Enabled reports false and every method is safe to call, so emit
-// sites in the simulation packages cost one predictable branch when profiling
-// is off (enforced by the fastpath analyzer).
+// profiler: Enabled reports false, and the instrument hook (internal/instr)
+// calls every other method behind that guard (enforced by the fastpath
+// analyzer).
 package prof
 
 import "fmt"
@@ -215,14 +215,8 @@ func (c *Collector) ChargeLine(core int, seq uint64, b Bucket, cycles int64, lin
 
 // Live returns the provisional running total of bucket b: every charge so
 // far under its original attribution, regardless of whether its run has
-// folded (or will fold it into Wasted). Safe on a nil collector (returns 0),
-// so time-series probes can read it without a guard.
-func (c *Collector) Live(b Bucket) int64 {
-	if c == nil {
-		return 0
-	}
-	return c.live[b]
-}
+// folded (or will fold it into Wasted).
+func (c *Collector) Live(b Bucket) int64 { return c.live[b] }
 
 // LineConflict records a conflict abort caused by the given line.
 func (c *Collector) LineConflict(lineAddr uint64) { c.line(lineAddr).conflicts++ }

@@ -1,13 +1,15 @@
 // Package fastpath keeps instrumentation off the simulator's fast path.
 //
-// The instrument contract (DESIGN.md §10, §13, §15) is that a run with an
-// instrument disabled pays one nil-check per potential record: every guarded
-// instrument call inside internal/memsys and internal/engine must sit in the
-// body of an if statement whose condition calls Enabled on an instrument of
-// the same kind, so no event is built, no charge entry made, no row appended
-// and no bucket touched when the instrument is off. The guarded calls are
-// listed in gates, one row per instrument kind:
+// The instrument contract (DESIGN.md §10) is that a run with an instrument
+// disabled pays one nil-check per potential record: internal/engine and
+// internal/memsys call the instrument hook (internal/instr) once per decision
+// point, and the hook fans out to each instrument. Every guarded call in those
+// three packages must sit in the body of an if statement whose condition
+// calls Enabled on a receiver of the same kind, so no event is built, no
+// charge made, no row appended and no bucket touched when the instrument is
+// off. The guarded calls are listed in gates, one row per kind:
 //
+//   - instr.Hook: every On* method (the decision points);
 //   - obs.Tracer: Emit;
 //   - prof.Collector: every method but Enabled (Charge, ChargeLine, the
 //     heatmap counters, CoreDone, RunEnd);
@@ -28,9 +30,10 @@ import (
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name: "fastpath",
-	Doc:  "requires every trace emit, profiler charge and metrics-instrument call in memsys/engine to be inside an Enabled() guard",
-	Run:  run,
+	Name:    "fastpath",
+	Doc:     "requires every instrument-hook call, trace emit, profiler charge and metrics-instrument call in memsys/engine/instr to be inside an Enabled() guard",
+	Version: "2",
+	Run:     run,
 }
 
 // A gate names one instrument kind and how a finding tells the user to
@@ -38,12 +41,13 @@ var Analyzer = &analysis.Analyzer{
 type gate struct {
 	pkg    string // package-path suffix of the instrument
 	typ    string // receiver type name; "" matches every named type in pkg
-	method string // the one guarded method; "" guards every method but Enabled
+	method string // prefix of the guarded methods; "" guards every method but Enabled
 	guard  string // the guard the message suggests
 	why    string // what the guard keeps the fast path
 }
 
 var gates = []gate{
+	{"internal/instr", "Hook", "On", "if h.Enabled()", "one branch when no instrument is attached"},
 	{"internal/obs", "Tracer", "Emit", "if tr.Enabled(cat)", "allocation-free"},
 	{"internal/prof", "Collector", "", "if p.Enabled()", "free when profiling is off"},
 	{"internal/metrics", "", "", "if m.Enabled()", "free when metrics are off"},
@@ -58,7 +62,8 @@ type guardBody struct {
 
 func run(pass *analysis.Pass) (any, error) {
 	pkg := strings.TrimSuffix(pass.PkgPath, "_test")
-	if !strings.HasSuffix(pkg, "internal/memsys") && !strings.HasSuffix(pkg, "internal/engine") {
+	if !strings.HasSuffix(pkg, "internal/memsys") && !strings.HasSuffix(pkg, "internal/engine") &&
+		!strings.HasSuffix(pkg, "internal/instr") {
 		return nil, nil
 	}
 	for _, file := range pass.Files {
@@ -88,7 +93,7 @@ func run(pass *analysis.Pass) (any, error) {
 				return true
 			}
 			g := gates[row]
-			if g.method != "" && method != g.method {
+			if !strings.HasPrefix(method, g.method) {
 				return true
 			}
 			for _, gb := range guards {

@@ -11,9 +11,12 @@ import (
 // (TestTracegate), prof/internal/engine (TestProfgate) and
 // metrics/internal/engine (TestMetricsgate).
 func TestFastpath(t *testing.T) {
-	// sim/internal/engine mixes the three instrument kinds under one
-	// another's guards; other is out of scope and must stay silent despite
-	// its unguarded emits, charges and records.
+	// hook/internal/engine and hook/internal/memsys police the instrument
+	// hook's row; sim/internal/engine mixes the three instrument kinds under
+	// one another's guards; scope/internal/instr is the hook's own package,
+	// where the instrument rows apply too; other is out of scope and must
+	// stay silent despite its unguarded emits, charges and records.
 	analysistest.Run(t, analysistest.TestData(), fastpath.Analyzer,
-		"sim/internal/engine", "other")
+		"hook/internal/engine", "hook/internal/memsys", "sim/internal/engine",
+		"scope/internal/instr", "other")
 }

@@ -15,6 +15,7 @@ var SimPackages = map[string]bool{
 	"hmtx/internal/engine":      true,
 	"hmtx/internal/experiments": true,
 	"hmtx/internal/hmtx":        true,
+	"hmtx/internal/instr":       true,
 	"hmtx/internal/memsys":      true,
 	"hmtx/internal/metrics":     true,
 	"hmtx/internal/obs":         true,
