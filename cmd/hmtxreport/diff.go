@@ -8,6 +8,7 @@ import (
 	"hmtx/internal/ckpt"
 	"hmtx/internal/lintdoc"
 	"hmtx/internal/metrics"
+	"hmtx/internal/prof"
 	"hmtx/internal/stats"
 )
 
@@ -85,6 +86,12 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 		// diff cycle against cycle (EXPERIMENTS.md "Debugging an abort
 		// storm"). Point there instead of pretending a metric diff applies.
 		return fail("%s is an %s checkpoint, not a metric document; open it with hmtxdbg (its diff command compares machine state across cycles)", pa, ckpt.Schema)
+	case prof.Schema:
+		return fail("%s is an %s profile; diff it with hmtxprof diff (per-bucket deltas, old vs new)", pa, prof.Schema)
+	case "hmtx-bench/v1":
+		// cmd/experiments -json writes indented, deterministic bytes, so a
+		// byte diff is the exact comparison (EXPERIMENTS.md).
+		return fail("%s is an hmtx-bench/v1 document, which is deterministic; compare it with cmp or diff -u", pa)
 	default:
 		return fail("unsupported schema %q (want series, conflicts, hist, or lint)", sa.Schema)
 	}

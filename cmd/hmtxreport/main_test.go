@@ -183,6 +183,26 @@ func TestDiff(t *testing.T) {
 	if msg := stderr.String(); !strings.Contains(msg, "hmtxdbg") || !strings.Contains(msg, "hmtx-ckpt/v1") {
 		t.Errorf("ckpt diff stderr should point at hmtxdbg, got %q", msg)
 	}
+
+	// Profiles and measurement documents have their own comparison: the
+	// diff must name it rather than report an unsupported schema.
+	for _, tc := range []struct{ schema, want string }{
+		{prof.Schema, "hmtxprof diff"},
+		{"hmtx-bench/v1", "cmp or diff -u"},
+	} {
+		p := filepath.Join(dir, "other.json")
+		if err := os.WriteFile(p, []byte(`{"schema": "`+tc.schema+`"}`+"\n"), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		stdout.Reset()
+		stderr.Reset()
+		if code := run([]string{"diff", p, p}, &stdout, &stderr); code != 1 {
+			t.Fatalf("%s diff: exit %d, want 1", tc.schema, code)
+		}
+		if msg := stderr.String(); !strings.Contains(msg, tc.want) || !strings.Contains(msg, tc.schema) {
+			t.Errorf("%s diff stderr should point at %s, got %q", tc.schema, tc.want, msg)
+		}
+	}
 }
 
 // TestDiffLint verifies the hmtx-lint/v1 diff: roster table, new and fixed

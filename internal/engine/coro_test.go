@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"bytes"
 	"runtime"
 	"testing"
 
@@ -8,13 +9,36 @@ import (
 	"hmtx/internal/vid"
 )
 
-// requireNoLeak fails unless the goroutine count is back to before. Run
-// returns only after stopping every program coroutine, so the count is exact
-// on return; no wait is needed.
+// programCoroutines counts the goroutines whose stack holds the coroutine
+// body that Run hands to iter.Pull: one per program, running or suspended.
+// Other goroutines (the testing package's, the race runtime's) start and
+// exit on their own schedule, so a bare runtime.NumGoroutine is not exact.
+func programCoroutines() int {
+	buf := make([]byte, 1<<16)
+	for {
+		n := runtime.Stack(buf, true)
+		if n < len(buf) {
+			buf = buf[:n]
+			break
+		}
+		buf = make([]byte, 2*len(buf))
+	}
+	n := 0
+	for _, g := range bytes.Split(buf, []byte("\n\n")) {
+		if bytes.Contains(g, []byte("\nhmtx/internal/engine.(*System).Run.func")) {
+			n++
+		}
+	}
+	return n
+}
+
+// requireNoLeak fails unless the program coroutine count is back to before.
+// Run returns only after stopping every program coroutine, so the count is
+// exact on return; no wait is needed.
 func requireNoLeak(t *testing.T, before int) {
 	t.Helper()
-	if n := runtime.NumGoroutine(); n != before {
-		t.Fatalf("goroutines: %d before Run, %d after", before, n)
+	if n := programCoroutines(); n != before {
+		t.Fatalf("program coroutines: %d before Run, %d after", before, n)
 	}
 }
 
@@ -32,7 +56,7 @@ func computeProgram(n int) Program {
 func TestRunLeavesNoCoroutines(t *testing.T) {
 	t.Run("completed", func(t *testing.T) {
 		s := newSys()
-		before := runtime.NumGoroutine()
+		before := programCoroutines()
 		res := s.Run([]Program{computeProgram(10), computeProgram(20), computeProgram(30), computeProgram(40)})
 		if res.Aborted {
 			t.Fatalf("unexpected abort: %s", res.Cause)
@@ -67,7 +91,7 @@ func TestRunLeavesNoCoroutines(t *testing.T) {
 				parkedAtAbort = commits
 			}
 		})
-		before := runtime.NumGoroutine()
+		before := programCoroutines()
 		res := s.Run(progs)
 		if !res.Aborted || res.LastCommitted != 0 {
 			t.Fatalf("want an explicit abort with nothing committed, got %+v", res)
@@ -95,7 +119,7 @@ func TestProgramPanicSurfacesFromRun(t *testing.T) {
 		computeProgram(50),
 		computeProgram(50),
 	}
-	before := runtime.NumGoroutine()
+	before := programCoroutines()
 	got := func() (r any) {
 		defer func() { r = recover() }()
 		s.Run(progs)
@@ -137,8 +161,8 @@ func TestHandoffAllocFree(t *testing.T) {
 
 // TestDomainsFieldIgnored pins the contract of the deprecated Config.Domains
 // field: a 64-core run at Domains 2 gives the same RunResult, engine Stats
-// and memsys Stats as Domains 1, and runs no goroutine beyond the program
-// coroutines.
+// and memsys Stats as Domains 1, and runs exactly one program coroutine per
+// core.
 func TestDomainsFieldIgnored(t *testing.T) {
 	const cores = 64
 	run := func(domains int) (RunResult, Stats, memsys.Stats, int) {
@@ -147,7 +171,7 @@ func TestDomainsFieldIgnored(t *testing.T) {
 		cfg.Mem.VIDSpace = vid.Space{Bits: 8}
 		cfg.Domains = domains
 		s := New(cfg)
-		before := runtime.NumGoroutine()
+		before := programCoroutines()
 		peak := 0
 		progs := make([]Program, cores)
 		for i := range progs {
@@ -163,7 +187,7 @@ func TestDomainsFieldIgnored(t *testing.T) {
 						e.Compute(int64(2 + k%7))
 						e.Branch(uint64(i), k%3 != 0)
 					}
-					peak = max(peak, runtime.NumGoroutine()-before)
+					peak = max(peak, programCoroutines()-before)
 					e.Commit(seq)
 				}
 			}
@@ -187,6 +211,6 @@ func TestDomainsFieldIgnored(t *testing.T) {
 		t.Errorf("memsys Stats: Domains 2 %+v, Domains 1 %+v", mem2, mem1)
 	}
 	if peak1 != cores || peak2 != cores {
-		t.Errorf("goroutines during the run beyond the caller's: %d at Domains 1, %d at Domains 2; want %d program coroutines", peak1, peak2, cores)
+		t.Errorf("program coroutines during the run: %d at Domains 1, %d at Domains 2; want %d", peak1, peak2, cores)
 	}
 }

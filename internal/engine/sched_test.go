@@ -4,7 +4,6 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"fmt"
-	"runtime"
 	"strings"
 	"testing"
 
@@ -336,7 +335,7 @@ func TestDeadlockPanics(t *testing.T) {
 			e.Consume(i) // never produced, never closed
 		}
 	}
-	before := runtime.NumGoroutine()
+	before := programCoroutines()
 	got := func() (r any) {
 		defer func() { r = recover() }()
 		s.Run(progs)
