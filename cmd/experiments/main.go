@@ -52,33 +52,44 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("experiments: ")
-	scale := flag.Int("scale", 1, "iteration-count multiplier for every benchmark")
-	cores := flag.Int("cores", 4, "number of simulated cores")
-	parallel := flag.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
-	only := flag.String("only", "", "comma-separated subset: fig1,fig2,fig8,fig9,table1,table2,table3")
-	ablations := flag.Bool("ablations", false, "also run the design-choice ablations")
-	quiet := flag.Bool("q", false, "suppress progress output")
-	jsonOut := flag.String("json", "", "write the raw measurements as deterministic JSON to this file")
-	profOut := flag.String("prof", "", "profile every simulation and write the hmtx-prof/v1 document to this file")
-	seriesOut := flag.String("series", "", "sample every simulation and write the hmtx-series/v1 document to this file")
-	seriesWindow := flag.Int64("series-window", 0, "time-series sampling window in simulated cycles (0 = default)")
-	conflictsOut := flag.String("conflicts", "", "record abort edges and write the hmtx-conflicts/v1 document to this file")
-	histOut := flag.String("hist", "", "collect latency histograms and write the hmtx-hist/v1 document to this file")
-	ckptEvery := flag.Int("ckpt-every", 0, "checkpoint after every N completed (benchmark, mode) units (0 = off; requires -parallel 1)")
-	ckptOut := flag.String("ckpt-out", "", "write an hmtx-ckpt/v1 suite checkpoint to this file at each checkpoint")
-	ckptHalt := flag.Bool("ckpt-halt", false, "halt the suite at the first checkpoint (after writing -ckpt-out)")
-	resume := flag.String("resume", "", "resume a halted suite from an hmtx-ckpt/v1 checkpoint file")
-	cpuProfile := flag.String("cpuprofile", "", "write a CPU profile to this file")
-	memProfile := flag.String("memprofile", "", "write an allocation profile to this file on exit")
-	flag.Parse()
+	if err := run(os.Args[1:], os.Stdout); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// run is the command with its flags and standard output as parameters;
+// progress goes to os.Stderr unless -q is set.
+func run(args []string, stdout io.Writer) error {
+	fs := flag.NewFlagSet("experiments", flag.ExitOnError)
+	scale := fs.Int("scale", 1, "iteration-count multiplier for every benchmark")
+	cores := fs.Int("cores", 4, "number of simulated cores")
+	parallel := fs.Int("parallel", 0, "concurrent simulations (0 = GOMAXPROCS, 1 = serial)")
+	only := fs.String("only", "", "comma-separated subset: fig1,fig2,fig8,fig9,table1,table2,table3")
+	ablations := fs.Bool("ablations", false, "also run the design-choice ablations")
+	quiet := fs.Bool("q", false, "suppress progress output")
+	jsonOut := fs.String("json", "", "write the raw measurements as deterministic JSON to this file")
+	profOut := fs.String("prof", "", "profile every simulation and write the hmtx-prof/v1 document to this file")
+	seriesOut := fs.String("series", "", "sample every simulation and write the hmtx-series/v1 document to this file")
+	seriesWindow := fs.Int64("series-window", 0, "time-series sampling window in simulated cycles (0 = default)")
+	conflictsOut := fs.String("conflicts", "", "record abort edges and write the hmtx-conflicts/v1 document to this file")
+	histOut := fs.String("hist", "", "collect latency histograms and write the hmtx-hist/v1 document to this file")
+	ckptEvery := fs.Int("ckpt-every", 0, "checkpoint after every N completed (benchmark, mode) units (0 = off; requires -parallel 1)")
+	ckptOut := fs.String("ckpt-out", "", "write an hmtx-ckpt/v1 suite checkpoint to this file at each checkpoint")
+	ckptHalt := fs.Bool("ckpt-halt", false, "halt the suite at the first checkpoint (after writing -ckpt-out)")
+	resume := fs.String("resume", "", "resume a halted suite from an hmtx-ckpt/v1 checkpoint file")
+	cpuProfile := fs.String("cpuprofile", "", "write a CPU profile to this file")
+	memProfile := fs.String("memprofile", "", "write an allocation profile to this file on exit")
+	if err := fs.Parse(args); err != nil {
+		return err
+	}
 
 	if *cpuProfile != "" {
 		f, err := os.Create(*cpuProfile)
 		if err != nil {
-			log.Fatal(err)
+			return err
 		}
 		if err := pprof.StartCPUProfile(f); err != nil {
-			log.Fatal(err)
+			return err
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -113,10 +124,10 @@ func main() {
 	pick := func(k string) bool { return len(want) == 0 || want[k] }
 
 	if pick("table2") {
-		fmt.Println(experiments.Table2(cfg))
+		fmt.Fprintln(stdout, experiments.Table2(cfg))
 	}
 	if pick("fig1") {
-		fmt.Println(experiments.Fig1(*cores))
+		fmt.Fprintln(stdout, experiments.Fig1(*cores))
 	}
 
 	needSuite := *jsonOut != "" || *profOut != "" || metricsOn ||
@@ -132,36 +143,37 @@ func main() {
 			// Suite checkpoints cut at (benchmark, mode) unit boundaries,
 			// which requires the serial unit order.
 			if cfg.Parallelism != 1 {
-				log.Fatal("checkpointing requires -parallel 1")
+				return fmt.Errorf("checkpointing requires -parallel 1")
 			}
 			if (*ckptOut != "" || *ckptHalt) && *ckptEvery <= 0 {
-				log.Fatal("-ckpt-out and -ckpt-halt need -ckpt-every")
+				return fmt.Errorf("-ckpt-out and -ckpt-halt need -ckpt-every")
 			}
 			opts := experiments.CkptOptions{Every: *ckptEvery}
 			if *resume != "" {
 				doc, err := ckpt.ReadFile(*resume)
 				if err != nil {
-					log.Fatal(err)
+					return err
 				}
 				if doc.Kind != ckpt.KindExperiments {
-					log.Fatalf("%s is a %q checkpoint; experiments resumes %q checkpoints (hmtxsim -resume handles runs, hmtxdbg opens counterexamples)",
+					return fmt.Errorf("%s is a %q checkpoint; experiments resumes %q checkpoints (hmtxsim -resume handles runs, hmtxdbg opens counterexamples)",
 						*resume, doc.Kind, ckpt.KindExperiments)
 				}
 				if doc.Experiments.Config != cfg {
-					log.Fatalf("checkpoint was taken under -scale %d -cores %d and the matching instrument flags; rerun with the same configuration",
+					return fmt.Errorf("checkpoint was taken under -scale %d -cores %d and the matching instrument flags; rerun with the same configuration",
 						doc.Experiments.Config.Scale, doc.Experiments.Config.Cores)
 				}
 				st := doc.Experiments.State
 				opts.Resume = &st
 			}
 			var unitsDone int
+			var werr error
 			if *ckptOut != "" || *ckptHalt {
 				opts.Checkpoint = func(st experiments.CkptState) bool {
 					if *ckptOut != "" {
 						doc := &ckpt.Doc{Schema: ckpt.Schema, Kind: ckpt.KindExperiments,
 							Experiments: &ckpt.ExperimentsState{Config: cfg, State: st}}
-						if err := ckpt.WriteFile(*ckptOut, doc); err != nil {
-							log.Fatal(err)
+						if werr = ckpt.WriteFile(*ckptOut, doc); werr != nil {
+							return true
 						}
 					}
 					unitsDone = len(st.Done)
@@ -172,68 +184,75 @@ func main() {
 			var err error
 			results, halted, err = experiments.RunSpecsCkpt(cfg, workloads.All(), progress, opts)
 			if err != nil {
-				log.Fatal(err)
+				return err
+			}
+			if werr != nil {
+				return werr
 			}
 			if halted {
 				where := ""
 				if *ckptOut != "" {
 					where = " -> " + *ckptOut
 				}
-				fmt.Printf("checkpoint: suite halted after %d units%s (continue with -resume)\n", unitsDone, where)
-				return
+				fmt.Fprintf(stdout, "checkpoint: suite halted after %d units%s (continue with -resume)\n", unitsDone, where)
+				return nil
 			}
 		} else {
 			results = experiments.RunAll(cfg, progress)
 		}
-		writeDoc := func(path string, doc any) {
-			f, err := os.Create(path)
-			if err != nil {
-				log.Fatal(err)
+		for _, d := range []struct {
+			path  string
+			build func() any
+		}{
+			{*jsonOut, func() any { return experiments.BuildDoc(cfg, results) }},
+			{*profOut, func() any { return experiments.BuildProfDoc(cfg, results) }},
+			{*seriesOut, func() any { return experiments.BuildSeriesDoc(cfg, results) }},
+			{*conflictsOut, func() any { return experiments.BuildConflictDoc(cfg, results) }},
+			{*histOut, func() any { return experiments.BuildHistDoc(cfg, results) }},
+		} {
+			if d.path == "" {
+				continue
 			}
-			if err := experiments.WriteJSON(f, doc); err != nil {
-				log.Fatal(err)
+			if err := writeDoc(d.path, d.build()); err != nil {
+				return err
 			}
-			if err := f.Close(); err != nil {
-				log.Fatal(err)
-			}
-		}
-		if *jsonOut != "" {
-			writeDoc(*jsonOut, experiments.BuildDoc(cfg, results))
-		}
-		if *profOut != "" {
-			writeDoc(*profOut, experiments.BuildProfDoc(cfg, results))
-		}
-		if *seriesOut != "" {
-			writeDoc(*seriesOut, experiments.BuildSeriesDoc(cfg, results))
-		}
-		if *conflictsOut != "" {
-			writeDoc(*conflictsOut, experiments.BuildConflictDoc(cfg, results))
-		}
-		if *histOut != "" {
-			writeDoc(*histOut, experiments.BuildHistDoc(cfg, results))
 		}
 		if pick("table1") {
-			fmt.Println(experiments.Table1(results))
+			fmt.Fprintln(stdout, experiments.Table1(results))
 		}
 		if pick("fig2") {
-			fmt.Println(experiments.Fig2(results))
+			fmt.Fprintln(stdout, experiments.Fig2(results))
 		}
 		if pick("fig8") {
-			fmt.Println(experiments.Fig8(results))
+			fmt.Fprintln(stdout, experiments.Fig8(results))
 		}
 		if pick("fig9") {
-			fmt.Println(experiments.Fig9(results))
+			fmt.Fprintln(stdout, experiments.Fig9(results))
 		}
 		if pick("table3") {
-			fmt.Println(experiments.Table3(cfg, results))
+			fmt.Fprintln(stdout, experiments.Table3(cfg, results))
 		}
 	}
 
 	if *ablations {
-		fmt.Println(experiments.AblationSLA(cfg))
-		fmt.Println(experiments.AblationVIDWidth(cfg))
-		fmt.Println(experiments.AblationLazyCommit(cfg))
-		fmt.Println(experiments.AblationScaling(cfg))
-		fmt.Println(experiments.Paradigms(cfg))
+		fmt.Fprintln(stdout, experiments.AblationSLA(cfg))
+		fmt.Fprintln(stdout, experiments.AblationVIDWidth(cfg))
+		fmt.Fprintln(stdout, experiments.AblationLazyCommit(cfg))
+		fmt.Fprintln(stdout, experiments.AblationScaling(cfg))
+		fmt.Fprintln(stdout, experiments.Paradigms(cfg))
 	}
+	return nil
+}
+
+// writeDoc writes one output document to path.
+func writeDoc(path string, doc any) error {
+	f, err := os.Create(path)
+	if err != nil {
+		return err
+	}
+	if err := experiments.WriteJSON(f, doc); err != nil {
+		f.Close()
+		return err
+	}
+	return f.Close()
 }

@@ -18,7 +18,6 @@
 package main
 
 import (
-	"encoding/hex"
 	"flag"
 	"fmt"
 	"io"
@@ -80,16 +79,7 @@ func run(args []string, stdout, stderr io.Writer) int {
 		}
 	}
 	if *ckptOut != "" && sum.Violation != nil {
-		// Replay the counterexample to its final (violating) state and emit
-		// it as a "check" checkpoint; hmtxdbg re-materialises any prefix.
-		ce := sum.Violation
-		h, _, _ := cfg.ReplayTo(ce.Steps, len(ce.Steps))
-		doc := &ckpt.Doc{Schema: ckpt.Schema, Kind: ckpt.KindCheck, Check: &ckpt.CheckState{
-			Config:         cfg,
-			Counterexample: ce,
-			FinalState:     hex.EncodeToString(h.AppendExact(nil)),
-		}}
-		if werr := ckpt.WriteFile(*ckptOut, doc); werr != nil {
+		if werr := emitCheckpoint(*ckptOut, cfg, sum.Violation); werr != nil {
 			fmt.Fprintf(stderr, "hmtxcheck: %v\n", werr)
 			return 2
 		}
@@ -98,4 +88,22 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return 1
 	}
 	return 0
+}
+
+// emitCheckpoint replays the counterexample to its final (violating) state
+// and writes it to path as a "check" checkpoint; hmtxdbg re-materialises
+// any prefix. The replay must apply every step: the violation belongs to
+// the last one, and a replay that stops early, or cannot start, has no
+// final state to record.
+func emitCheckpoint(path string, cfg check.Config, ce *check.Counterexample) error {
+	h, applied, err := cfg.ReplayTo(ce.Steps, len(ce.Steps))
+	if h == nil || applied < len(ce.Steps) {
+		return fmt.Errorf("replaying the counterexample stopped after %d of %d steps: %v", applied, len(ce.Steps), err)
+	}
+	doc := &ckpt.Doc{Schema: ckpt.Schema, Kind: ckpt.KindCheck, Check: &ckpt.CheckState{
+		Config:         cfg,
+		Counterexample: ce,
+		FinalState:     h.AppendExact(nil),
+	}}
+	return ckpt.WriteFile(path, doc)
 }

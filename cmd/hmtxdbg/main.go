@@ -38,6 +38,7 @@ package main
 
 import (
 	"bufio"
+	"bytes"
 	"flag"
 	"fmt"
 	"io"
@@ -231,6 +232,14 @@ func (d *dbg) openCheck() error {
 		return fmt.Errorf("check checkpoint has no counterexample trace")
 	}
 	d.steps = cs.Counterexample.Steps
+	// The recorded final state must be what replaying the whole trace on
+	// this build's memsys gives; a checkpoint without one predates it.
+	if len(cs.FinalState) > 0 {
+		h, _, _ := cs.Config.ReplayTo(d.steps, len(d.steps))
+		if h == nil || !bytes.Equal(h.AppendExact(nil), cs.FinalState) {
+			return fmt.Errorf("replaying the counterexample does not reproduce the checkpoint's final state; it was written by a different memory system")
+		}
+	}
 	fmt.Fprintf(d.out, "counterexample: %s (%s)\n",
 		cs.Counterexample.Property, cs.Counterexample.Detail)
 	fmt.Fprintf(d.out, "%d stimulus steps; the violation fires on step %d\n",

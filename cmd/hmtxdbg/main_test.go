@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"slices"
 	"strings"
 	"testing"
 
@@ -139,6 +140,52 @@ func TestDebugCheckCheckpoint(t *testing.T) {
 		if !strings.Contains(out, want) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
+	}
+}
+
+// TestDebugCheckFinalState: a check checkpoint's recorded final state must
+// match what replaying its trace gives; a mismatch means the checkpoint came
+// from a different memory system, and hmtxdbg refuses to open it.
+func TestDebugCheckFinalState(t *testing.T) {
+	cfg := check.Config{Cores: 2, Addrs: 1, VIDs: 1, StoreVals: 2,
+		InjectBug: memsys.BugStaleCopyOnConvert}
+	sum, err := check.Run(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ce := sum.Violation
+	if ce == nil {
+		t.Fatal("injected bug not found by the checker")
+	}
+	h, _, _ := cfg.ReplayTo(ce.Steps, len(ce.Steps))
+	final := h.AppendExact(nil)
+	other := slices.Clone(final)
+	other[len(other)-1] ^= 1 // the last byte of the L2's last line
+	for _, tc := range []struct {
+		name   string
+		final  []byte
+		wantOK bool
+	}{
+		{"replayed state", final, true},
+		{"different state", other, false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			doc := &ckpt.Doc{Schema: ckpt.Schema, Kind: ckpt.KindCheck, Check: &ckpt.CheckState{
+				Config: cfg, Counterexample: ce, FinalState: tc.final,
+			}}
+			path := filepath.Join(t.TempDir(), "ce.json")
+			if err := ckpt.WriteFile(path, doc); err != nil {
+				t.Fatal(err)
+			}
+			var out, errb bytes.Buffer
+			code := run([]string{"-c", "info", path}, strings.NewReader(""), &out, &errb)
+			if ok := code == 0; ok != tc.wantOK {
+				t.Fatalf("exit %d, want success %v; stderr: %s", code, tc.wantOK, errb.String())
+			}
+			if !tc.wantOK && !strings.Contains(errb.String(), "final state") {
+				t.Errorf("error does not name the final state: %s", errb.String())
+			}
+		})
 	}
 }
 

@@ -2,7 +2,9 @@ package ckpt
 
 import (
 	"bytes"
+	"encoding/hex"
 	"encoding/json"
+	"math/rand"
 	"reflect"
 	"slices"
 	"strings"
@@ -133,6 +135,10 @@ func capture(t *testing.T, sys *engine.System, out hmtx.Outcome) sysState {
 func newInstrumented(cores int) *engine.System {
 	cfg := engine.DefaultConfig()
 	cfg.Mem.Cores = cores
+	return newInstrumentedCfg(cfg)
+}
+
+func newInstrumentedCfg(cfg engine.Config) *engine.System {
 	sys := engine.New(cfg)
 	sys.SetProf(prof.New())
 	sys.SetSeries(metrics.NewSampler(512))
@@ -409,5 +415,41 @@ func TestDocDeterministic(t *testing.T) {
 	}
 	if !reflect.DeepEqual(v["schema"], "hmtx-ckpt/v1") {
 		t.Errorf("schema field = %v", v["schema"])
+	}
+}
+
+// TestHexZeroBlocks: encodeHex and decodeHex, with their zero-block fast
+// paths, agree with encoding/hex on every length and on zero, non-zero and
+// mixed blocks, and decodeHex rejects what hex.Decode rejects.
+func TestHexZeroBlocks(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	for n := 0; n <= 3*hexBlock+1; n++ {
+		for trial := 0; trial < 8; trial++ {
+			src := make([]byte, n)
+			for i := range src {
+				if rng.Intn(50) == 0 {
+					src[i] = byte(1 + rng.Intn(255))
+				}
+			}
+			enc := make([]byte, 2*n)
+			encodeHex(enc, src)
+			if want := hex.EncodeToString(src); string(enc) != want {
+				t.Fatalf("encodeHex(%x) = %s", src, enc)
+			}
+			dec := make([]byte, n)
+			if err := decodeHex(dec, []byte(strings.ToUpper(string(enc)))); err != nil || !bytes.Equal(dec, src) {
+				t.Fatalf("decodeHex(%s) = %x, %v", enc, dec, err)
+			}
+			if n > 0 {
+				bad := slices.Clone(enc)
+				bad[rng.Intn(len(bad))] = 'g'
+				if decodeHex(make([]byte, n), bad) == nil {
+					t.Fatalf("decodeHex accepted %s", bad)
+				}
+				if decodeHex(make([]byte, n), enc[:len(enc)-1]) == nil {
+					t.Fatalf("decodeHex accepted odd-length %s", enc[:len(enc)-1])
+				}
+			}
+		}
 	}
 }

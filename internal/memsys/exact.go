@@ -6,6 +6,7 @@ import (
 	"errors"
 	"fmt"
 	"reflect"
+	"slices"
 	"sort"
 
 	"hmtx/internal/vid"
@@ -34,9 +35,14 @@ const exactMagic = "hmtxmem1"
 // profiler, metric instruments, registered histograms) and the MOESI-San
 // scratch state are not part of the encoding, exactly as they are not part
 // of a Clone: they are re-attached by the restoring caller.
+//
+// The encoding's length follows from the geometry and the entry counts, so
+// buf grows once: from a nil buf AppendExact makes that allocation and one
+// for the sorted map keys (TestAppendExactAllocs).
 func (h *Hierarchy) AppendExact(buf []byte) []byte {
+	buf = slices.Grow(buf, h.exactLen())
 	buf = append(buf, exactMagic...)
-	for _, g := range h.geometry() {
+	for _, g := range h.cfg.geometry() {
 		buf = binary.BigEndian.AppendUint64(buf, g)
 	}
 	buf = append(buf, byte(h.lc))
@@ -61,13 +67,13 @@ func (h *Hierarchy) AppendExact(buf []byte) []byte {
 	// conservative superset and carries no architectural data, but it is
 	// part of the deterministic replay state: which caches a sweep visits
 	// (and therefore which stale bits it clears) depends on it.
-	pres := make([]Addr, 0, len(h.pres))
+	keys := make([]Addr, 0, max(len(h.pres), len(h.mem.lines)))
 	for a := range h.pres {
-		pres = append(pres, a)
+		keys = append(keys, a)
 	}
-	sort.Slice(pres, func(i, j int) bool { return pres[i] < pres[j] })
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(pres)))
-	for _, a := range pres {
+	slices.Sort(keys)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(keys)))
+	for _, a := range keys {
 		buf = binary.BigEndian.AppendUint64(buf, a)
 		m := h.pres[a]
 		for wi := 0; wi < presWords; wi++ {
@@ -76,13 +82,13 @@ func (h *Hierarchy) AppendExact(buf []byte) []byte {
 	}
 
 	// Main memory, sorted by line address.
-	mem := make([]Addr, 0, len(h.mem.lines))
+	keys = keys[:0]
 	for a := range h.mem.lines {
-		mem = append(mem, a)
+		keys = append(keys, a)
 	}
-	sort.Slice(mem, func(i, j int) bool { return mem[i] < mem[j] })
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(mem)))
-	for _, a := range mem {
+	slices.Sort(keys)
+	buf = binary.BigEndian.AppendUint64(buf, uint64(len(keys)))
+	for _, a := range keys {
 		buf = binary.BigEndian.AppendUint64(buf, a)
 		data := h.mem.lines[a]
 		buf = append(buf, data[:]...)
@@ -95,16 +101,59 @@ func (h *Hierarchy) AppendExact(buf []byte) []byte {
 	return buf
 }
 
+// lineExactLen is the length of one Line's exact encoding (Line.appendExact).
+const lineExactLen = 8 + 3 + 8 + 2 + 8 + 8 + LineSize
+
+// exactLen is the length of the hierarchy's AppendExact encoding.
+func (h *Hierarchy) exactLen() int {
+	n := len(exactMagic) + 8*len(h.cfg.geometry()) + 1 + 8 + 8 + 1
+	n += 8 + 8*reflect.TypeFor[Stats]().NumField()
+	n += 8 + len(h.pres)*(8+8*presWords)
+	n += 8 + len(h.mem.lines)*(8+LineSize)
+	for _, c := range h.allCaches() {
+		n += 16 + len(c.sets)*(16+c.ways*lineExactLen)
+	}
+	return n
+}
+
 // geometry returns the configuration parameters that determine the state
 // layout. Latencies and feature flags live in the surrounding checkpoint
 // document; only layout-affecting parameters gate a restore.
-func (h *Hierarchy) geometry() []uint64 {
+func (c Config) geometry() []uint64 {
 	return []uint64{
-		uint64(h.cfg.Cores),
-		uint64(h.cfg.L1Size), uint64(h.cfg.L1Ways),
-		uint64(h.cfg.L2Size), uint64(h.cfg.L2Ways),
-		uint64(h.cfg.VIDSpace.Bits),
+		uint64(c.Cores),
+		uint64(c.L1Size), uint64(c.L1Ways),
+		uint64(c.L2Size), uint64(c.L2Ways),
+		uint64(c.VIDSpace.Bits),
 	}
+}
+
+// CheckExact reports whether enc can be the AppendExact encoding of a
+// hierarchy built from the valid cfg, without building one: its magic and
+// geometry must match cfg, and it must be long enough for every cache's
+// sets. A restore that checks first cannot be made to allocate a machine
+// larger than its own encoding by a corrupt config.
+func CheckExact(cfg Config, enc []byte) error {
+	r := &exactReader{buf: enc}
+	if err := r.header(cfg.geometry()); err != nil {
+		return err
+	}
+	if r.err != nil {
+		return r.err
+	}
+	avail := len(enc)
+	for i := 0; i <= cfg.Cores; i++ {
+		size, ways := cfg.L1Size, cfg.L1Ways
+		if i == cfg.Cores {
+			size, ways = cfg.L2Size, cfg.L2Ways
+		}
+		// Every set encodes as at least its two stamps and its ways.
+		if ways > avail/lineExactLen || size/(ways*LineSize) > avail/(16+ways*lineExactLen) {
+			return fmt.Errorf("memsys: exact encoding of %d bytes is too short for the machine's caches", len(enc))
+		}
+		avail -= size / (ways * LineSize) * (16 + ways*lineExactLen)
+	}
+	return nil
 }
 
 // appendExact encodes every set as its ways, in order. A set that was never
@@ -114,12 +163,12 @@ func (h *Hierarchy) geometry() []uint64 {
 func (c *cache) appendExact(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, c.lruClock)
 	buf = binary.BigEndian.AppendUint64(buf, c.hits)
-	zero := c.zeroSetExact()
 	for si, s := range c.sets {
 		buf = binary.BigEndian.AppendUint64(buf, c.setGen[si])
 		buf = binary.BigEndian.AppendUint64(buf, c.setTag[si])
 		if s == nil {
-			buf = append(buf, zero...)
+			// A zero Line encodes as zero bytes (TestZeroLineExact).
+			buf = append(buf, make([]byte, c.ways*lineExactLen)...)
 			continue
 		}
 		for wi := range s {
@@ -165,6 +214,20 @@ func (r *exactReader) bytes(n int) []byte {
 	return b
 }
 
+// header reads the magic and the geometry, which must equal geom. A
+// truncated header is left in r.err.
+func (r *exactReader) header(geom []uint64) error {
+	if magic := r.bytes(len(exactMagic)); r.err != nil || string(magic) != exactMagic {
+		return fmt.Errorf("memsys: not an exact state encoding (bad magic)")
+	}
+	for i, w := range geom {
+		if g := r.u64(); r.err == nil && g != w {
+			return fmt.Errorf("memsys: checkpoint geometry mismatch (field %d: encoded %d, machine %d)", i, g, w)
+		}
+	}
+	return nil
+}
+
 func (r *exactReader) u64() uint64 {
 	b := r.bytes(8)
 	if b == nil {
@@ -189,14 +252,8 @@ func (r *exactReader) u8() byte {
 // hierarchy may be partially overwritten and must be discarded.
 func (h *Hierarchy) RestoreExact(enc []byte) error {
 	r := &exactReader{buf: enc}
-	if magic := r.bytes(len(exactMagic)); r.err != nil || string(magic) != exactMagic {
-		return fmt.Errorf("memsys: not an exact state encoding (bad magic)")
-	}
-	want := h.geometry()
-	for i, w := range want {
-		if g := r.u64(); r.err == nil && g != w {
-			return fmt.Errorf("memsys: checkpoint geometry mismatch (field %d: encoded %d, machine %d)", i, g, w)
-		}
+	if err := r.header(h.cfg.geometry()); err != nil {
+		return err
 	}
 	h.lc = vid.V(r.u8())
 	h.epoch = r.u64()

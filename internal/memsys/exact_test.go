@@ -2,6 +2,7 @@ package memsys
 
 import (
 	"bytes"
+	"encoding/binary"
 	"math/rand"
 	"strings"
 	"testing"
@@ -236,5 +237,53 @@ func TestExactRestoreByteCorruption(t *testing.T) {
 			lc2 := h2.lc
 			driveRandom(h2, rand.New(rand.NewSource(int64(i))), 200, &lc2)
 		}()
+	}
+}
+
+// TestZeroLineExact: appendExact writes a never-allocated set as zero bytes,
+// which is only its ways zero Lines' encoding while a zero Line encodes as
+// lineExactLen zero bytes.
+func TestZeroLineExact(t *testing.T) {
+	enc := new(Line).appendExact(nil)
+	if len(enc) != lineExactLen {
+		t.Fatalf("a Line encodes as %d bytes, lineExactLen is %d", len(enc), lineExactLen)
+	}
+	if !bytes.Equal(enc, make([]byte, lineExactLen)) {
+		t.Errorf("the zero Line encodes as %x, want zero bytes", enc)
+	}
+}
+
+// TestCheckExact: CheckExact accepts an encoding for the configuration that
+// produced it, and rejects a bad magic, a geometry mismatch, a truncated
+// header, and a header whose geometry matches a bigger machine than the
+// encoding can hold — before any such machine is built.
+func TestCheckExact(t *testing.T) {
+	cfg := exactTestCfg(2)
+	h := New(cfg)
+	var lc vid.V
+	driveRandom(h, rand.New(rand.NewSource(3)), 200, &lc)
+	enc := h.AppendExact(nil)
+	if err := CheckExact(cfg, enc); err != nil {
+		t.Fatalf("own encoding rejected: %v", err)
+	}
+	big := cfg
+	big.L2Size = 1 << 30
+	inflated := append([]byte(nil), enc...)
+	binary.BigEndian.PutUint64(inflated[len(exactMagic)+8*3:], uint64(big.L2Size)) // geometry field 3
+
+	for _, tc := range []struct {
+		name string
+		cfg  Config
+		enc  []byte
+		want string
+	}{
+		{"bad magic", cfg, append([]byte("hmtxmem0"), enc[len(exactMagic):]...), "magic"},
+		{"geometry mismatch", big, enc, "geometry"},
+		{"truncated header", cfg, enc[:len(exactMagic)+20], "truncated"},
+		{"too short for the caches", big, inflated, "too short"},
+	} {
+		if err := CheckExact(tc.cfg, tc.enc); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
+		}
 	}
 }

@@ -1,6 +1,7 @@
 package memsys
 
 import (
+	"math/rand"
 	"testing"
 
 	"hmtx/internal/vid"
@@ -199,5 +200,28 @@ func TestDisabledMetricsZeroAllocs(t *testing.T) {
 		h.Store(0, addrA, val, 1)
 	}); n != 0 {
 		t.Errorf("speculative store with nil recorder: %v allocs/op, want 0", n)
+	}
+}
+
+// TestAppendExactAllocs pins the checkpoint encoder's allocations: the
+// encoding's length is computed up front, so AppendExact from a nil buffer
+// makes exactly two allocations — the output, grown once, and the scratch
+// slice of sorted map keys — on a hierarchy with lines in every cache,
+// main memory and the snoop filter.
+func TestAppendExactAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race-runtime shadow allocations break AllocsPerRun; contract pinned in non-race runs")
+	}
+	h := New(exactTestCfg(3))
+	var lc vid.V
+	driveRandom(h, rand.New(rand.NewSource(5)), 400, &lc)
+	if len(h.pres) == 0 || len(h.mem.lines) == 0 {
+		t.Fatal("stimulus left the snoop filter or main memory empty")
+	}
+	if got, want := len(h.AppendExact(nil)), h.exactLen(); got != want {
+		t.Fatalf("encoding is %d bytes, exactLen says %d", got, want)
+	}
+	if n := testing.AllocsPerRun(20, func() { h.AppendExact(nil) }); n != 2 {
+		t.Errorf("AppendExact(nil): %v allocs/op, want 2", n)
 	}
 }
