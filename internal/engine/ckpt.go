@@ -2,6 +2,8 @@ package engine
 
 import (
 	"fmt"
+	"math"
+	"math/bits"
 	"math/rand"
 	"sort"
 
@@ -56,6 +58,23 @@ func (c *countingSource) fastForward(draws uint64) {
 	for c.draws < draws {
 		c.Uint64()
 	}
+}
+
+// maxDraws bounds the RNG draws of a machine that has mispredicted
+// mispredicts times. Only a misprediction's wrong-path loads draw: two Intn
+// calls each, over at most 16 values, where Int31n's rejection sampling
+// redraws with probability below 2^-27. Twice the two draws per load is
+// headroom no run reaches; a count above it is corrupt, and replaying it
+// one draw at a time could take days.
+func maxDraws(mispredicts uint64, wrongPathLoads int) uint64 {
+	if wrongPathLoads <= 0 {
+		return 0
+	}
+	hi, lo := bits.Mul64(mispredicts, uint64(wrongPathLoads))
+	if hi != 0 || lo > math.MaxUint64/4 {
+		return math.MaxUint64
+	}
+	return 4 * lo
 }
 
 // CoreCkpt is the persistent state of one simulated core: the branch
@@ -168,6 +187,10 @@ func (s *System) RestoreCkpt(ck Ckpt) error {
 	}
 	if s.rngSrc.draws > 0 || s.cumCycles != 0 {
 		return fmt.Errorf("engine: RestoreCkpt on a system that already ran")
+	}
+	if bound := maxDraws(ck.Stats.Mispredicts, s.cfg.WrongPathLoads); ck.RNGDraws > bound {
+		return fmt.Errorf("engine: checkpoint records %d RNG draws, more than %d mispredictions can make (at most %d)",
+			ck.RNGDraws, ck.Stats.Mispredicts, bound)
 	}
 	s.stats = ck.Stats
 	s.lastCommitted = vid.Seq(ck.LastCommitted)

@@ -42,10 +42,28 @@ func requireNoLeak(t *testing.T, before int) {
 	}
 }
 
+// onInlinePath reports whether the caller runs under Env.rpc: on a program's
+// coroutine, which handles its own request inline, rather than on the
+// scheduler loop.
+func onInlinePath() bool {
+	buf := make([]byte, 1<<14)
+	buf = buf[:runtime.Stack(buf, false)]
+	return bytes.Contains(buf, []byte("\nhmtx/internal/engine.(*Env).rpc("))
+}
+
 func computeProgram(n int) Program {
 	return func(e *Env) {
 		for i := 0; i < n; i++ {
 			e.Compute(1)
+		}
+	}
+}
+
+// strideProgram computes n steps of stride cycles each.
+func strideProgram(stride int64, n int) Program {
+	return func(e *Env) {
+		for k := 0; k < n; k++ {
+			e.Compute(stride)
 		}
 	}
 }
@@ -131,15 +149,94 @@ func TestProgramPanicSurfacesFromRun(t *testing.T) {
 	requireNoLeak(t, before)
 }
 
+// TestInlinePanicSurfacesFromRun: an engine panic raised while a program
+// handles its own request inline unwinds the program's coroutine, re-raises
+// from Run on the caller's goroutine, and leaks no coroutine. The second
+// Compute runs inline and moves the clock past the run queue's key range, so
+// re-keying the core for the third trips runKey's panic on the coroutine.
+func TestInlinePanicSurfacesFromRun(t *testing.T) {
+	s := newSys()
+	var inline []bool
+	s.SetDebugHook(func(DebugEvent) { inline = append(inline, onInlinePath()) })
+	before := programCoroutines()
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Run([]Program{func(e *Env) {
+			e.Compute(1)
+			e.Compute(1 << 57)
+			e.Compute(1)
+		}})
+		return nil
+	}()
+	if got != "engine: core clock outside the run queue's key range" {
+		t.Fatalf("recovered %v, want runKey's range panic", got)
+	}
+	if len(inline) != 2 || inline[0] || !inline[1] {
+		t.Fatalf("inline path per handled request %v, want [false true]", inline)
+	}
+	requireNoLeak(t, before)
+}
+
+// TestInlineConflictAbortUnwinds: a store handled inline that violates a
+// flow dependence (§4.3) aborts the run, unwinds its own program at the
+// store — deferred code runs, the code after it does not — and Run reports
+// the conflict. Core 0's later transaction reads the line and then computes
+// far ahead, so core 1 stays at the root and handles its store inline.
+func TestInlineConflictAbortUnwinds(t *testing.T) {
+	s := newSys()
+	const line = memsys.Addr(0x1000)
+	storeInline := false
+	s.SetDebugHook(func(ev DebugEvent) {
+		if ev.Core == 1 && ev.Op == "store" {
+			storeInline = onInlinePath()
+		}
+	})
+	unwound, pastStore := false, false
+	progs := []Program{
+		func(e *Env) {
+			e.Begin(2)
+			e.Load(line)
+			e.Compute(100000)
+			e.Commit(2)
+		},
+		func(e *Env) {
+			defer func() { unwound = true }()
+			for i := 0; i < 5; i++ {
+				e.Compute(10)
+			}
+			e.Begin(1)
+			e.Store(line, 7)
+			pastStore = true
+			e.Commit(1)
+		},
+	}
+	before := programCoroutines()
+	res := s.Run(progs)
+	if !res.Aborted || s.Stats().AbortsConflict != 1 || res.LastCommitted != 0 {
+		t.Fatalf("want one conflict abort with nothing committed, got %+v, %d conflict aborts", res, s.Stats().AbortsConflict)
+	}
+	if !storeInline {
+		t.Fatal("core 1's store was not handled inline")
+	}
+	if !unwound || pastStore {
+		t.Fatalf("program unwound %v, ran past the store %v; want it unwound at the store", unwound, pastStore)
+	}
+	requireNoLeak(t, before)
+}
+
 // TestHandoffAllocFree pins that handing an operation to the scheduler and
-// back, and keeping the run queue ordered, allocates nothing: a run's
-// allocations do not depend on its length.
+// back, handling it inline, and keeping the run queue ordered, allocate
+// nothing: a run's allocations do not depend on its length. One core runs
+// ahead on every operation; of two cores with 1- and 3-cycle steps, core 0
+// handles two steps inline and yields on the third; 64 cores in lockstep
+// always yield.
 func TestHandoffAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; see race_enabled_test.go")
 	}
 	for _, tc := range []struct{ cores, short, long int }{
 		{1, 1000, 10000},
+		{2, 1000, 10000},
 		{64, 200, 2000},
 	} {
 		allocs := func(n int) float64 {
@@ -149,6 +246,9 @@ func TestHandoffAllocFree(t *testing.T) {
 			progs := make([]Program, tc.cores)
 			for i := range progs {
 				progs[i] = computeProgram(n)
+				if tc.cores == 2 {
+					progs[i] = strideProgram(int64(2*i+1), n)
+				}
 			}
 			return testing.AllocsPerRun(5, func() { s.Run(progs) })
 		}

@@ -59,9 +59,14 @@ type response struct {
 }
 
 // Env is a program's handle to its simulated core. The program runs as a
-// coroutine of the scheduler (System.Run): each Env method yields one request
-// and the program stays suspended until the scheduler resumes it with the
-// response, so all methods may only be called from inside the program.
+// coroutine of the scheduler (System.Run): each Env method is one request,
+// which the scheduler handles in the global (clock, core ID) order. A request
+// that could wait, or that another core's event must precede, yields to the
+// scheduler and the program stays suspended until it is resumed with the
+// response; a load, store, Compute, Branch or SpecAccessCount issued while
+// the scheduler would pick this core next anyway is handled in place, with
+// no switch (DESIGN.md §11.6). Either way all methods may only be called from
+// inside the program.
 //
 // When the region aborts, every Env method unwinds the program via an
 // internal panic that the engine recovers; the program's Run call then
@@ -80,10 +85,30 @@ func (e *Env) CoreID() int { return e.c.id }
 // Now returns the core's current cycle count.
 func (e *Env) Now() int64 { return e.c.time }
 
-// rpc suspends the program with request r until the scheduler resumes it,
-// and returns the response the scheduler left on the core. A false yield
-// means Run stopped the coroutine mid-program; it unwinds like an abort.
+// runAheadKinds is the set of requests that never park, as a bit mask over
+// reqKind: the ones rpc may handle inline.
+const runAheadKinds = 1<<reqLoad | 1<<reqStore | 1<<reqCompute | 1<<reqBranch | 1<<reqTxInfo
+
+// rpc hands request r to the scheduler and returns its response. When the
+// core is the one the scheduler is resuming (front), no wake scan is due and
+// r cannot park, the scheduler's next pick is decided by one compare: the
+// core's run key against limit. If the core would be picked again, rpc takes
+// the scheduler's place, re-keying the core and handling r inline, so the
+// program keeps running without a coroutine switch. Otherwise it suspends
+// the program with r until the scheduler resumes it, and returns the
+// response the scheduler left on the core. A false yield means Run stopped
+// the coroutine mid-program; it unwinds like an abort.
 func (e *Env) rpc(r request) response {
+	if s := e.sys; e.c == s.front && !s.wake && runAheadKinds>>r.kind&1 != 0 {
+		if k := runKey(e.c); k < s.limit {
+			s.runq[0] = k
+			resp, _ := s.step(e.c, r)
+			if resp.abort {
+				panic(abortSignal{cause: s.abortCause})
+			}
+			return resp
+		}
+	}
 	if !e.yield(r) || e.c.resp.abort {
 		panic(abortSignal{cause: e.sys.abortCause})
 	}

@@ -352,3 +352,184 @@ func TestDeadlockPanics(t *testing.T) {
 	}
 	requireNoLeak(t, before)
 }
+
+// codeOrderRuns are the Runs of TestProgramCodeOrderGolden, executed back to
+// back on one six-core System. at logs that the calling program's own code
+// is running; every program calls it before each Env call.
+func codeOrderRuns(at func(e *Env)) [][]Program {
+	shared := memsys.Addr(0x9000)
+	// A producer feeds two transactional consumers through a two-slot
+	// queue; each item v becomes transaction v, so the consumers' commits
+	// park until their turn. Core 3 parks on AwaitCommitted twice and
+	// core 4 computes alone, far behind the others' clocks.
+	consumer := func(e *Env) {
+		for {
+			at(e)
+			v, ok := e.Consume(0)
+			if !ok {
+				return
+			}
+			seq := vid.Seq(v)
+			at(e)
+			e.Begin(seq)
+			at(e)
+			e.Load(shared)
+			at(e)
+			e.Store(privLine(e.CoreID())+memsys.Addr(v*memsys.LineSize), v)
+			at(e)
+			e.Compute(int64(20 + v%7))
+			at(e)
+			e.Branch(uint64(e.CoreID()), v%3 == 0)
+			at(e)
+			e.SpecAccessCount()
+			at(e)
+			e.Commit(seq)
+		}
+	}
+	pipeline := []Program{
+		func(e *Env) {
+			for i := uint64(1); i <= 10; i++ {
+				at(e)
+				e.Compute(int64(3 + i%4))
+				at(e)
+				e.Load(privLine(0) + memsys.Addr(i*memsys.LineSize))
+				at(e)
+				e.Branch(0, i%3 == 0)
+				at(e)
+				e.Produce(0, i)
+			}
+			at(e)
+			e.CloseQueue(0)
+		},
+		consumer,
+		consumer,
+		func(e *Env) {
+			at(e)
+			e.AwaitCommitted(5)
+			for i := 0; i < 6; i++ {
+				at(e)
+				e.Load(shared + memsys.Addr(i*memsys.LineSize))
+				at(e)
+				e.Compute(int64(5 + i))
+			}
+			at(e)
+			e.AwaitCommitted(10)
+			at(e)
+			e.Load(shared)
+		},
+		func(e *Env) {
+			for i := 0; i < 40; i++ {
+				at(e)
+				e.Compute(int64(1 + i%3))
+				at(e)
+				e.Load(privLine(4))
+			}
+		},
+	}
+	// Core 0 aborts explicitly while cores 1 and 2 sit parked on commit
+	// and core 3 on an empty queue.
+	committer := func(seq vid.Seq) Program {
+		return func(e *Env) {
+			at(e)
+			e.Begin(seq)
+			for i := 0; i < 4; i++ {
+				at(e)
+				e.Load(privLine(e.CoreID()))
+				at(e)
+				e.Compute(int64(9 * (i + 1)))
+			}
+			at(e)
+			e.Commit(seq)
+		}
+	}
+	explicit := []Program{
+		func(e *Env) {
+			at(e)
+			e.Begin(11)
+			for i := 0; i < 8; i++ {
+				at(e)
+				e.Store(privLine(0), uint64(i))
+				at(e)
+				e.Compute(40)
+			}
+			at(e)
+			e.Abort(11)
+		},
+		committer(12),
+		committer(13),
+		func(e *Env) {
+			at(e)
+			e.Consume(2)
+		},
+	}
+	// Core 1's store to a line that core 0's later transaction has read
+	// is a flow-dependence violation (§4.3); core 2 is parked on an await.
+	conflict := []Program{
+		func(e *Env) {
+			at(e)
+			e.Begin(12)
+			at(e)
+			e.Load(shared)
+			for i := 0; i < 10; i++ {
+				at(e)
+				e.Compute(1000)
+			}
+			at(e)
+			e.Commit(12)
+		},
+		func(e *Env) {
+			for i := 0; i < 20; i++ {
+				at(e)
+				e.Compute(25)
+			}
+			at(e)
+			e.Begin(11)
+			at(e)
+			e.Store(shared, 7)
+			at(e)
+			e.Commit(11)
+		},
+		func(e *Env) {
+			at(e)
+			e.AwaitCommitted(12)
+			at(e)
+			e.Load(shared)
+		},
+	}
+	return [][]Program{pipeline, explicit, conflict, {committer(11), committer(12)}}
+}
+
+// TestProgramCodeOrderGolden pins the host order in which the programs' own
+// code runs between their Env calls, which program code that shares Go state
+// with other programs (the hmtx driver's exit flags, the SMTX runtime) can
+// observe. The log is (core, op index) before every Env call, plus each
+// RunResult; the digest was recorded before Env calls could be handled
+// without a coroutine switch (DESIGN.md §11.6).
+func TestProgramCodeOrderGolden(t *testing.T) {
+	const want = "9ef83819c1d30ebf7d5b1851a454b5efc976ab6d521d0e5203bb70f886de665c"
+	cfg := DefaultConfig()
+	cfg.Mem.Cores = 6
+	cfg.QueueCap = 2
+	s := New(cfg)
+	h := sha256.New()
+	var ops [6]int
+	at := func(e *Env) {
+		fmt.Fprintf(h, "%d:%d\n", e.CoreID(), ops[e.CoreID()])
+		ops[e.CoreID()]++
+	}
+	aborts := 0
+	for _, progs := range codeOrderRuns(at) {
+		ops = [6]int{}
+		res := s.Run(progs)
+		if res.Aborted {
+			aborts++
+		}
+		fmt.Fprintf(h, "run %+v\n", res)
+	}
+	if aborts != 2 {
+		t.Fatalf("%d of the runs aborted, want the explicit and the conflict run", aborts)
+	}
+	if got := hex.EncodeToString(h.Sum(nil)); got != want {
+		t.Errorf("program code order digest %s, want %s", got, want)
+	}
+}

@@ -167,6 +167,14 @@ type System struct {
 	// commit, a queue push, pop or close, an abort. runSerial re-examines
 	// the parked cores only when it is set (DESIGN.md §11.7).
 	wake bool
+	// front is the root core runSerial is resuming, nil outside that resume,
+	// and limit the smallest other key in the run queue when it did: the
+	// lesser of the root's two children, which nothing changes while front's
+	// program runs and wake stays unset. While front's key stays below limit
+	// the scheduler would pick front again, so Env.rpc handles its next
+	// non-parking request inline (DESIGN.md §11.6).
+	front *core
+	limit uint64
 
 	// ins is the instrument hook shared with Mem (obs.go): tracer,
 	// profiler, metrics, registry histograms and debugger. nil when none is
@@ -218,6 +226,7 @@ func (s *System) Run(programs []Program) RunResult {
 	s.aborting = false
 	s.abortCause = ""
 	s.busFreeAt = 0
+	s.front = nil // a panic that surfaced from the last Run skipped the reset
 	if s.ins.Enabled() {
 		s.ins.OnRunStart(len(programs))
 	}
@@ -284,7 +293,9 @@ func (s *System) Run(programs []Program) RunResult {
 // core; it stays at the root while its event is handled and is then re-keyed
 // in place, or popped if it parked or finished. Parked cores are re-examined
 // only after an event that can wake one, so a scan that would wake nobody is
-// never made.
+// never made. While the root core's program runs, Env.rpc handles its further
+// events inline for as long as this loop would pick the same core next (front
+// and limit); the loop sees the first event that could change the pick.
 func (s *System) runSerial(live []*core) {
 	s.runq = s.runq[:0]
 	for _, c := range live {
@@ -295,7 +306,11 @@ func (s *System) runSerial(live []*core) {
 			s.dumpDeadlock(live)
 		}
 		c := s.cores[s.runq[0]&runKeyCore]
-		s.handle(c, c.pendingReq)
+		s.front, s.limit = c, s.rootLimit()
+		if resp, ok := s.step(c, c.pendingReq); ok {
+			s.resume(c, resp)
+		}
+		s.front = nil
 		if c.done || c.parked != parkNone {
 			s.popRunnable()
 		} else {
@@ -309,8 +324,21 @@ func (s *System) runSerial(live []*core) {
 	}
 }
 
+// rootLimit is the smallest run key below the run queue's root: the lesser of
+// the root's children, or the largest key when the root has none.
+func (s *System) rootLimit() uint64 {
+	switch len(s.runq) {
+	case 1:
+		return ^uint64(0)
+	case 2:
+		return s.runq[1]
+	}
+	return min(s.runq[1], s.runq[2])
+}
+
 // resume hands resp to core c's program and runs the program, on the calling
-// goroutine, up to its next request: one coroutine switch there and one back.
+// goroutine, up to its next request that rpc cannot handle inline: one
+// coroutine switch there and one back.
 // Every program ends by yielding reqDone and is never resumed after it, so
 // the coroutine always has a next request.
 func (s *System) resume(c *core, resp response) {
@@ -436,7 +464,10 @@ func (s *System) txInfo(c *core) uint64 {
 	return 0
 }
 
-func (s *System) handle(c *core, r request) {
+// step handles core c's request r and returns the response to deliver to its
+// program. ok is false when there is none to deliver: the core parked, or the
+// request was reqDone.
+func (s *System) step(c *core, r request) (resp response, ok bool) {
 	if s.ins.Enabled() {
 		// Stamps subsequent events (including the memory system's, which
 		// has no clock of its own) with the issuing core's time.
@@ -454,15 +485,13 @@ func (s *System) handle(c *core, r request) {
 			// must have been charged to a bucket (panics on a gap).
 			s.ins.OnCoreDone(c.id, c.time)
 		}
-		return
+		return resp, false
 	}
 	if s.aborting {
-		s.resume(c, response{abort: true})
-		return
+		return response{abort: true}, true
 	}
-	// Every case either returns without responding (the core parked, or
-	// triggerAbort already resumed it) or falls through to the one resume.
-	var resp response
+	// Every case either returns early (the core parked, or the run aborted)
+	// or falls through to the one response.
 	switch r.kind {
 	case reqLoad, reqStore:
 		hw := s.hwVID(c.curSeq)
@@ -481,7 +510,7 @@ func (s *System) handle(c *core, r request) {
 		c.pushRecent(r.addr)
 		if res.Conflict {
 			s.triggerAbort(res.Cause, c)
-			return
+			return response{abort: true}, true
 		}
 
 	case reqCompute:
@@ -490,18 +519,18 @@ func (s *System) handle(c *core, r request) {
 
 	case reqBranch:
 		if !s.branch(c, r) {
-			return // aborted inside the branch (SLA-disabled mode)
+			return response{abort: true}, true // aborted inside the branch (SLA-disabled mode)
 		}
 
 	case reqBegin:
 		if !s.begin(c, r) {
-			return // parked on a VID-reset stall (§4.6)
+			return resp, false // parked on a VID-reset stall (§4.6)
 		}
 
 	case reqCommit:
 		if r.seq != s.lastCommitted+1 {
 			s.park(c, parkCommit, r)
-			return
+			return resp, false
 		}
 		// The commit proceeded without parking: zero arbitration stall,
 		// recorded so the percentiles cover every commit.
@@ -512,13 +541,13 @@ func (s *System) handle(c *core, r request) {
 			s.ins.OnExplicitAbort(uint64(r.seq))
 		}
 		s.triggerAbort(fmt.Sprintf("explicit abortMTX by core %d (seq %d)", c.id, r.seq), c)
-		return
+		return response{abort: true}, true
 
 	case reqProduce:
 		q := s.queue(r.q)
 		if len(q.items) >= s.cfg.QueueCap {
 			s.park(c, parkProduce, r)
-			return
+			return resp, false
 		}
 		s.doProduce(c, r.q, q, r.val)
 
@@ -527,7 +556,7 @@ func (s *System) handle(c *core, r request) {
 		if len(q.items) == 0 {
 			if !q.closed {
 				s.park(c, parkConsume, r)
-				return
+				return resp, false
 			}
 			break // closed and drained: ok == false
 		}
@@ -544,7 +573,7 @@ func (s *System) handle(c *core, r request) {
 	case reqAwait:
 		if s.lastCommitted < r.seq {
 			s.park(c, parkAwait, r)
-			return
+			return resp, false
 		}
 
 	case reqTxInfo:
@@ -553,7 +582,7 @@ func (s *System) handle(c *core, r request) {
 	default:
 		panic(fmt.Sprintf("engine: unknown request kind %d", r.kind))
 	}
-	s.resume(c, resp)
+	return resp, true
 }
 
 // advance moves core c's clock forward n cycles and charges them to bucket b
@@ -758,6 +787,8 @@ func (s *System) branch(c *core, r request) bool {
 	return true
 }
 
+// triggerAbort rolls back every uncommitted transaction on behalf of core c.
+// The caller delivers the abort response that unwinds c's program.
 func (s *System) triggerAbort(cause string, c *core) {
 	res := s.Mem.AbortAll()
 	// Charged to seq 0: the rollback sweep itself is machine overhead,
@@ -786,7 +817,6 @@ func (s *System) triggerAbort(cause string, c *core) {
 	for _, d := range s.cores {
 		d.curTx = nil
 	}
-	s.resume(c, response{abort: true})
 }
 
 // retryParked re-examines parked cores in core-ID order, waking those whose

@@ -20,3 +20,21 @@ func TestFastpath(t *testing.T) {
 		"hook/internal/engine", "hook/internal/memsys", "sim/internal/engine",
 		"scope/internal/instr", "other")
 }
+
+// TestTracegate covers the obs.Tracer Emit row, which took over the former
+// tracegate analyzer's rule.
+func TestTracegate(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), fastpath.Analyzer, "trace/internal/memsys")
+}
+
+// TestProfgate covers the prof.Collector row, which took over the former
+// profgate analyzer's rule.
+func TestProfgate(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), fastpath.Analyzer, "prof/internal/engine")
+}
+
+// TestMetricsgate covers the internal/metrics row, which took over the
+// former metricsgate analyzer's rule.
+func TestMetricsgate(t *testing.T) {
+	analysistest.Run(t, analysistest.TestData(), fastpath.Analyzer, "metrics/internal/engine")
+}
