@@ -114,7 +114,8 @@ type Ckpt struct {
 // CaptureCkpt snapshots the persistent engine state. It must be called at a
 // run boundary (between Run calls); it panics if the machine is not
 // quiescent, because mid-run state (coroutine stacks, parked cores, queue
-// contents) is deliberately not serializable.
+// contents, operations a core has buffered) is deliberately not
+// serializable.
 func (s *System) CaptureCkpt() Ckpt {
 	if s.nLive != 0 {
 		panic("engine: CaptureCkpt during a run")
@@ -129,6 +130,11 @@ func (s *System) CaptureCkpt() Ckpt {
 	for _, c := range s.cores {
 		if c.parked != parkNone {
 			panic("engine: CaptureCkpt with a parked core")
+		}
+		if c.nFused != 0 {
+			// Buffered operations have not happened yet: the captured
+			// clocks, statistics and memory would predate them.
+			panic("engine: CaptureCkpt with buffered operations")
 		}
 		cc := CoreCkpt{RecentN: c.recentN}
 		if len(c.pred) > 0 {

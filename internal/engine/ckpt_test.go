@@ -46,3 +46,21 @@ func TestRestoreCkptBoundsRNGDraws(t *testing.T) {
 		t.Errorf("maxDraws(2^62, 4) = %d, want it saturated", got)
 	}
 }
+
+// TestCaptureCkptRefusesBufferedOps: a core that holds operations the
+// scheduler has not stepped yet is mid-run state, so CaptureCkpt panics on
+// it. Run never returns normally in that state, so the test sets it directly.
+func TestCaptureCkptRefusesBufferedOps(t *testing.T) {
+	s := newSys()
+	s.Run([]Program{computeProgram(10)})
+	s.CaptureCkpt() // quiescent: no panic
+	s.cores[1].fuse(request{kind: reqCompute, val: 5})
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.CaptureCkpt()
+		return nil
+	}()
+	if got != "engine: CaptureCkpt with buffered operations" {
+		t.Fatalf("recovered %v, want the buffered-operations panic", got)
+	}
+}

@@ -151,9 +151,11 @@ func TestProgramPanicSurfacesFromRun(t *testing.T) {
 
 // TestInlinePanicSurfacesFromRun: an engine panic raised while a program
 // handles its own request inline unwinds the program's coroutine, re-raises
-// from Run on the caller's goroutine, and leaks no coroutine. The second
-// Compute runs inline and moves the clock past the run queue's key range, so
-// re-keying the core for the third trips runKey's panic on the coroutine.
+// from Run on the caller's goroutine, and leaks no coroutine. The load yields
+// (no core is at the run queue's root before the scheduler loop starts); the
+// Compute after it runs inline and moves the clock past the run queue's key
+// range, so re-keying the core for the next Compute trips runKey's panic on
+// the coroutine.
 func TestInlinePanicSurfacesFromRun(t *testing.T) {
 	s := newSys()
 	var inline []bool
@@ -162,7 +164,7 @@ func TestInlinePanicSurfacesFromRun(t *testing.T) {
 	got := func() (r any) {
 		defer func() { r = recover() }()
 		s.Run([]Program{func(e *Env) {
-			e.Compute(1)
+			e.Load(0x1000)
 			e.Compute(1 << 57)
 			e.Compute(1)
 		}})
@@ -173,6 +175,91 @@ func TestInlinePanicSurfacesFromRun(t *testing.T) {
 	}
 	if len(inline) != 2 || inline[0] || !inline[1] {
 		t.Fatalf("inline path per handled request %v, want [false true]", inline)
+	}
+	requireNoLeak(t, before)
+}
+
+// TestFusedPanicSurfacesFromRun: an engine panic raised while the scheduler
+// steps a buffered operation surfaces from Run, and leaks no coroutine.
+// Programs start before the scheduler loop, where no core is at the root, so
+// the three Computes are buffered and the program runs on to its load. The
+// second moves the clock past the run queue's key range, and re-keying the
+// core after it panics in the scheduler loop.
+func TestFusedPanicSurfacesFromRun(t *testing.T) {
+	s := newSys()
+	var ops []string
+	s.SetDebugHook(func(ev DebugEvent) {
+		if onInlinePath() {
+			t.Errorf("%s handled inline, want every step on the scheduler loop", ev.Op)
+		}
+		ops = append(ops, ev.Op)
+	})
+	pastComputes := false
+	before := programCoroutines()
+	got := func() (r any) {
+		defer func() { r = recover() }()
+		s.Run([]Program{func(e *Env) {
+			e.Compute(1)
+			e.Compute(1 << 57)
+			e.Compute(1)
+			pastComputes = true
+			e.Load(0x1000)
+		}})
+		return nil
+	}()
+	if got != "engine: core clock outside the run queue's key range" {
+		t.Fatalf("recovered %v, want runKey's range panic", got)
+	}
+	if !pastComputes || len(ops) != 2 || ops[0] != "compute" || ops[1] != "compute" {
+		t.Fatalf("program ran past its Computes %v, steps %v; want it past them and two compute steps", pastComputes, ops)
+	}
+	requireNoLeak(t, before)
+}
+
+// TestFusedAbortUnwinds: when another core's conflict aborts the run while
+// this core holds buffered operations, the scheduler steps just the oldest
+// of them, which meets the abort, drops the rest, and unwinds the program at
+// the load it is suspended at: deferred code runs, the load never returns.
+// Cores 0 and 1 are the flow-dependence pair of conflictingPair.
+func TestFusedAbortUnwinds(t *testing.T) {
+	s := newSys()
+	var ops []string // core 2's steps from the aborting store on
+	held := 0
+	s.SetDebugHook(func(ev DebugEvent) {
+		switch {
+		case ev.Core == 1 && ev.Op == "store":
+			c := s.cores[2]
+			held = int(c.nFused - c.fusedAt)
+			ops = []string{}
+		case ev.Core == 2 && ops != nil:
+			ops = append(ops, ev.Op)
+		}
+	})
+	unwound, issued, returned := false, -1, -1
+	progs := append(conflictingPair(), func(e *Env) {
+		defer func() { unwound = true }()
+		for k := 0; k < 2000; k++ {
+			e.Compute(3)
+			e.Branch(7, k%2 == 0)
+			e.Compute(4)
+			issued = k
+			e.Load(privLine(2))
+			returned = k
+		}
+	})
+	before := programCoroutines()
+	res := s.Run(progs)
+	if !res.Aborted || s.Stats().AbortsConflict != 1 {
+		t.Fatalf("want one conflict abort, got %+v", res)
+	}
+	if held < 2 {
+		t.Fatalf("core 2 held %d buffered operations at the abort, want at least 2", held)
+	}
+	if len(ops) != 2 || (ops[0] != "compute" && ops[0] != "branch") || ops[1] != "done" {
+		t.Fatalf("core 2 steps after the abort %v, want one buffered operation and done", ops)
+	}
+	if !unwound || issued != returned+1 {
+		t.Fatalf("program unwound %v, issued load %d, last returned %d; want it unwound at the issued load", unwound, issued, returned)
 	}
 	requireNoLeak(t, before)
 }

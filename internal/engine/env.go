@@ -24,11 +24,14 @@ const (
 	reqAwait
 	reqTxInfo
 	reqDone
+	// reqSync asks for the core's clock after its buffered operations; it
+	// is never stepped (System.stepFused).
+	reqSync
 )
 
 var reqKindNames = [...]string{
 	"load", "store", "compute", "branch", "begin", "commit", "abort",
-	"produce", "consume", "close", "await", "txinfo", "done",
+	"produce", "consume", "close", "await", "txinfo", "done", "sync",
 }
 
 // String is the request's debugger mnemonic (DebugEvent.Op).
@@ -58,6 +61,42 @@ type response struct {
 	abort bool
 }
 
+// fuseCap is how many Compute and Branch operations a core buffers before
+// the next one yields like any other request.
+const fuseCap = 4
+
+// fusedKinds is the set of requests, as a bit mask over reqKind, that return
+// nothing and so may be buffered: Compute (and ComputeValidation) and Branch.
+const fusedKinds = 1<<reqCompute | 1<<reqBranch
+
+// fusedOp is one buffered operation in a compact form: a Compute's cycle
+// count or a Branch's site, with the Compute's profiler tag or the Branch's
+// outcome.
+type fusedOp struct {
+	arg   uint64
+	kind  reqKind
+	tag   prof.Bucket
+	taken bool
+}
+
+// fuse appends the Compute or Branch r to core c's buffer.
+func (c *core) fuse(r request) {
+	op := fusedOp{arg: r.val, kind: r.kind, tag: r.tag}
+	if r.kind == reqBranch {
+		op.arg, op.taken = r.site, r.taken
+	}
+	c.fused[c.nFused] = op
+	c.nFused++
+}
+
+// request is the buffered operation as the request it stands for.
+func (op fusedOp) request() request {
+	if op.kind == reqBranch {
+		return request{kind: reqBranch, site: op.arg, taken: op.taken}
+	}
+	return request{kind: reqCompute, val: op.arg, tag: op.tag}
+}
+
 // Env is a program's handle to its simulated core. The program runs as a
 // coroutine of the scheduler (System.Run): each Env method is one request,
 // which the scheduler handles in the global (clock, core ID) order. A request
@@ -65,11 +104,17 @@ type response struct {
 // scheduler and the program stays suspended until it is resumed with the
 // response; a load, store, Compute, Branch or SpecAccessCount issued while
 // the scheduler would pick this core next anyway is handled in place, with
-// no switch (DESIGN.md §11.6). Either way all methods may only be called from
-// inside the program.
+// no switch. A Compute or Branch that cannot be handled in place returns at
+// once: it is buffered on the core, and the scheduler handles it at its turn,
+// before the program's next request that does yield (DESIGN.md §11.6). So the
+// program may run ahead of other cores' earlier events, but never sees their
+// effects early: every value it receives, and its clock (Now), reflect
+// exactly the events before its own in the global order. All methods may
+// only be called from inside the program.
 //
-// When the region aborts, every Env method unwinds the program via an
-// internal panic that the engine recovers; the program's Run call then
+// When the region aborts, the program unwinds via an internal panic that the
+// engine recovers, raised by the Env call it is suspended at (the first one
+// after a buffered operation that meets the abort); the program's Run call then
 // reports the abort, and the caller re-executes from the last committed
 // transaction. This is the software-visible analogue of jumping to the
 // recovery code registered with initMTX (§3.1).
@@ -82,37 +127,56 @@ type Env struct {
 // CoreID returns the simulated core this program runs on.
 func (e *Env) CoreID() int { return e.c.id }
 
-// Now returns the core's current cycle count.
-func (e *Env) Now() int64 { return e.c.time }
+// Now returns the core's current cycle count. With operations buffered, it
+// first waits for the scheduler to handle them.
+func (e *Env) Now() int64 {
+	e.sync()
+	return e.c.time
+}
+
+// sync returns once the core has no buffered operations, so its clock is up
+// to date.
+func (e *Env) sync() {
+	if e.c.nFused != 0 {
+		e.rpc(request{kind: reqSync})
+	}
+}
 
 // runAheadKinds is the set of requests that never park, as a bit mask over
 // reqKind: the ones rpc may handle inline.
 const runAheadKinds = 1<<reqLoad | 1<<reqStore | 1<<reqCompute | 1<<reqBranch | 1<<reqTxInfo
 
 // rpc hands request r to the scheduler and returns its response. When the
-// core is the one the scheduler is resuming (front), no wake scan is due and
-// r cannot park, the scheduler's next pick is decided by one compare: the
-// core's run key against limit. If the core would be picked again, rpc takes
-// the scheduler's place, re-keying the core and handling r inline, so the
-// program keeps running without a coroutine switch. Otherwise it suspends
-// the program with r until the scheduler resumes it, and returns the
+// core is the one the scheduler is resuming (front), no wake scan is due, no
+// operation is buffered and r cannot park, the scheduler's next pick is
+// decided by one compare: the core's run key against limit. If the core would
+// be picked again, rpc takes the scheduler's place, re-keying the core and
+// handling r inline, so the program keeps running without a coroutine switch.
+// Otherwise a Compute or Branch is buffered while there is room, and returns
+// at once. Any other request suspends the program until the scheduler has
+// handled the buffered operations and r and resumes it, and rpc returns the
 // response the scheduler left on the core. A false yield means Run stopped
 // the coroutine mid-program; it unwinds like an abort.
 func (e *Env) rpc(r request) response {
-	if s := e.sys; e.c == s.front && !s.wake && runAheadKinds>>r.kind&1 != 0 {
-		if k := runKey(e.c); k < s.limit {
+	s, c := e.sys, e.c
+	if c == s.front && !s.wake && c.nFused == 0 && runAheadKinds>>r.kind&1 != 0 {
+		if k := runKey(c); k < s.limit {
 			s.runq[0] = k
-			resp, _ := s.step(e.c, r)
+			resp, _ := s.step(c, r)
 			if resp.abort {
 				panic(abortSignal{cause: s.abortCause})
 			}
 			return resp
 		}
 	}
-	if !e.yield(r) || e.c.resp.abort {
-		panic(abortSignal{cause: e.sys.abortCause})
+	if fusedKinds>>r.kind&1 != 0 && c.nFused < fuseCap {
+		c.fuse(r)
+		return response{}
 	}
-	return e.c.resp
+	if !e.yield(r) || c.resp.abort {
+		panic(abortSignal{cause: s.abortCause})
+	}
+	return c.resp
 }
 
 // Load issues a load; inside a transaction it is speculative and validated

@@ -165,9 +165,12 @@ func (s *System) Register(r *obs.Registry) {
 }
 
 // Emit records a software-runtime event (e.g. an SMTX validation span) on
-// this program's core, stamped with the core's current cycle.
+// this program's core, stamped with the core's current cycle. Like Now, it
+// first waits for the core's buffered operations, so the event lands after
+// them in the stream.
 func (e *Env) Emit(ev obs.Event) {
 	if ins := e.sys.ins; ins.Enabled() {
+		e.sync()
 		ins.OnEmit(e.c.time, e.c.id, ev)
 	}
 }

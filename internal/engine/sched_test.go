@@ -307,6 +307,53 @@ var schedCases = []schedCase{
 			return [][]Program{progs}
 		},
 	},
+	{
+		// Sixty-four cores with close clocks read four shared lines
+		// between runs of zero to five Compute and Branch operations,
+		// whose mispredictions issue wrong-path loads. In the first run
+		// every transaction also writes one of four shared lines, until
+		// an out-of-order write conflicts and aborts the run while most
+		// cores hold such runs; the second run commits all 128
+		// transactions, which cross a VID epoch, so begins park as well
+		// as commits.
+		name: "many64", cores: 64,
+		want: "234cd734aece5e3486ac3c4b91a8f4d74a915437c257fbfbe6bb70edbb53e83d",
+		runs: func(note func(*Env, string)) [][]Program {
+			const sharedR, sharedW = memsys.Addr(0x9000), memsys.Addr(0xa000)
+			progs := func(sharedWrites bool) []Program {
+				ps := make([]Program, 64)
+				for i := range ps {
+					i := i
+					ps[i] = func(e *Env) {
+						for r := 0; r < 2; r++ {
+							seq := vid.Seq(r*64 + i + 1)
+							e.Begin(seq)
+							for k := 0; k < 6; k++ {
+								x := uint64(i*31 + r*17 + k*7)
+								e.Load(sharedR + memsys.Addr(x%4*memsys.LineSize))
+								for j := uint64(0); j < x%6; j++ {
+									if (x+j)%2 == 0 {
+										e.Compute(int64(1 + (x+j)%5))
+									} else {
+										e.Branch(uint64(i%8), (x*j)%3 != 0)
+									}
+								}
+								e.Load(privLine(i) + memsys.Addr(k%2*memsys.LineSize))
+							}
+							if sharedWrites {
+								e.Store(sharedW+memsys.Addr(i%4*memsys.LineSize), uint64(seq))
+							}
+							e.Store(privLine(i), uint64(seq))
+							e.Commit(seq)
+							note(e, fmt.Sprintf("commit %d", seq))
+						}
+					}
+				}
+				return ps
+			}
+			return [][]Program{progs(true), progs(false)}
+		},
+	},
 }
 
 // TestScheduleOrderGolden pins the scheduler's pick and wake order: the
@@ -503,10 +550,11 @@ func codeOrderRuns(at func(e *Env)) [][]Program {
 // code runs between their Env calls, which program code that shares Go state
 // with other programs (the hmtx driver's exit flags, the SMTX runtime) can
 // observe. The log is (core, op index) before every Env call, plus each
-// RunResult; the digest was recorded before Env calls could be handled
-// without a coroutine switch (DESIGN.md §11.6).
+// RunResult. Run-ahead dispatch left the order as it was; op fusion moves it
+// by design, since a program runs on past its buffered Computes and Branches
+// (DESIGN.md §11.6), and the digest was recorded with op fusion in place.
 func TestProgramCodeOrderGolden(t *testing.T) {
-	const want = "9ef83819c1d30ebf7d5b1851a454b5efc976ab6d521d0e5203bb70f886de665c"
+	const want = "d0bfba4bde50c2db560ebd5e45bb802c7a82f0c3c7383f6500e2891d4af9737a"
 	cfg := DefaultConfig()
 	cfg.Mem.Cores = 6
 	cfg.QueueCap = 2

@@ -79,6 +79,12 @@ type core struct {
 	time   int64
 	finish int64
 	done   bool
+	parked parkKind
+
+	// fused holds the core's buffered Compute and Branch operations, in
+	// issue order: fused[fusedAt:nFused] are still to be stepped, all
+	// before pendingReq (DESIGN.md §11.6).
+	nFused, fusedAt uint8
 
 	// next resumes the program's coroutine until its next request; stop
 	// ends it. resp is the response the resumed program reads.
@@ -86,13 +92,12 @@ type core struct {
 	stop func()
 	resp response
 
-	parked    parkKind
-	parkedReq request
-	parkedAt  int64 // core clock when it parked (commit-stall accounting)
+	parkedAt int64 // core clock when it parked (commit-stall accounting)
 
 	// pendingReq is the core's next request, yielded by the program when
-	// the scheduler last resumed it. A program runs only inside resume, so
-	// no two programs ever execute at once.
+	// the scheduler last resumed it; a parked core's request stays here
+	// until it is woken. A program runs only inside resume, so no two
+	// programs ever execute at once.
 	pendingReq request
 
 	curSeq vid.Seq
@@ -107,6 +112,8 @@ type core struct {
 	// Recently touched addresses, the pool wrong-path loads draw from.
 	recent  [16]memsys.Addr
 	recentN int
+
+	fused [fuseCap]fusedOp
 }
 
 func (c *core) pushRecent(a memsys.Addr) {
@@ -236,6 +243,7 @@ func (s *System) Run(programs []Program) RunResult {
 	for _, c := range live {
 		c.time, c.finish, c.done, c.parked, c.curSeq = 0, 0, false, parkNone, 0
 		c.curTx = nil
+		c.nFused, c.fusedAt = 0, 0 // a panic that surfaced from the last Run left them
 	}
 	// Each program is a coroutine, started in core order and run up to its
 	// first request. A program runs only while the scheduler resumes it, so
@@ -295,7 +303,10 @@ func (s *System) Run(programs []Program) RunResult {
 // only after an event that can wake one, so a scan that would wake nobody is
 // never made. While the root core's program runs, Env.rpc handles its further
 // events inline for as long as this loop would pick the same core next (front
-// and limit); the loop sees the first event that could change the pick.
+// and limit); the loop sees the first event that could change the pick. A
+// core that holds buffered operations has them stepped one per turn before
+// its pending request, and its program is not resumed until they are all
+// done.
 func (s *System) runSerial(live []*core) {
 	s.runq = s.runq[:0]
 	for _, c := range live {
@@ -307,7 +318,9 @@ func (s *System) runSerial(live []*core) {
 		}
 		c := s.cores[s.runq[0]&runKeyCore]
 		s.front, s.limit = c, s.rootLimit()
-		if resp, ok := s.step(c, c.pendingReq); ok {
+		if c.fusedAt < c.nFused {
+			s.stepFused(c)
+		} else if resp, ok := s.step(c, c.pendingReq); ok {
 			s.resume(c, resp)
 		}
 		s.front = nil
@@ -320,6 +333,31 @@ func (s *System) runSerial(live []*core) {
 		if s.wake {
 			s.retryParked(live)
 			s.wake = false
+		}
+	}
+}
+
+// stepFused steps the oldest of core c's buffered operations. The program is
+// suspended at a later request, so it is resumed only when that request needs
+// no step of its own: a sync after the last buffered operation, which hands
+// the program its up-to-date clock, or an abort, which discards the rest of
+// the buffer and unwinds the program at the request it is suspended at. A
+// program that already yielded reqDone is not resumed; the abort finds it
+// finished.
+func (s *System) stepFused(c *core) {
+	op := c.fused[c.fusedAt]
+	c.fusedAt++
+	resp, _ := s.step(c, op.request())
+	switch {
+	case resp.abort:
+		c.nFused, c.fusedAt = 0, 0
+		if c.pendingReq.kind != reqDone {
+			s.resume(c, resp)
+		}
+	case c.fusedAt == c.nFused:
+		c.nFused, c.fusedAt = 0, 0
+		if c.pendingReq.kind == reqSync {
+			s.resume(c, resp)
 		}
 	}
 }
@@ -529,7 +567,7 @@ func (s *System) step(c *core, r request) (resp response, ok bool) {
 
 	case reqCommit:
 		if r.seq != s.lastCommitted+1 {
-			s.park(c, parkCommit, r)
+			s.park(c, parkCommit)
 			return resp, false
 		}
 		// The commit proceeded without parking: zero arbitration stall,
@@ -546,7 +584,7 @@ func (s *System) step(c *core, r request) (resp response, ok bool) {
 	case reqProduce:
 		q := s.queue(r.q)
 		if len(q.items) >= s.cfg.QueueCap {
-			s.park(c, parkProduce, r)
+			s.park(c, parkProduce)
 			return resp, false
 		}
 		s.doProduce(c, r.q, q, r.val)
@@ -555,7 +593,7 @@ func (s *System) step(c *core, r request) (resp response, ok bool) {
 		q := s.queue(r.q)
 		if len(q.items) == 0 {
 			if !q.closed {
-				s.park(c, parkConsume, r)
+				s.park(c, parkConsume)
 				return resp, false
 			}
 			break // closed and drained: ok == false
@@ -572,7 +610,7 @@ func (s *System) step(c *core, r request) (resp response, ok bool) {
 
 	case reqAwait:
 		if s.lastCommitted < r.seq {
-			s.park(c, parkAwait, r)
+			s.park(c, parkAwait)
 			return resp, false
 		}
 
@@ -664,7 +702,7 @@ func (s *System) begin(c *core, r request) bool {
 			// stall the paper's VID-width trade-off is about.
 			firstOfEpoch := vid.Seq(needEpoch * s.cfg.Mem.VIDSpace.PerEpoch())
 			if s.lastCommitted < firstOfEpoch {
-				s.park(c, parkEpoch, r)
+				s.park(c, parkEpoch)
 				return false
 			}
 			res := s.Mem.VIDReset()
@@ -849,7 +887,7 @@ func (s *System) unpark(c *core) (resp response, ok bool) {
 	if s.aborting {
 		return response{abort: true}, true
 	}
-	r := &c.parkedReq
+	r := &c.pendingReq
 	switch c.parked {
 	case parkConsume:
 		q := s.queue(r.q)
@@ -898,12 +936,12 @@ func (s *System) waitLastCommit(c *core, seq vid.Seq) {
 	}
 }
 
-func (s *System) park(c *core, k parkKind, r request) {
+// park suspends core c on its pending request until unpark completes it.
+func (s *System) park(c *core, k parkKind) {
 	c.parked = k
-	c.parkedReq = r
 	c.parkedAt = c.time
 	if k == parkCommit && s.ins.Enabled() {
-		s.ins.OnTx(obs.KCommitStall, c.time, c.id, uint64(r.seq), "")
+		s.ins.OnTx(obs.KCommitStall, c.time, c.id, uint64(c.pendingReq.seq), "")
 	}
 }
 
