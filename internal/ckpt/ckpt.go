@@ -181,10 +181,10 @@ func RestoreRun(doc *Doc) (*engine.System, error) {
 	if err := sys.RestoreInstr(rs.Ckpt); err != nil {
 		return nil, err
 	}
-	if err := sys.RestoreCkpt(rs.Engine); err != nil {
+	if err := sys.Mem.RestoreExact(rs.Mem); err != nil {
 		return nil, err
 	}
-	if err := sys.Mem.RestoreExact(rs.Mem); err != nil {
+	if err := sys.RestoreCkpt(rs.Engine); err != nil {
 		return nil, err
 	}
 	return sys, nil

@@ -61,20 +61,25 @@ func (c *countingSource) fastForward(draws uint64) {
 }
 
 // maxDraws bounds the RNG draws of a machine that has mispredicted
-// mispredicts times. Only a misprediction's wrong-path loads draw: two Intn
-// calls each, over at most 16 values, where Int31n's rejection sampling
-// redraws with probability below 2^-27. Twice the two draws per load is
-// headroom no run reaches; a count above it is corrupt, and replaying it
-// one draw at a time could take days.
-func maxDraws(mispredicts uint64, wrongPathLoads int) uint64 {
-	if wrongPathLoads <= 0 {
+// mispredicts times, issuing at most perBranch wrong-path loads each, and
+// whose memory system counted wrongPathLoads of them. Only wrong-path loads
+// draw: two Intn calls each, over at most 16 values, where Int31n's
+// rejection sampling redraws with probability below 2^-27. Twice the two
+// draws per load is headroom no run reaches; a count above it is corrupt,
+// and replaying it one draw at a time could take days. The two load counts
+// come from separately encoded sections of a checkpoint, so the lesser
+// holds unless both are corrupt.
+func maxDraws(mispredicts uint64, perBranch int, wrongPathLoads uint64) uint64 {
+	if perBranch <= 0 {
 		return 0
 	}
-	hi, lo := bits.Mul64(mispredicts, uint64(wrongPathLoads))
-	if hi != 0 || lo > math.MaxUint64/4 {
+	if hi, lo := bits.Mul64(mispredicts, uint64(perBranch)); hi == 0 {
+		wrongPathLoads = min(wrongPathLoads, lo)
+	}
+	if wrongPathLoads > math.MaxUint64/4 {
 		return math.MaxUint64
 	}
-	return 4 * lo
+	return 4 * wrongPathLoads
 }
 
 // CoreCkpt is the persistent state of one simulated core: the branch
@@ -131,9 +136,11 @@ func (s *System) CaptureCkpt() Ckpt {
 		if c.parked != parkNone {
 			panic("engine: CaptureCkpt with a parked core")
 		}
-		if c.nFused != 0 {
-			// Buffered operations have not happened yet: the captured
-			// clocks, statistics and memory would predate them.
+		if c.opAt+1 < c.nOps {
+			// Operations queued ahead of the program's last request
+			// have not happened yet: the captured clocks, statistics
+			// and memory would predate them. A finished core's queue
+			// ends at its stepped reqDone.
 			panic("engine: CaptureCkpt with buffered operations")
 		}
 		cc := CoreCkpt{RecentN: c.recentN}
@@ -185,8 +192,9 @@ func sortedAddrs(m map[memsys.Addr]struct{}) []uint64 {
 
 // RestoreCkpt overwrites the persistent engine state with a checkpoint. The
 // System must be freshly built by New with the same Config (in particular
-// the same Seed and core count) and must not have run yet; the memory
-// hierarchy is restored separately via Mem.RestoreExact.
+// the same Seed and core count) and must not have run yet. Its memory
+// hierarchy must already be restored, via Mem.RestoreExact: the RNG
+// position is checked against the wrong-path loads its statistics count.
 func (s *System) RestoreCkpt(ck Ckpt) error {
 	if len(ck.Cores) != len(s.cores) {
 		return fmt.Errorf("engine: checkpoint has %d cores, machine has %d", len(ck.Cores), len(s.cores))
@@ -194,9 +202,10 @@ func (s *System) RestoreCkpt(ck Ckpt) error {
 	if s.rngSrc.draws > 0 || s.cumCycles != 0 {
 		return fmt.Errorf("engine: RestoreCkpt on a system that already ran")
 	}
-	if bound := maxDraws(ck.Stats.Mispredicts, s.cfg.WrongPathLoads); ck.RNGDraws > bound {
-		return fmt.Errorf("engine: checkpoint records %d RNG draws, more than %d mispredictions can make (at most %d)",
-			ck.RNGDraws, ck.Stats.Mispredicts, bound)
+	wpl := s.Mem.Stats().WrongPathLoads
+	if bound := maxDraws(ck.Stats.Mispredicts, s.cfg.WrongPathLoads, wpl); ck.RNGDraws > bound {
+		return fmt.Errorf("engine: checkpoint records %d RNG draws, more than %d mispredictions and %d wrong-path loads can make (at most %d)",
+			ck.RNGDraws, ck.Stats.Mispredicts, wpl, bound)
 	}
 	s.stats = ck.Stats
 	s.lastCommitted = vid.Seq(ck.LastCommitted)

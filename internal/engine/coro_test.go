@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"hmtx/internal/memsys"
 	"hmtx/internal/vid"
@@ -228,8 +229,7 @@ func TestFusedAbortUnwinds(t *testing.T) {
 	s.SetDebugHook(func(ev DebugEvent) {
 		switch {
 		case ev.Core == 1 && ev.Op == "store":
-			c := s.cores[2]
-			held = int(c.nFused - c.fusedAt)
+			held = buffered(s.cores[2])
 			ops = []string{}
 		case ev.Core == 2 && ops != nil:
 			ops = append(ops, ev.Op)
@@ -262,6 +262,72 @@ func TestFusedAbortUnwinds(t *testing.T) {
 		t.Fatalf("program unwound %v, issued load %d, last returned %d; want it unwound at the issued load", unwound, issued, returned)
 	}
 	requireNoLeak(t, before)
+}
+
+// TestFusedAbortAfterDone: when another core's conflict abort lands on a
+// buffered operation of a core whose program already finished, the
+// scheduler steps that one operation, drops the rest and steps the core's
+// reqDone next; the finished program is never resumed. Core 2's load misses
+// and leaves its clock past core 1's, so it buffers its last two Computes
+// behind its reqDone while core 1's store, handled inline, aborts the run.
+// The hook bounds the run: resuming the finished coroutine would step its
+// zero request, a load, without end.
+func TestFusedAbortAfterDone(t *testing.T) {
+	s := newSys()
+	var ops []string // core 2's steps from the aborting store on
+	held, queued, events := 0, "", 0
+	s.SetDebugHook(func(ev DebugEvent) {
+		if events++; events > 1000 {
+			panic("engine steps without end")
+		}
+		switch {
+		case ev.Core == 1 && ev.Op == "store":
+			c := s.cores[2]
+			held, queued = buffered(c), c.ops[c.nOps-1].kind.String()
+			ops = []string{}
+		case ev.Core == 2 && ops != nil:
+			ops = append(ops, ev.Op)
+		}
+	})
+	progs := append(conflictingPair(), func(e *Env) {
+		e.Compute(4990)
+		e.Load(privLine(2))
+		e.Compute(1)
+		e.Compute(1)
+	})
+	before := programCoroutines()
+	var res RunResult
+	if p := func() (p any) {
+		defer func() { p = recover() }()
+		res = s.Run(progs)
+		return nil
+	}(); p != nil {
+		t.Fatalf("Run panicked: %v", p)
+	}
+	if !res.Aborted || s.Stats().AbortsConflict != 1 {
+		t.Fatalf("want one conflict abort, got %+v", res)
+	}
+	if held != 2 || queued != "done" {
+		t.Fatalf("core 2 held %d buffered operations before %q at the abort, want 2 before done", held, queued)
+	}
+	if len(ops) != 2 || ops[0] != "compute" || ops[1] != "done" {
+		t.Fatalf("core 2 steps after the abort %v, want one compute and done", ops)
+	}
+	requireNoLeak(t, before)
+}
+
+// TestCoreSizeClass pins the sizes that keep a core in Go's 352-byte
+// allocation size class: every System allocates one core per simulated
+// core, so a core that outgrows the class raises manycore's alloc_mb. The
+// request queue is fuseCap+1 requests of 24 bytes, the 120 bytes the
+// pending request and the op-fusion buffer took before they were one queue.
+func TestCoreSizeClass(t *testing.T) {
+	if n := unsafe.Sizeof(request{}); n > 24 {
+		t.Errorf("request is %d bytes, want at most 24", n)
+	}
+	if n := unsafe.Sizeof(core{}); n > 352 {
+		t.Errorf("core is %d bytes, want at most 352", n)
+	}
 }
 
 // TestInlineConflictAbortUnwinds: a store handled inline that violates a

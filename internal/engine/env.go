@@ -25,7 +25,7 @@ const (
 	reqTxInfo
 	reqDone
 	// reqSync asks for the core's clock after its buffered operations; it
-	// is never stepped (System.stepFused).
+	// is never stepped (System.stepOp).
 	reqSync
 )
 
@@ -42,18 +42,22 @@ func (k reqKind) String() string {
 	return fmt.Sprintf("req(%d)", int(k))
 }
 
+// request is one Env call as the scheduler sees it. arg is the call's
+// address (load, store), branch site, sequence number (begin, commit, abort,
+// await) or queue ID (produce, consume, close); val is the value a store or
+// produce writes, or a Compute's cycle count.
 type request struct {
-	kind  reqKind
-	addr  memsys.Addr
-	val   uint64
-	seq   vid.Seq
-	q     int
-	site  uint64
-	taken bool
+	kind reqKind
 	// tag is the profiler bucket for reqCompute work; the zero value is
 	// prof.Compute, so only overhead charges (ComputeValidation) set it.
-	tag prof.Bucket
+	tag   prof.Bucket
+	taken bool
+	arg   uint64
+	val   uint64
 }
+
+func (r request) seq() vid.Seq { return vid.Seq(r.arg) }
+func (r request) q() int       { return int(r.arg) }
 
 type response struct {
 	val   uint64
@@ -69,34 +73,6 @@ const fuseCap = 4
 // nothing and so may be buffered: Compute (and ComputeValidation) and Branch.
 const fusedKinds = 1<<reqCompute | 1<<reqBranch
 
-// fusedOp is one buffered operation in a compact form: a Compute's cycle
-// count or a Branch's site, with the Compute's profiler tag or the Branch's
-// outcome.
-type fusedOp struct {
-	arg   uint64
-	kind  reqKind
-	tag   prof.Bucket
-	taken bool
-}
-
-// fuse appends the Compute or Branch r to core c's buffer.
-func (c *core) fuse(r request) {
-	op := fusedOp{arg: r.val, kind: r.kind, tag: r.tag}
-	if r.kind == reqBranch {
-		op.arg, op.taken = r.site, r.taken
-	}
-	c.fused[c.nFused] = op
-	c.nFused++
-}
-
-// request is the buffered operation as the request it stands for.
-func (op fusedOp) request() request {
-	if op.kind == reqBranch {
-		return request{kind: reqBranch, site: op.arg, taken: op.taken}
-	}
-	return request{kind: reqCompute, val: op.arg, tag: op.tag}
-}
-
 // Env is a program's handle to its simulated core. The program runs as a
 // coroutine of the scheduler (System.Run): each Env method is one request,
 // which the scheduler handles in the global (clock, core ID) order. A request
@@ -105,8 +81,8 @@ func (op fusedOp) request() request {
 // response; a load, store, Compute, Branch or SpecAccessCount issued while
 // the scheduler would pick this core next anyway is handled in place, with
 // no switch. A Compute or Branch that cannot be handled in place returns at
-// once: it is buffered on the core, and the scheduler handles it at its turn,
-// before the program's next request that does yield (DESIGN.md §11.6). So the
+// once: it joins the core's request queue, and the scheduler handles it at its
+// turn, ahead of the request the program next yields (DESIGN.md §11.6). So the
 // program may run ahead of other cores' earlier events, but never sees their
 // effects early: every value it receives, and its clock (Now), reflect
 // exactly the events before its own in the global order. All methods may
@@ -137,7 +113,7 @@ func (e *Env) Now() int64 {
 // sync returns once the core has no buffered operations, so its clock is up
 // to date.
 func (e *Env) sync() {
-	if e.c.nFused != 0 {
+	if e.c.nOps != 0 {
 		e.rpc(request{kind: reqSync})
 	}
 }
@@ -152,14 +128,16 @@ const runAheadKinds = 1<<reqLoad | 1<<reqStore | 1<<reqCompute | 1<<reqBranch | 
 // decided by one compare: the core's run key against limit. If the core would
 // be picked again, rpc takes the scheduler's place, re-keying the core and
 // handling r inline, so the program keeps running without a coroutine switch.
-// Otherwise a Compute or Branch is buffered while there is room, and returns
-// at once. Any other request suspends the program until the scheduler has
-// handled the buffered operations and r and resumes it, and rpc returns the
-// response the scheduler left on the core. A false yield means Run stopped
-// the coroutine mid-program; it unwinds like an abort.
+// Otherwise a Compute or Branch is appended to the core's queue while it
+// holds fewer than fuseCap, and returns at once. Any other request is yielded:
+// resume appends it to the queue, behind the buffered operations, and the
+// program stays suspended until the scheduler has stepped the queue up to r
+// and resumed it; rpc returns the response the scheduler left on the core. A
+// false yield means Run stopped the coroutine mid-program; it unwinds like an
+// abort.
 func (e *Env) rpc(r request) response {
 	s, c := e.sys, e.c
-	if c == s.front && !s.wake && c.nFused == 0 && runAheadKinds>>r.kind&1 != 0 {
+	if c == s.front && !s.wake && c.nOps == 0 && runAheadKinds>>r.kind&1 != 0 {
 		if k := runKey(c); k < s.limit {
 			s.runq[0] = k
 			resp, _ := s.step(c, r)
@@ -169,8 +147,9 @@ func (e *Env) rpc(r request) response {
 			return resp
 		}
 	}
-	if fusedKinds>>r.kind&1 != 0 && c.nFused < fuseCap {
-		c.fuse(r)
+	if fusedKinds>>r.kind&1 != 0 && c.nOps < fuseCap {
+		c.ops[c.nOps] = r
+		c.nOps++
 		return response{}
 	}
 	if !e.yield(r) || c.resp.abort {
@@ -182,13 +161,13 @@ func (e *Env) rpc(r request) response {
 // Load issues a load; inside a transaction it is speculative and validated
 // by the HMTX system (maximal speculation validation: every load, §6.1).
 func (e *Env) Load(addr memsys.Addr) uint64 {
-	return e.rpc(request{kind: reqLoad, addr: addr}).val
+	return e.rpc(request{kind: reqLoad, arg: addr}).val
 }
 
 // Store issues a store; inside a transaction it creates or updates the
 // transaction's version of the line.
 func (e *Env) Store(addr memsys.Addr, val uint64) {
-	e.rpc(request{kind: reqStore, addr: addr, val: val})
+	e.rpc(request{kind: reqStore, arg: addr, val: val})
 }
 
 // Compute charges n cycles of non-memory work (n instructions at IPC 1).
@@ -214,7 +193,7 @@ func (e *Env) ComputeValidation(n int64) {
 // Branch models a conditional branch at the given site. A misprediction
 // pays the pipeline penalty and issues squashed wrong-path loads (§5.1).
 func (e *Env) Branch(site uint64, taken bool) {
-	e.rpc(request{kind: reqBranch, site: site, taken: taken})
+	e.rpc(request{kind: reqBranch, arg: site, taken: taken})
 }
 
 // Begin executes beginMTX: subsequent memory operations belong to
@@ -222,46 +201,46 @@ func (e *Env) Branch(site uint64, taken bool) {
 // committing, §3.1). Entering a new VID epoch stalls until all earlier
 // transactions commit, then performs the VID reset (§4.6).
 func (e *Env) Begin(seq vid.Seq) {
-	e.rpc(request{kind: reqBegin, seq: seq})
+	e.rpc(request{kind: reqBegin, arg: uint64(seq)})
 }
 
 // Commit executes commitMTX(seq): it blocks until seq-1 has committed
 // (commits must be consecutive, §4.7), then atomically group-commits every
 // speculative modification of the transaction across all caches.
 func (e *Env) Commit(seq vid.Seq) {
-	e.rpc(request{kind: reqCommit, seq: seq})
+	e.rpc(request{kind: reqCommit, arg: uint64(seq)})
 }
 
 // Abort executes abortMTX: it signals software-detected misspeculation
 // (e.g. control-flow misspeculation, §3.2), rolling back every uncommitted
 // transaction. It does not return: the program unwinds.
 func (e *Env) Abort(seq vid.Seq) {
-	e.rpc(request{kind: reqAbortTx, seq: seq})
+	e.rpc(request{kind: reqAbortTx, arg: uint64(seq)})
 	// Unreachable: the rpc always reports the abort and unwinds.
 }
 
 // Produce appends val to queue q (e.g. produceVID in Figure 3); it stalls
 // while the queue is full.
 func (e *Env) Produce(q int, val uint64) {
-	e.rpc(request{kind: reqProduce, q: q, val: val})
+	e.rpc(request{kind: reqProduce, arg: uint64(q), val: val})
 }
 
 // Consume pops the next value from queue q, stalling until one is available.
 // ok is false once the queue is closed and drained.
 func (e *Env) Consume(q int) (val uint64, ok bool) {
-	r := e.rpc(request{kind: reqConsume, q: q})
+	r := e.rpc(request{kind: reqConsume, arg: uint64(q)})
 	return r.val, r.ok
 }
 
 // CloseQueue marks queue q closed; drained consumers observe ok == false.
 func (e *Env) CloseQueue(q int) {
-	e.rpc(request{kind: reqClose, q: q})
+	e.rpc(request{kind: reqClose, arg: uint64(q)})
 }
 
 // AwaitCommitted stalls until transaction seq has committed. The software
 // runtime uses it to bound outstanding speculative state.
 func (e *Env) AwaitCommitted(seq vid.Seq) {
-	e.rpc(request{kind: reqAwait, seq: seq})
+	e.rpc(request{kind: reqAwait, arg: uint64(seq)})
 }
 
 // SpecAccessCount returns the number of speculative memory accesses the

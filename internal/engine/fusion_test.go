@@ -156,6 +156,10 @@ func (m *fzMachine) programs(base vid.Seq, sync bool, loads [][]uint64) []Progra
 	return progs
 }
 
+// buffered is how many Compute and Branch operations core c holds ahead of
+// the request its program is suspended at, counting one being stepped.
+func buffered(c *core) int { return int(c.nOps) - int(c.opAt) - 1 }
+
 // fzOutcome is everything FuzzOpFusion compares, plus held.
 type fzOutcome struct {
 	Events  []DebugEvent
@@ -180,7 +184,7 @@ func runFusion(m fzMachine, sync bool) fzOutcome {
 	s.SetDebugHook(func(ev DebugEvent) {
 		out.Events = append(out.Events, ev)
 		for _, c := range s.cores {
-			out.held = max(out.held, int(c.nFused-c.fusedAt))
+			out.held = max(out.held, buffered(c))
 		}
 	})
 	var base vid.Seq
@@ -380,7 +384,7 @@ func TestNowAndEmitSeeBufferedOps(t *testing.T) {
 		for k := int64(1); k <= 20; k++ {
 			e.Compute(k)
 			want += k
-			if e.c.nFused != 0 {
+			if e.c.nOps != 0 {
 				buffered++
 			}
 			if k%2 == 0 {

@@ -98,9 +98,9 @@ func (s *System) debugEvent(c *core, r request) DebugEvent {
 	}
 	switch r.kind {
 	case reqLoad, reqStore:
-		ev.Addr = memsys.LineAddr(r.addr)
+		ev.Addr = memsys.LineAddr(r.arg)
 	case reqBegin, reqCommit, reqAbortTx, reqAwait:
-		ev.Seq = r.seq
+		ev.Seq = r.seq()
 	}
 	return ev
 }

@@ -81,10 +81,13 @@ type core struct {
 	done   bool
 	parked parkKind
 
-	// fused holds the core's buffered Compute and Branch operations, in
-	// issue order: fused[fusedAt:nFused] are still to be stepped, all
-	// before pendingReq (DESIGN.md §11.6).
-	nFused, fusedAt uint8
+	// ops[opAt:nOps] is the core's request queue, in issue order
+	// (DESIGN.md §11.6): the Compute and Branch operations its program
+	// buffered, then the request the program is suspended at, which a
+	// parked core keeps at ops[opAt] until it is woken. While the program
+	// runs, ops[:nOps] holds only what it has buffered so far. A program
+	// runs only inside resume, so no two programs ever execute at once.
+	opAt, nOps uint8
 
 	// next resumes the program's coroutine until its next request; stop
 	// ends it. resp is the response the resumed program reads.
@@ -93,12 +96,6 @@ type core struct {
 	resp response
 
 	parkedAt int64 // core clock when it parked (commit-stall accounting)
-
-	// pendingReq is the core's next request, yielded by the program when
-	// the scheduler last resumed it; a parked core's request stays here
-	// until it is woken. A program runs only inside resume, so no two
-	// programs ever execute at once.
-	pendingReq request
 
 	curSeq vid.Seq
 	// curTx caches the txStats of curSeq for txInfo. It is set at beginMTX
@@ -113,7 +110,7 @@ type core struct {
 	recent  [16]memsys.Addr
 	recentN int
 
-	fused [fuseCap]fusedOp
+	ops [fuseCap + 1]request
 }
 
 func (c *core) pushRecent(a memsys.Addr) {
@@ -243,7 +240,6 @@ func (s *System) Run(programs []Program) RunResult {
 	for _, c := range live {
 		c.time, c.finish, c.done, c.parked, c.curSeq = 0, 0, false, parkNone, 0
 		c.curTx = nil
-		c.nFused, c.fusedAt = 0, 0 // a panic that surfaced from the last Run left them
 	}
 	// Each program is a coroutine, started in core order and run up to its
 	// first request. A program runs only while the scheduler resumes it, so
@@ -303,10 +299,8 @@ func (s *System) Run(programs []Program) RunResult {
 // only after an event that can wake one, so a scan that would wake nobody is
 // never made. While the root core's program runs, Env.rpc handles its further
 // events inline for as long as this loop would pick the same core next (front
-// and limit); the loop sees the first event that could change the pick. A
-// core that holds buffered operations has them stepped one per turn before
-// its pending request, and its program is not resumed until they are all
-// done.
+// and limit); the loop sees the first event that could change the pick.
+// Every other event is the head of the root core's request queue (stepOp).
 func (s *System) runSerial(live []*core) {
 	s.runq = s.runq[:0]
 	for _, c := range live {
@@ -318,11 +312,7 @@ func (s *System) runSerial(live []*core) {
 		}
 		c := s.cores[s.runq[0]&runKeyCore]
 		s.front, s.limit = c, s.rootLimit()
-		if c.fusedAt < c.nFused {
-			s.stepFused(c)
-		} else if resp, ok := s.step(c, c.pendingReq); ok {
-			s.resume(c, resp)
-		}
+		s.stepOp(c)
 		s.front = nil
 		if c.done || c.parked != parkNone {
 			s.popRunnable()
@@ -337,28 +327,25 @@ func (s *System) runSerial(live []*core) {
 	}
 }
 
-// stepFused steps the oldest of core c's buffered operations. The program is
-// suspended at a later request, so it is resumed only when that request needs
-// no step of its own: a sync after the last buffered operation, which hands
-// the program its up-to-date clock, or an abort, which discards the rest of
-// the buffer and unwinds the program at the request it is suspended at. A
-// program that already yielded reqDone is not resumed; the abort finds it
-// finished.
-func (s *System) stepFused(c *core) {
-	op := c.fused[c.fusedAt]
-	c.fusedAt++
-	resp, _ := s.step(c, op.request())
-	switch {
-	case resp.abort:
-		c.nFused, c.fusedAt = 0, 0
-		if c.pendingReq.kind != reqDone {
+// stepOp steps the head of core c's request queue. The program is suspended
+// at the queue's last request, so it is resumed after that request's step,
+// unless the core parked (the request stays at the head) or finished; or
+// earlier, when that request needs no step of its own: a sync after the last
+// buffered operation, or an abort, which discards the rest of the queue and
+// unwinds the program at its request. A finished program is not resumed:
+// after an abort, its reqDone is stepped next.
+func (s *System) stepOp(c *core) {
+	resp, ok := s.step(c, c.ops[c.opAt])
+	switch last := c.nOps - 1; {
+	case resp.abort && c.ops[last].kind == reqDone:
+		c.opAt = last
+	case c.opAt < last && !resp.abort:
+		c.opAt++
+		if c.ops[c.opAt].kind == reqSync {
 			s.resume(c, resp)
 		}
-	case c.fusedAt == c.nFused:
-		c.nFused, c.fusedAt = 0, 0
-		if c.pendingReq.kind == reqSync {
-			s.resume(c, resp)
-		}
+	case ok:
+		s.resume(c, resp)
 	}
 }
 
@@ -375,13 +362,17 @@ func (s *System) rootLimit() uint64 {
 }
 
 // resume hands resp to core c's program and runs the program, on the calling
-// goroutine, up to its next request that rpc cannot handle inline: one
-// coroutine switch there and one back.
+// goroutine, up to its next request that rpc cannot handle inline or buffer:
+// one coroutine switch there and one back. The program starts on an empty
+// queue, and the request it yields joins the queue behind what it buffered.
 // Every program ends by yielding reqDone and is never resumed after it, so
 // the coroutine always has a next request.
 func (s *System) resume(c *core, resp response) {
 	c.resp = resp
-	c.pendingReq, _ = c.next()
+	c.opAt, c.nOps = 0, 0
+	r, _ := c.next()
+	c.ops[c.nOps] = r
+	c.nOps++
 }
 
 // runKeyCore masks the core ID out of a run key. memsys caps a machine at 255
@@ -536,16 +527,16 @@ func (s *System) step(c *core, r request) (resp response, ok bool) {
 		busBefore := s.Mem.Stats().BusMessages
 		var res memsys.Result
 		if r.kind == reqLoad {
-			resp.val, res = s.Mem.Load(c.id, r.addr, hw)
+			resp.val, res = s.Mem.Load(c.id, r.arg, hw)
 		} else {
-			res = s.Mem.Store(c.id, r.addr, r.val, hw)
+			res = s.Mem.Store(c.id, r.arg, r.val, hw)
 		}
 		busWait := s.charge(c, res.Lat, s.Mem.Stats().BusMessages-busBefore)
 		s.stats.Instructions++
 		if s.ins.Enabled() {
-			s.ins.OnAccess(c.id, uint64(c.curSeq), busWait, srcBucket[res.Src], res.Lat, memsys.LineAddr(r.addr))
+			s.ins.OnAccess(c.id, uint64(c.curSeq), busWait, srcBucket[res.Src], res.Lat, memsys.LineAddr(r.arg))
 		}
-		c.pushRecent(r.addr)
+		c.pushRecent(r.arg)
 		if res.Conflict {
 			s.triggerAbort(res.Cause, c)
 			return response{abort: true}, true
@@ -566,31 +557,31 @@ func (s *System) step(c *core, r request) (resp response, ok bool) {
 		}
 
 	case reqCommit:
-		if r.seq != s.lastCommitted+1 {
+		if r.seq() != s.lastCommitted+1 {
 			s.park(c, parkCommit)
 			return resp, false
 		}
 		// The commit proceeded without parking: zero arbitration stall,
 		// recorded so the percentiles cover every commit.
-		s.doCommit(c, r.seq, 0, false)
+		s.doCommit(c, r.seq(), 0, false)
 
 	case reqAbortTx:
 		if s.ins.Enabled() {
-			s.ins.OnExplicitAbort(uint64(r.seq))
+			s.ins.OnExplicitAbort(uint64(r.seq()))
 		}
-		s.triggerAbort(fmt.Sprintf("explicit abortMTX by core %d (seq %d)", c.id, r.seq), c)
+		s.triggerAbort(fmt.Sprintf("explicit abortMTX by core %d (seq %d)", c.id, r.seq()), c)
 		return response{abort: true}, true
 
 	case reqProduce:
-		q := s.queue(r.q)
+		q := s.queue(r.q())
 		if len(q.items) >= s.cfg.QueueCap {
 			s.park(c, parkProduce)
 			return resp, false
 		}
-		s.doProduce(c, r.q, q, r.val)
+		s.doProduce(c, r.q(), q, r.val)
 
 	case reqConsume:
-		q := s.queue(r.q)
+		q := s.queue(r.q())
 		if len(q.items) == 0 {
 			if !q.closed {
 				s.park(c, parkConsume)
@@ -598,18 +589,18 @@ func (s *System) step(c *core, r request) (resp response, ok bool) {
 			}
 			break // closed and drained: ok == false
 		}
-		resp.val, resp.ok = s.doConsume(c, r.q, q), true
+		resp.val, resp.ok = s.doConsume(c, r.q(), q), true
 
 	case reqClose:
-		s.queue(r.q).closed = true
+		s.queue(r.q()).closed = true
 		s.wake = true // drained consumers now see ok == false
 		s.advance(c, c.curSeq, prof.Compute, s.cfg.QueueOpCost)
 		if s.ins.Enabled() {
-			s.ins.OnQueue(c.time, c.id, obs.KQueueClose, r.q)
+			s.ins.OnQueue(c.time, c.id, obs.KQueueClose, r.q())
 		}
 
 	case reqAwait:
-		if s.lastCommitted < r.seq {
+		if s.lastCommitted < r.seq() {
 			s.park(c, parkAwait)
 			return resp, false
 		}
@@ -694,8 +685,8 @@ func (s *System) doConsume(c *core, id int, q *queue) uint64 {
 // begin executes beginMTX(seq). It returns false if the core parked waiting
 // for outstanding commits before a VID reset (§4.6).
 func (s *System) begin(c *core, r request) bool {
-	if r.seq != 0 {
-		needEpoch := s.cfg.Mem.VIDSpace.Epoch(r.seq)
+	if r.seq() != 0 {
+		needEpoch := s.cfg.Mem.VIDSpace.Epoch(r.seq())
 		if cur := s.Mem.CurrentEpoch(); needEpoch > cur {
 			// All transactions of earlier epochs must commit before
 			// the VID space can be reset; this is the pipeline
@@ -711,18 +702,18 @@ func (s *System) begin(c *core, r request) bool {
 			s.advance(c, 0, prof.CommitStall, res.Lat)
 		}
 	}
-	c.curSeq = r.seq
+	c.curSeq = r.seq()
 	c.curTx = nil
-	s.advance(c, r.seq, prof.Compute, 1) // the beginMTX instruction itself
+	s.advance(c, r.seq(), prof.Compute, 1) // the beginMTX instruction itself
 	s.stats.Instructions++
-	if r.seq != 0 {
-		t := s.tx(r.seq)
+	if r.seq() != 0 {
+		t := s.tx(r.seq())
 		c.curTx = t
 		if !t.begun {
 			t.begun, t.beginAt = true, c.time
 		}
 		if s.ins.Enabled() {
-			s.ins.OnTx(obs.KTxBegin, c.time, c.id, uint64(r.seq), "")
+			s.ins.OnTx(obs.KTxBegin, c.time, c.id, uint64(r.seq()), "")
 		}
 	}
 	return true
@@ -783,7 +774,7 @@ func (s *System) branch(c *core, r request) bool {
 	s.stats.Branches++
 	s.stats.Instructions++
 	s.advance(c, c.curSeq, prof.Compute, 1)
-	ctr := c.pred[r.site]
+	ctr := c.pred[r.arg]
 	predictTaken := ctr >= 2
 	if predictTaken != r.taken {
 		s.stats.Mispredicts++
@@ -818,9 +809,9 @@ func (s *System) branch(c *core, r request) bool {
 	}
 	// 2-bit saturating update.
 	if r.taken && ctr < 3 {
-		c.pred[r.site] = ctr + 1
+		c.pred[r.arg] = ctr + 1
 	} else if !r.taken && ctr > 0 {
-		c.pred[r.site] = ctr - 1
+		c.pred[r.arg] = ctr - 1
 	}
 	return true
 }
@@ -887,38 +878,38 @@ func (s *System) unpark(c *core) (resp response, ok bool) {
 	if s.aborting {
 		return response{abort: true}, true
 	}
-	r := &c.pendingReq
+	r := &c.ops[c.opAt]
 	switch c.parked {
 	case parkConsume:
-		q := s.queue(r.q)
+		q := s.queue(r.q())
 		if len(q.items) == 0 {
 			return resp, q.closed // closed and drained: ok == false
 		}
-		resp.val, resp.ok = s.doConsume(c, r.q, q), true
+		resp.val, resp.ok = s.doConsume(c, r.q(), q), true
 	case parkProduce:
-		q := s.queue(r.q)
+		q := s.queue(r.q())
 		if len(q.items) >= s.cfg.QueueCap {
 			return resp, false
 		}
 		if q.lastPopTime > c.time {
 			s.advance(c, c.curSeq, prof.QueueWait, q.lastPopTime-c.time)
 		}
-		s.doProduce(c, r.q, q, r.val)
+		s.doProduce(c, r.q(), q, r.val)
 	case parkCommit:
-		if r.seq != s.lastCommitted+1 {
+		if r.seq() != s.lastCommitted+1 {
 			return resp, false
 		}
-		s.waitLastCommit(c, r.seq)
+		s.waitLastCommit(c, r.seq())
 		stall := max(c.time-c.parkedAt, 0)
 		s.stats.CommitStallCycles += uint64(stall)
-		s.doCommit(c, r.seq, stall, true)
+		s.doCommit(c, r.seq(), stall, true)
 	case parkAwait:
-		if s.lastCommitted < r.seq {
+		if s.lastCommitted < r.seq() {
 			return resp, false
 		}
 		s.waitLastCommit(c, 0)
 	case parkEpoch:
-		needEpoch := s.cfg.Mem.VIDSpace.Epoch(r.seq)
+		needEpoch := s.cfg.Mem.VIDSpace.Epoch(r.seq())
 		if s.lastCommitted < vid.Seq(needEpoch*s.cfg.Mem.VIDSpace.PerEpoch()) {
 			return resp, false
 		}
@@ -936,12 +927,13 @@ func (s *System) waitLastCommit(c *core, seq vid.Seq) {
 	}
 }
 
-// park suspends core c on its pending request until unpark completes it.
+// park suspends core c on the request at the head of its queue until unpark
+// completes it.
 func (s *System) park(c *core, k parkKind) {
 	c.parked = k
 	c.parkedAt = c.time
 	if k == parkCommit && s.ins.Enabled() {
-		s.ins.OnTx(obs.KCommitStall, c.time, c.id, uint64(c.pendingReq.seq), "")
+		s.ins.OnTx(obs.KCommitStall, c.time, c.id, uint64(c.ops[c.opAt].seq()), "")
 	}
 }
 

@@ -11,9 +11,9 @@ const presWords = 5
 // conservative-superset filter.
 type presMask [presWords]uint64
 
-func (m *presMask) set(i int)      { m[i>>6] |= 1 << (i & 63) }
-func (m *presMask) clear(i int)    { m[i>>6] &^= 1 << (i & 63) }
-func (m presMask) has(i int) bool  { return m[i>>6]&(1<<(i&63)) != 0 }
+func (m *presMask) set(i int)     { m[i>>6] |= 1 << (i & 63) }
+func (m *presMask) clear(i int)   { m[i>>6] &^= 1 << (i & 63) }
+func (m presMask) has(i int) bool { return m[i>>6]&(1<<(i&63)) != 0 }
 func (m presMask) empty() bool {
 	for _, w := range m {
 		if w != 0 {
