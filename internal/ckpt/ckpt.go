@@ -34,12 +34,14 @@
 package ckpt
 
 import (
+	"bufio"
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
 	"io"
 	"os"
+	"slices"
 	"strings"
 
 	"hmtx/internal/check"
@@ -256,22 +258,29 @@ func WriteFile(path string, doc *Doc) error {
 
 // Read parses and validates a checkpoint document. The result is what
 // json.Unmarshal of the whole input gives, and every input it rejects is
-// rejected.
+// rejected. A run checkpoint is not held whole: the memory slot's hex is
+// decoded into the blob as it is read (readSplit). A reader with a Len
+// method, such as a *bytes.Reader, gets its blob in one allocation.
 func Read(r io.Reader) (*Doc, error) {
-	var buf bytes.Buffer
-	if _, err := io.Copy(&buf, r); err != nil {
-		return nil, fmt.Errorf("ckpt: %v", err)
+	size := -1
+	if l, ok := r.(interface{ Len() int }); ok {
+		size = l.Len()
 	}
-	return decode(buf.Bytes())
+	return read(r, size, readBuf)
 }
 
 // ReadFile reads the document at path.
 func ReadFile(path string) (*Doc, error) {
-	data, err := os.ReadFile(path)
+	f, err := os.Open(path)
 	if err != nil {
 		return nil, err
 	}
-	doc, err := decode(data)
+	defer f.Close()
+	size := -1
+	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
+		size = int(fi.Size())
+	}
+	doc, err := read(f, size, readBuf)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -300,14 +309,17 @@ type wireCheck struct {
 	FinalState string `json:"final_state"`
 }
 
-// decode parses data and validates the result. The hex digits in the run
-// section's memory slot are decoded straight into the blob, and the rest of
-// the document goes through json.Unmarshal with that string emptied: a
-// 100 MB run checkpoint is a few tens of KB of JSON around its blob. Any
-// other layout is decoded whole.
-func decode(data []byte) (*Doc, error) {
+// readBuf is the read buffer size of Read and ReadFile.
+const readBuf = 64 << 10
+
+// read is Read given the input's length in bytes (or -1 when unknown) and
+// a read buffer size.
+func read(r io.Reader, size, bufSize int) (*Doc, error) {
 	var w wireDoc
-	mem, split := decodeSplit(data, &w)
+	mem, data, split, err := readSplit(r, size, bufSize, &w)
+	if err != nil {
+		return nil, fmt.Errorf("ckpt: %v", err)
+	}
 	if !split {
 		w = wireDoc{}
 		if err := json.Unmarshal(data, &w); err != nil {
@@ -315,7 +327,6 @@ func decode(data []byte) (*Doc, error) {
 		}
 	}
 	doc := &Doc{Schema: w.Schema, Kind: w.Kind, Experiments: w.Experiments}
-	var err error
 	if w.Run != nil {
 		doc.Run = &w.Run.RunState
 		if !split {
@@ -369,30 +380,80 @@ func (doc *Doc) validate() error {
 	return nil
 }
 
-// decodeSplit decodes data into w with its memory slot's hex excised and
-// returns the decoded blob. It reports false when data has no slot, or when
-// the result could differ from json.Unmarshal of the whole input: the input
-// need not be Write's, and a duplicate, case-folded or nested "mem" key
-// could supply Run.Mem instead of the slot. Decoding the rest once more
-// with the slot set to "00" settles that: Run.Mem follows the slot in both
-// decodes only if the slot is its value.
-func decodeSplit(data []byte, w *wireDoc) (Blob, bool) {
-	lo := bytes.Index(data, memSlot)
-	if lo < 0 {
-		return nil, false
+// readSplit reads the input and decodes the hex digits of its memory slot
+// into the blob as they arrive, keeping only the rest of the document: a
+// 100 MB run checkpoint is a few tens of KB of JSON around its blob. It
+// decodes that rest into w with the slot emptied. It reports false, with
+// the whole input in data, when the input has no slot or the result could
+// differ from json.Unmarshal of the whole input: the input need not be
+// Write's, and a duplicate, case-folded or nested "mem" key could supply
+// Run.Mem instead of the slot. Decoding the rest once more with the slot
+// set to "00" settles that: Run.Mem follows the slot in both decodes only
+// if the slot is its value. Only the lowercase digits Write emits are
+// decoded as they stream, so the blob re-encodes to the exact input digits
+// when the input has to be decoded whole.
+func readSplit(r io.Reader, size, bufSize int, w *wireDoc) (blob Blob, data []byte, split bool, err error) {
+	br := bufio.NewReaderSize(r, bufSize)
+	// The input up to the slot's first digit. The slot opens with the
+	// only newline a JSON string cannot hold, so it is looked for after
+	// each line.
+	var head []byte
+	for {
+		line, err := br.ReadSlice('\n')
+		head = append(head, line...)
+		if err == io.EOF {
+			return nil, head, false, nil
+		} else if err == bufio.ErrBufferFull {
+			continue
+		} else if err != nil {
+			return nil, nil, false, err
+		}
+		if p, _ := br.Peek(len(memSlot) - 1); bytes.Equal(p, memSlot[1:]) {
+			head = append(head, p...)
+			br.Discard(len(p))
+			break
+		}
 	}
-	lo += len(memSlot)
-	n := bytes.IndexByte(data[lo:], '"')
-	if n <= 0 {
-		return nil, false
+	lo := len(head)
+	h := hexStream{half: -1}
+	if size > lo {
+		h.blob = make(Blob, 0, (size-lo)/2)
 	}
-	blob := make(Blob, n/2)
-	if decodeHex(blob, data[lo:lo+n]) != nil {
-		return nil, false
+	// The digits up to the closing quote, or to the first byte that is
+	// not a lowercase hex digit.
+	var chunk []byte
+	for {
+		chunk, err = br.ReadSlice('"')
+		if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
+			return nil, nil, false, err
+		}
+		digits := chunk
+		if err == nil {
+			digits = chunk[:len(chunk)-1]
+		}
+		chunk = chunk[h.write(digits):]
+		if len(chunk) > 0 || err == io.EOF {
+			break
+		}
 	}
-	rest := append(data[:lo:lo], data[lo+n:]...)
+	rest := bytes.NewBuffer(append(head, chunk...))
+	if _, err := rest.ReadFrom(br); err != nil {
+		return nil, nil, false, err
+	}
+	data = rest.Bytes()
+	if h.half < 0 && splitRest(data, lo, w) {
+		return nilIfEmpty(h.blob), nil, true, nil
+	}
+	return nil, h.rebuild(data, lo), false, nil
+}
+
+// splitRest decodes rest, the input with the slot's digits cut out at lo,
+// into w and reports whether the slot is the value json.Unmarshal of the
+// whole input gives Run.Mem. That also proves the slot's string closes at
+// lo: a byte there other than its quote would be part of the value.
+func splitRest(rest []byte, lo int, w *wireDoc) bool {
 	if json.Unmarshal(rest, w) != nil || w.Run == nil || w.Run.Mem != "" {
-		return nil, false
+		return false
 	}
 	var probe struct {
 		Run *struct {
@@ -400,10 +461,48 @@ func decodeSplit(data []byte, w *wireDoc) (Blob, bool) {
 		} `json:"run"`
 	}
 	marked := append(append(rest[:lo:lo], "00"...), rest[lo:]...)
-	if json.Unmarshal(marked, &probe) != nil || probe.Run == nil || probe.Run.Mem != "00" {
-		return nil, false
+	return json.Unmarshal(marked, &probe) == nil && probe.Run != nil && probe.Run.Mem == "00"
+}
+
+// hexStream decodes lowercase hex digits into blob as they arrive.
+type hexStream struct {
+	blob Blob
+	half int // the value of an unpaired last digit, or -1
+}
+
+// write decodes p and returns how many of its bytes it took: all of them,
+// unless it meets a byte that is not a lowercase hex digit.
+func (h *hexStream) write(p []byte) int {
+	n := 0
+	if h.half >= 0 && len(p) > 0 {
+		v := unhexLower[p[0]]
+		if v > 0xf {
+			return 0
+		}
+		h.blob = append(h.blob, byte(h.half)<<4|v)
+		h.half, n = -1, 1
 	}
-	return blob, true
+	at, pairs := len(h.blob), (len(p)-n)/2
+	h.blob = slices.Grow(h.blob, pairs)[:at+pairs]
+	k := decodeHex(h.blob[at:], p[n:n+2*pairs])
+	h.blob = h.blob[:at+k/2]
+	if n += k; k == 2*pairs && n < len(p) {
+		if v := unhexLower[p[n]]; v <= 0xf {
+			h.half, n = int(v), n+1
+		}
+	}
+	return n
+}
+
+// rebuild returns the input whose rest, with the digits h took cut out at
+// lo, is rest.
+func (h *hexStream) rebuild(rest []byte, lo int) []byte {
+	data := make([]byte, 0, len(rest)+2*len(h.blob)+1)
+	data = hex.AppendEncode(append(data, rest[:lo]...), h.blob)
+	if h.half >= 0 {
+		data = append(data, hexDigits[h.half])
+	}
+	return append(data, rest[lo:]...)
 }
 
 // Most of a memory blob is zero: the encoding of the cache sets a run never
@@ -411,9 +510,22 @@ func decodeSplit(data []byte, w *wireDoc) (Blob, bool) {
 // one comparison and one copy instead of a table lookup per digit.
 const hexBlock = 64
 
+const hexDigits = "0123456789abcdef"
+
 var (
 	zeroBlock [hexBlock]byte
 	zeroHex   = strings.Repeat("0", 2*hexBlock)
+	// unhexLower maps each lowercase hex digit to its value and every
+	// other byte to 0xff.
+	unhexLower = func() (t [256]byte) {
+		for i := range t {
+			t[i] = 0xff
+		}
+		for i := range len(hexDigits) {
+			t[hexDigits[i]] = byte(i)
+		}
+		return t
+	}()
 )
 
 // encodeHex is hex.Encode with a fast path for zero blocks.
@@ -429,17 +541,25 @@ func encodeHex(dst, src []byte) {
 	hex.Encode(dst, src)
 }
 
-// decodeHex is hex.Decode into a zeroed dst of len(src)/2 bytes, with a
-// fast path for zero blocks.
-func decodeHex(dst, src []byte) error {
-	for len(src) >= 2*hexBlock {
-		if string(src[:2*hexBlock]) != zeroHex {
-			if _, err := hex.Decode(dst[:hexBlock], src[:2*hexBlock]); err != nil {
-				return err
-			}
+// decodeHex decodes the pairs of lowercase hex digits in src into dst, which
+// holds len(src)/2 bytes, up to the first pair that is not one. It returns
+// how many digits it decoded, an even number, with a fast path for zero
+// blocks.
+func decodeHex(dst, src []byte) int {
+	n, end := 0, len(src)&^1
+	for n < end {
+		if end-n >= 2*hexBlock && string(src[n:n+2*hexBlock]) == zeroHex {
+			clear(dst[n/2 : n/2+hexBlock])
+			n += 2 * hexBlock
+			continue
 		}
-		dst, src = dst[hexBlock:], src[2*hexBlock:]
+		for stop := min(end, n+2*hexBlock); n < stop; n += 2 {
+			hi, lo := unhexLower[src[n]], unhexLower[src[n+1]]
+			if hi|lo > 0xf {
+				return n
+			}
+			dst[n/2] = hi<<4 | lo
+		}
 	}
-	_, err := hex.Decode(dst, src)
-	return err
+	return n
 }

@@ -4,8 +4,12 @@ import (
 	"bytes"
 	"encoding/hex"
 	"encoding/json"
+	"errors"
+	"io"
 	"reflect"
+	"strings"
 	"testing"
+	"testing/iotest"
 
 	"hmtx/internal/check"
 	"hmtx/internal/engine"
@@ -130,14 +134,17 @@ type readSeed struct {
 
 // readSeeds are the documents FuzzRead starts from: each kind canonical and
 // compact, and run documents bent at the memory slot — truncated inside the
-// hex, a quote or backslash inside it, its key duplicated, case-folded or
-// moved into a nested object.
+// hex, emptied, a quote, backslash or uppercase digit inside it, its key
+// duplicated, case-folded or moved into a nested object.
 func readSeeds(t testing.TB) []readSeed {
 	run := encode(t, tinyRunDoc(t))
 	slot := bytes.Index(run, memSlot) + len(memSlot)
 	end := slot + bytes.IndexByte(run[slot:], '"')
 	splice := func(at int, s string) []byte {
 		return append(append(append([]byte(nil), run[:at]...), s...), run[at:]...)
+	}
+	rewrite := func(from, to int, s string) []byte {
+		return append(append(append([]byte(nil), run[:from]...), s...), run[to:]...)
 	}
 	replace := func(old, new string) []byte {
 		return bytes.Replace(run, []byte(old), []byte(new), 1)
@@ -164,6 +171,9 @@ func readSeeds(t testing.TB) []readSeed {
 		{"earlier run section", replace(`"schema"`, `"run": {"mem": "0a"}, "schema"`)},
 		{"later null run", append(append([]byte(nil), run[:len(run)-2]...), `, "run": null}`...)},
 		{"trailing data", append(append([]byte(nil), run...), `{}`...)},
+		{"uppercase hex", rewrite(slot, end, strings.ToUpper(string(run[slot:end])))},
+		{"uppercase last digit", rewrite(end-1, end, "A")},
+		{"empty hex", rewrite(slot, end, "")},
 	}
 	for _, s := range seeds[:3] {
 		var c bytes.Buffer
@@ -177,7 +187,9 @@ func readSeeds(t testing.TB) []readSeed {
 
 // FuzzRead checks Read against refRead: on every input both return the
 // same Doc or both return an error, and RestoreRun on any accepted run
-// document returns an error or a system, never a panic.
+// document returns an error or a system, never a panic. Read also agrees
+// with itself on the smallest read buffer, fed one byte per read with no
+// length known, so every byte of the input falls on a read boundary.
 func FuzzRead(f *testing.F) {
 	for _, s := range readSeeds(f) {
 		f.Add(s.data)
@@ -187,6 +199,10 @@ func FuzzRead(f *testing.F) {
 		want, werr := refRead(data)
 		if (err == nil) != (werr == nil) {
 			t.Fatalf("Read error %v, reference error %v", err, werr)
+		}
+		small, serr := read(iotest.OneByteReader(bytes.NewReader(data)), -1, 16)
+		if (serr == nil) != (err == nil) || !reflect.DeepEqual(small, got) {
+			t.Fatalf("Read with a 16-byte buffer disagrees (error %v, want %v):\n got %+v\nwant %+v", serr, err, small, got)
 		}
 		if err != nil {
 			return
@@ -207,13 +223,31 @@ func TestReadSplitPath(t *testing.T) {
 	for _, s := range readSeeds(t) {
 		switch s.name {
 		case "run":
-			if _, ok := decodeSplit(s.data, new(wireDoc)); !ok {
-				t.Error("a canonical run checkpoint did not take the split path")
+			for _, bufSize := range []int{16, readBuf} {
+				r := iotest.HalfReader(bytes.NewReader(s.data))
+				if _, _, split, err := readSplit(r, -1, bufSize, new(wireDoc)); err != nil || !split {
+					t.Errorf("%d-byte buffer: a canonical run checkpoint did not take the split path (%v)", bufSize, err)
+				}
 			}
 		case "later duplicate key":
 			if doc, err := Read(bytes.NewReader(s.data)); err != nil || !bytes.Equal(doc.Run.Mem, []byte{0x0a}) {
 				t.Errorf("%s: Run.Mem is not the later value (%v)", s.name, err)
 			}
+		}
+	}
+}
+
+// TestReadIOError: a read error before, inside or after the memory slot's
+// hex is returned, not taken for the end of the input.
+func TestReadIOError(t *testing.T) {
+	run := encode(t, tinyRunDoc(t))
+	slot := bytes.Index(run, memSlot) + len(memSlot)
+	end := slot + bytes.IndexByte(run[slot:], '"')
+	fail := errors.New("device gone")
+	for _, cut := range []int{slot - 5, slot + 10, end + 5} {
+		r := io.MultiReader(bytes.NewReader(run[:cut]), iotest.ErrReader(fail))
+		if _, err := read(r, -1, 16); err == nil || !strings.Contains(err.Error(), fail.Error()) {
+			t.Errorf("read error at byte %d: got %v", cut, err)
 		}
 	}
 }
