@@ -10,10 +10,13 @@ import (
 // versions of the same line (same Tag, different VID ranges) may occupy
 // different ways of the same set (§4.1).
 //
-// Sets are allocated on first install: sets[si] stays nil until pickVictim
-// places a line there, and a nil set reads as a set of Invalid lines, so
-// every loop over a set's ways treats both alike. A 32 MB L2 thereby costs
-// only the sets a run touches (DESIGN.md §11.8).
+// A set holds only the ways it has used: sets[si] stays nil until pickVictim
+// places a line there, and ways len(sets[si]) to ways-1 read as zero Lines,
+// which are Invalid, so every loop over a set's ways can stop at its length.
+// pickVictim is the only place a set grows. A 32 MB L2 thereby costs only the
+// lines a run places, and a lookup scans only the ways a set has used
+// (DESIGN.md §11.8). Growth can move a set's lines: no *Line into a cache may
+// be used after a call that inserts into that cache.
 //
 // Per-access work in this file is allocation-free: lookups iterate the ways
 // of one set inline instead of materialising version slices, and a per-set
@@ -57,8 +60,8 @@ func (c *cache) setIndex(lineAddr Addr) int {
 	return int((lineAddr / LineSize) % Addr(c.numSets))
 }
 
-// set returns the ways of the set holding lineAddr (nil if no line was ever
-// installed there), with every resident version of lineAddr settled against
+// set returns the ways the set holding lineAddr has used (nil if no line was
+// ever installed there), with every resident version of lineAddr settled against
 // pending lazy commits. Only versions of lineAddr itself are settled — other
 // tags in the set keep their lazy state, exactly as before the
 // generation-stamp fast path existed, so victim selection is unchanged.
@@ -153,18 +156,22 @@ func victimClass(l *Line) int {
 	}
 }
 
+// firstWays is the length of a set's first allocation. Most sets of a
+// large L2 never hold more than one or two lines; one growth past it
+// allocates all the ways, so a set is copied at most once.
+const firstWays = 4
+
 // pickVictim chooses a way of the set holding lineAddr to evict. Sibling
 // versions of lineAddr itself are eligible but dispreferred: when a hot line
 // accumulates many live versions they spill to the next level rather than
-// blocking the insert. It is the only place a set is allocated: a nil set
-// becomes a set of Invalid lines, of which way 0 is chosen, as it would be
-// in a set allocated up front.
+// blocking the insert.
+//
+// The first never-used way, a zero Line, ranks (class 0, lru 0), the lowest
+// rank, and comes after every used way, so the first-minimum rule picks it
+// unless a used way already ranks (0, 0). Exactly then the set grows by that
+// way, and every pick is the one a set of all its ways would make.
 func (c *cache) pickVictim(lineAddr Addr) *Line {
 	s := c.set(lineAddr)
-	if s == nil {
-		s = make([]Line, c.ways)
-		c.sets[c.setIndex(lineAddr)] = s
-	}
 	var best *Line
 	bestClass := 99
 	for i := range s {
@@ -176,6 +183,18 @@ func (c *cache) pickVictim(lineAddr Addr) *Line {
 		if cl < bestClass || (cl == bestClass && (best == nil || ln.lru < best.lru)) {
 			best, bestClass = ln, cl
 		}
+	}
+	if len(s) < c.ways && (bestClass > 0 || best.lru > 0) {
+		if len(s) == cap(s) {
+			n := c.ways
+			if len(s) == 0 {
+				n = min(firstWays, c.ways)
+			}
+			s = append(make([]Line, 0, n), s...)
+		}
+		s = s[:len(s)+1]
+		c.sets[c.setIndex(lineAddr)] = s
+		best = &s[len(s)-1]
 	}
 	return best
 }
@@ -219,6 +238,8 @@ func (c *cache) insert(ln Line) (victim Line, evicted bool) {
 	if evicted && victim.Tag != ln.Tag {
 		// The victim's tag maps to the same set; if no sibling version
 		// of it survives there, this cache no longer holds the address.
+		// pickVictim may have moved the set, so read it again.
+		s = c.sets[c.setIndex(ln.Tag)]
 		still := false
 		for i := range s {
 			if s[i].St != Invalid && s[i].Tag == victim.Tag {

@@ -156,31 +156,23 @@ func CheckExact(cfg Config, enc []byte) error {
 	return nil
 }
 
-// appendExact encodes every set as its ways, in order. A set that was never
-// allocated encodes as ways zero Lines, exactly the bytes an all-Invalid set
-// allocated up front would give, so the encoding does not depend on which
-// sets happen to be allocated.
+// appendExact encodes every set as its ways, in order. The ways a set has
+// not used, all of them for a set never allocated, encode as zero Lines,
+// exactly the bytes of an all-Invalid set allocated up front, so the
+// encoding does not depend on how much of each set is allocated.
 func (c *cache) appendExact(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, c.lruClock)
 	buf = binary.BigEndian.AppendUint64(buf, c.hits)
 	for si, s := range c.sets {
 		buf = binary.BigEndian.AppendUint64(buf, c.setGen[si])
 		buf = binary.BigEndian.AppendUint64(buf, c.setTag[si])
-		if s == nil {
-			// A zero Line encodes as zero bytes (TestZeroLineExact).
-			buf = append(buf, make([]byte, c.ways*lineExactLen)...)
-			continue
-		}
 		for wi := range s {
 			buf = s[wi].appendExact(buf)
 		}
+		// A zero Line encodes as zero bytes (TestZeroLineExact).
+		buf = append(buf, make([]byte, (c.ways-len(s))*lineExactLen)...)
 	}
 	return buf
-}
-
-// zeroSetExact returns the exact encoding of one set of ways zero Lines.
-func (c *cache) zeroSetExact() []byte {
-	return bytes.Repeat(new(Line).appendExact(nil), c.ways)
 }
 
 func (l *Line) appendExact(buf []byte) []byte {
@@ -319,30 +311,41 @@ func (h *Hierarchy) RestoreExact(enc []byte) error {
 	return nil
 }
 
-// restoreExact decodes the sets appendExact wrote. A set whose ways all
-// decode to the zero Line is left nil; since the encoding maps every field
-// to its own bytes, that is the case exactly when the set's bytes equal the
-// zero block. Any other set is decoded into a fresh allocation.
+// restoreExact decodes the sets appendExact wrote. A set is allocated only
+// through its last way that does not encode a zero Line, and left nil when
+// there is none. A way that was ever used has an LRU stamp of at least 1, so
+// the trailing zero Lines are exactly the ways the set had not used, and the
+// restored set scans as few ways as the live one did. Since the encoding maps
+// every field to its own bytes, a way is a zero Line exactly when its bytes
+// are zero.
 func (c *cache) restoreExact(r *exactReader) {
 	c.lruClock = r.u64()
 	c.hits = r.u64()
-	zero := c.zeroSetExact()
+	zero := make([]byte, c.ways*lineExactLen)
 	for si := range c.sets {
 		c.setGen[si] = r.u64()
 		c.setTag[si] = r.u64()
-		if r.err == nil && len(r.buf) >= len(zero) && bytes.Equal(r.buf[:len(zero)], zero) {
-			r.buf = r.buf[len(zero):]
-			c.sets[si] = nil
-			continue
-		}
-		s := make([]Line, c.ways)
-		for wi := range s {
-			s[wi].restoreExact(r)
-		}
-		c.sets[si] = s
+		enc := r.bytes(len(zero))
 		if r.err != nil {
 			return
 		}
+		n := c.ways
+		if bytes.Equal(enc, zero) {
+			n = 0
+		}
+		for n > 0 && bytes.Equal(enc[(n-1)*lineExactLen:n*lineExactLen], zero[:lineExactLen]) {
+			n--
+		}
+		if n == 0 {
+			c.sets[si] = nil
+			continue
+		}
+		s := make([]Line, n)
+		wr := &exactReader{buf: enc}
+		for wi := range s {
+			s[wi].restoreExact(wr)
+		}
+		c.sets[si] = s
 	}
 }
 

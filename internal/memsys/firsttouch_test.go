@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"runtime"
 	"testing"
+	"unsafe"
 
 	"hmtx/internal/vid"
 )
@@ -53,9 +54,10 @@ func TestNewAllocatesLittle(t *testing.T) {
 
 // TestFirstTouchSeams drives the first install into L2 set 0, the last L2
 // set, and a set first reached by a wrong-path load. Each must allocate
-// exactly the sets it installs into, and leave the hierarchy
-// indistinguishable from one whose sets were all allocated up front: same
-// values, statistics and exact encoding, before and after a round trip.
+// exactly the sets it installs into, each only as long as the lines placed
+// there, and leave the hierarchy indistinguishable from one whose sets were
+// all allocated up front: same values, statistics and exact encoding, before
+// and after a round trip.
 func TestFirstTouchSeams(t *testing.T) {
 	cfg := DefaultConfig()
 	cfg.Cores = 2
@@ -68,21 +70,23 @@ func TestFirstTouchSeams(t *testing.T) {
 		addr  Addr
 		cache int // index into h.all of the cache whose set is first touched
 		set   int
+		lens  []int // per cache of h.all, the length of the set holding addr
 		drive func(h *Hierarchy, a Addr) uint64
 	}{
-		{"L2 set 0", Addr(l2Sets * LineSize), cfg.Cores, 0, func(h *Hierarchy, a Addr) uint64 {
+		{"L2 set 0", Addr(l2Sets * LineSize), cfg.Cores, 0, []int{1, 1, 1}, func(h *Hierarchy, a Addr) uint64 {
 			h.Load(0, a, vid.NonSpec)
 			h.Evict(0, a)
 			v, _ := h.Load(1, a, vid.NonSpec)
 			return v
 		}},
-		{"last L2 set", Addr((l2Sets - 1) * LineSize), cfg.Cores, l2Sets - 1, func(h *Hierarchy, a Addr) uint64 {
+		// The store leaves an S-O and an S-M version in L1.1.
+		{"last L2 set", Addr((l2Sets - 1) * LineSize), cfg.Cores, l2Sets - 1, []int{1, 2, 1}, func(h *Hierarchy, a Addr) uint64 {
 			h.Store(1, a, 99, 1)
 			h.Evict(1, a)
 			v, _ := h.Load(0, a, 2)
 			return v
 		}},
-		{"wrong-path load", Addr(777 * LineSize), 1, 777 % (cfg.L1Size / (cfg.L1Ways * LineSize)), func(h *Hierarchy, a Addr) uint64 {
+		{"wrong-path load", Addr(777 * LineSize), 1, 777 % (cfg.L1Size / (cfg.L1Ways * LineSize)), []int{0, 1, 0}, func(h *Hierarchy, a Addr) uint64 {
 			v, _ := h.WrongPathLoad(1, a, 3)
 			return v
 		}},
@@ -102,8 +106,14 @@ func TestFirstTouchSeams(t *testing.T) {
 			if c.sets[tc.set] == nil {
 				t.Fatalf("%s set %d not allocated by the first install", c.name, tc.set)
 			}
-			if n := allocatedSets(c); n != 1 {
-				t.Fatalf("%s: %d sets allocated, want 1", c.name, n)
+			for i, c := range lazy.all {
+				want := min(tc.lens[i], 1)
+				if n := allocatedSets(c); n != want {
+					t.Fatalf("%s: %d sets allocated, want %d", c.name, n, want)
+				}
+				if n := len(c.sets[c.setIndex(tc.addr)]); n != tc.lens[i] {
+					t.Fatalf("%s: touched set holds %d ways, want %d", c.name, n, tc.lens[i])
+				}
 			}
 			if lazy.stats != eager.stats {
 				t.Fatalf("stats differ from the eagerly allocated machine:\n%+v\n%+v", lazy.stats, eager.stats)
@@ -123,8 +133,118 @@ func TestFirstTouchSeams(t *testing.T) {
 				if got, want := allocatedSets(c), allocatedSets(lazy.all[i]); got != want {
 					t.Fatalf("%s: %d sets allocated after restore, want %d", c.name, got, want)
 				}
+				if n := len(c.sets[c.setIndex(tc.addr)]); n != tc.lens[i] {
+					t.Fatalf("%s: touched set restored with %d ways, want %d", c.name, n, tc.lens[i])
+				}
 			}
 		})
+	}
+}
+
+// TestSetGrowthAllocations pins what a set costs: the first install into an
+// empty Table 2 L2 set allocates at most four Lines, and a set is
+// reallocated at most once, holding ways 1 to 4 in its first backing array
+// and ways 5 to 32 in a second.
+func TestSetGrowthAllocations(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's shadow allocations count in TotalAlloc")
+	}
+	h := New(DefaultConfig())
+	c := h.l2
+	stride := Addr(c.numSets * LineSize) // every line lands in set 0
+	lines := make([]Line, c.ways+1)
+	for i := range lines {
+		lines[i] = Line{Tag: Addr(i) * stride, St: Exclusive, Epoch: h.epoch, SettledLC: h.lc}
+		// Enter each line in the snoop filter now, so that its map does
+		// not grow inside the measurement.
+		h.pres[lines[i].Tag] = presMask{}
+	}
+
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	c.insert(lines[0])
+	runtime.ReadMemStats(&after)
+	if got, limit := after.TotalAlloc-before.TotalAlloc, uint64(4*unsafe.Sizeof(Line{})); got > limit {
+		t.Fatalf("first install into an empty L2 set allocated %d bytes, want at most %d", got, limit)
+	}
+
+	first := &c.sets[0][0]
+	for i := 1; i <= c.ways; i++ {
+		c.insert(lines[i])
+		s := c.sets[0]
+		if want := min(i+1, c.ways); len(s) != want {
+			t.Fatalf("after %d installs set 0 holds %d ways, want %d", i+1, len(s), want)
+		}
+		switch moved := &s[0] != first; {
+		case i < firstWays:
+			if moved || cap(s) != firstWays {
+				t.Fatalf("install %d: set reallocated within its first %d ways (cap %d)", i+1, firstWays, cap(s))
+			}
+		case i == firstWays:
+			if !moved || cap(s) != c.ways {
+				t.Fatalf("install %d: set did not move to one array of all %d ways (cap %d)", i+1, c.ways, cap(s))
+			}
+			first = &s[0]
+		case moved:
+			t.Fatalf("install %d: set reallocated a second time", i+1)
+		}
+	}
+}
+
+// TestGrowthUnderL2Owner is the moving-pointer hazard of set growth. A load
+// served by an L2 owner invalidates the owner, then installs the copy in
+// the requester's L1; that install evicts an L1 victim into the owner's own
+// L2 set, which grows from four ways to all of them and so moves. A write
+// through the owner's pointer after the install would land in the old
+// array, leaving a second valid copy behind.
+func TestGrowthUnderL2Owner(t *testing.T) {
+	cfg := DefaultConfig()
+	cfg.Cores = 2
+	cfg.Sanitize = true
+	l2Sets := cfg.L2Size / (cfg.L2Ways * LineSize)
+	// One L2 set spans a multiple of the L1's sets, so these lines share
+	// an L1 set and an L2 set.
+	line := func(i int) Addr { return Addr(i * l2Sets * LineSize) }
+	lazy, full := New(cfg), New(cfg)
+	allocateAll(full)
+	for _, h := range []*Hierarchy{lazy, full} {
+		for i := 0; i < 4; i++ {
+			h.PokeWord(line(i), uint64(100+i))
+			h.Load(0, line(i), vid.NonSpec)
+			h.Evict(0, line(i)) // into L2 set 0
+		}
+		for i := 4; i < 4+cfg.L1Ways; i++ {
+			h.Load(1, line(i), vid.NonSpec) // fill L1.1's set
+		}
+	}
+	s := lazy.l2.sets[0]
+	if len(s) != 4 || cap(s) != firstWays {
+		t.Fatalf("L2 set 0 holds %d ways in %d before the load, want 4 in %d", len(s), cap(s), firstWays)
+	}
+
+	got, gotRes := lazy.Load(1, line(0), vid.NonSpec)
+	want, wantRes := full.Load(1, line(0), vid.NonSpec)
+	if gotRes.Src != SrcL2 {
+		t.Fatalf("load served from %v, want the L2", gotRes.Src)
+	}
+	if moved := lazy.l2.sets[0]; len(moved) != 5 || &moved[0] == &s[0] {
+		t.Fatalf("L2 set 0 did not grow to 5 ways in a new array (len %d)", len(moved))
+	}
+	if got != want || gotRes != wantRes {
+		t.Fatalf("load returned %d %+v, full-set machine %d %+v", got, gotRes, want, wantRes)
+	}
+	if got != 100 {
+		t.Fatalf("load returned %d, want 100", got)
+	}
+	if lazy.stats != full.stats {
+		t.Fatalf("stats differ from the full-set machine:\n%+v\n%+v", lazy.stats, full.stats)
+	}
+	if !bytes.Equal(lazy.AppendExact(nil), full.AppendExact(nil)) {
+		t.Fatal("exact encoding differs from the full-set machine")
+	}
+	// Versions settles the set it reads, so it comes after the encoding.
+	if v := lazy.Versions(cfg.Cores, line(0)); len(v) != 0 {
+		t.Fatalf("the L2 still holds %v after serving the line to L1.1", v)
 	}
 }
 

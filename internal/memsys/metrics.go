@@ -11,7 +11,7 @@ func (h *Hierarchy) seqOf(v vid.V) uint64 {
 
 // SpecOccupancy returns the number of cache lines currently in a speculative
 // state across every cache. It is a sampling probe, not a fast-path
-// operation: the walk visits every way of every allocated set (DESIGN.md
+// operation: the walk visits every way each set has used (DESIGN.md
 // §11.8).
 func (h *Hierarchy) SpecOccupancy() uint64 {
 	var n uint64

@@ -8,8 +8,8 @@ import (
 )
 
 // plant writes a raw line into cache c's correct set, bypassing the protocol,
-// to construct illegal states the sanitizer must reject. Like pickVictim, it
-// allocates the set if no line was installed there yet.
+// to construct illegal states the sanitizer must reject. A set no line was
+// installed in yet gets all its ways, which reads the same as a short one.
 func plant(h *Hierarchy, c *cache, ln Line) {
 	si := c.setIndex(ln.Tag)
 	if c.sets[si] == nil {
