@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"fmt"
 	"path/filepath"
+	"regexp"
 	"slices"
 	"strings"
 	"testing"
@@ -141,6 +142,17 @@ func TestDebugCheckCheckpoint(t *testing.T) {
 			t.Errorf("output missing %q:\n%s", want, out)
 		}
 	}
+	// A speculative version prints its VIDs twice, in its state S-M(mod,high)
+	// and as (modVID mod, highVID high); the two must agree.
+	vers := regexp.MustCompile(`\((\d+),(\d+)\).*\(modVID (\d+), highVID (\d+)\)`).FindAllStringSubmatch(out, -1)
+	if len(vers) == 0 {
+		t.Errorf("no speculative version printed:\n%s", out)
+	}
+	for _, m := range vers {
+		if m[1] != m[3] || m[2] != m[4] {
+			t.Errorf("version (%s,%s) printed as modVID %s, highVID %s", m[1], m[2], m[3], m[4])
+		}
+	}
 }
 
 // TestDebugCheckFinalState: a check checkpoint's recorded final state must
@@ -202,5 +214,21 @@ func TestDebugRejectsExperimentsCheckpoint(t *testing.T) {
 	}
 	if !strings.Contains(errb.String(), "cmd/experiments -resume") {
 		t.Errorf("error does not point at cmd/experiments: %s", errb.String())
+	}
+}
+
+// TestLineSigStates: the signature that watchpoints and diffs compare names
+// every resident version with its state, S-S copies included.
+func TestLineSigStates(t *testing.T) {
+	cfg := memsys.DefaultConfig()
+	cfg.Cores = 2
+	h := memsys.New(cfg)
+	const la = memsys.Addr(0x1000)
+	h.Store(1, la, 11, 1) // S-M version 1 in l1[1]
+	h.Load(0, la, 1)      // its S-S copy in l1[0]
+	d := &dbg{doc: &ckpt.Doc{Kind: ckpt.KindCheck, Check: &ckpt.CheckState{Config: check.Config{Cores: 2}}}}
+	sig, specVersions := d.lineSig(h, la)
+	if want := "l1[0]:S-S(1,2) l1[1]:S-O(0,1) l1[1]:S-M(1,1)"; sig != want || specVersions != 3 {
+		t.Errorf("signature %q with %d speculative versions, want %q with 3", sig, specVersions, want)
 	}
 }

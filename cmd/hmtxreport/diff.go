@@ -256,8 +256,8 @@ func diffHists(w io.Writer, a, b *metrics.HistDoc) {
 
 // diffLint compares two hmtx-lint/v1 documents: the analyzer roster (rule
 // versions and finding counts per analyzer) and the finding movement —
-// matching ignores line and column, like the hmtxlint baseline differ, so
-// unrelated edits above a finding do not show up as churn.
+// matching ignores line and column, so unrelated edits above a finding do
+// not show up as churn.
 func diffLint(w io.Writer, a, b *lintdoc.Doc) {
 	fmt.Fprintf(w, "lint diff: A has %d findings, B has %d\n\n", len(a.Findings), len(b.Findings))
 

@@ -2,6 +2,7 @@ package check
 
 import (
 	"bytes"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -181,5 +182,36 @@ func TestValidate(t *testing.T) {
 	}
 	if _, err := Run(Config{InjectBug: "no-such-bug"}); err == nil {
 		t.Error("unknown InjectBug accepted")
+	}
+}
+
+// TestOracleCanonical: the canonical encoding of a checker state covers the
+// oracle. Its fields are listed here, so a new one fails until clone and
+// appendCanon handle it, and changing a committed value or an outstanding
+// write moves the encoding, so the visited set cannot merge states whose
+// oracles disagree.
+func TestOracleCanonical(t *testing.T) {
+	typ := reflect.TypeOf(oracle{})
+	var names []string
+	for i := 0; i < typ.NumField(); i++ {
+		names = append(names, typ.Field(i).Name)
+	}
+	if got, want := strings.Join(names, " "), "addrs vids committed pending"; got != want {
+		t.Errorf("oracle fields are %q, clone and appendCanon were written for %q", got, want)
+	}
+	base := newOracle(2, 2)
+	enc := base.appendCanon(nil)
+	for _, m := range []struct {
+		name string
+		mut  func(*oracle)
+	}{
+		{"committed value", func(o *oracle) { o.committed[1] = 7 }},
+		{"outstanding write", func(o *oracle) { o.pending[3] = 7 }},
+	} {
+		o := base.clone()
+		m.mut(o)
+		if bytes.Equal(o.appendCanon(nil), enc) {
+			t.Errorf("a changed %s did not move the canonical encoding", m.name)
+		}
 	}
 }

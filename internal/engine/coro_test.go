@@ -377,31 +377,54 @@ func TestInlineConflictAbortUnwinds(t *testing.T) {
 	requireNoLeak(t, before)
 }
 
+// commitRelay is core's program in a relay of two cores that commit the
+// sequence numbers after the run's first in turn, n each. Core 1 computes
+// before each of its commits, so core 0, whose commit comes next, always
+// arrives first and parks until core 1's commit wakes it.
+func commitRelay(core, n int) Program {
+	return func(e *Env) {
+		base := e.sys.LastCommitted()
+		for k := 0; k < n; k++ {
+			if core == 1 {
+				e.Compute(10)
+				e.Commit(base + vid.Seq(2*k+1))
+			} else {
+				e.Commit(base + vid.Seq(2*k+2))
+			}
+		}
+	}
+}
+
 // TestHandoffAllocFree pins that handing an operation to the scheduler and
-// back, handling it inline, and keeping the run queue ordered, allocate
-// nothing: a run's allocations do not depend on its length. One core runs
-// ahead on every operation; of two cores with 1- and 3-cycle steps, core 0
-// handles two steps inline and yields on the third; 64 cores in lockstep
-// always yield.
+// back, handling it inline, parking and waking a core, and keeping the run
+// queue ordered, allocate nothing: a run's allocations do not depend on its
+// length. One core runs ahead on every operation; of two cores with 1- and
+// 3-cycle steps, core 0 handles two steps inline and yields on the third; 64
+// cores in lockstep always yield; in a commit relay one core parks for its
+// turn and wakes on the other's commits, so the run queue's pushes grow with
+// the commits. The relay's six runs of 2×20 commits fit one epoch of 8-bit
+// VIDs.
 func TestHandoffAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; see race_enabled_test.go")
 	}
-	for _, tc := range []struct{ cores, short, long int }{
-		{1, 1000, 10000},
-		{2, 1000, 10000},
-		{64, 200, 2000},
+	for _, tc := range []struct {
+		cores, short, long int
+		prog               func(core, n int) Program
+	}{
+		{1, 1000, 10000, func(_, n int) Program { return computeProgram(n) }},
+		{2, 1000, 10000, func(core, n int) Program { return strideProgram(int64(2*core+1), n) }},
+		{64, 200, 2000, func(_, n int) Program { return computeProgram(n) }},
+		{2, 4, 20, commitRelay},
 	} {
 		allocs := func(n int) float64 {
 			cfg := DefaultConfig()
 			cfg.Mem.Cores = tc.cores
+			cfg.Mem.VIDSpace = vid.Space{Bits: 8}
 			s := New(cfg)
 			progs := make([]Program, tc.cores)
 			for i := range progs {
-				progs[i] = computeProgram(n)
-				if tc.cores == 2 {
-					progs[i] = strideProgram(int64(2*i+1), n)
-				}
+				progs[i] = tc.prog(i, n)
 			}
 			return testing.AllocsPerRun(5, func() { s.Run(progs) })
 		}

@@ -382,8 +382,6 @@ const runKeyCore = 1<<8 - 1
 // runKey is core c's run-queue key: its clock above its core ID, so one
 // unsigned compare orders (clock, core ID) — earlier clock first, lower core
 // ID on ties.
-//
-//hmtx:hotpath
 func runKey(c *core) uint64 {
 	if uint64(c.time) >= 1<<56 {
 		panic("engine: core clock outside the run queue's key range")
@@ -393,8 +391,6 @@ func runKey(c *core) uint64 {
 
 // pushRunnable adds c to the run queue. Each core is queued at most once, so
 // the storage New allocated always has room.
-//
-//hmtx:hotpath
 func (s *System) pushRunnable(c *core) {
 	n := len(s.runq)
 	s.runq = s.runq[:n+1]
@@ -403,8 +399,6 @@ func (s *System) pushRunnable(c *core) {
 }
 
 // popRunnable removes the run queue's root.
-//
-//hmtx:hotpath
 func (s *System) popRunnable() {
 	n := len(s.runq) - 1
 	s.runq[0] = s.runq[n]
@@ -415,8 +409,6 @@ func (s *System) popRunnable() {
 }
 
 // siftUp restores the heap order above position i.
-//
-//hmtx:hotpath
 func (s *System) siftUp(i int) {
 	q := s.runq
 	k := q[i]
@@ -432,8 +424,6 @@ func (s *System) siftUp(i int) {
 }
 
 // siftDown restores the heap order below position i.
-//
-//hmtx:hotpath
 func (s *System) siftDown(i int) {
 	q := s.runq
 	k := q[i]

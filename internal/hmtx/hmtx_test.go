@@ -1,6 +1,7 @@
 package hmtx
 
 import (
+	"fmt"
 	"testing"
 
 	"hmtx/internal/engine"
@@ -143,6 +144,46 @@ func (l *doallLoop) Stage2(e *engine.Env, it int) bool {
 	e.Compute(400)
 	e.Store(daOut+memsys.Addr(it)*memsys.LineSize, v*v)
 	return false
+}
+
+// epochLoop wraps a loop and records every stage that ran outside a
+// transaction: each stage first loads a line, which counts as a speculative
+// access only inside one.
+type epochLoop struct {
+	paradigm.Loop
+	outside []string
+}
+
+func (l *epochLoop) Stage1(e *engine.Env, it int) bool {
+	l.check(e, "Stage1", it)
+	return l.Loop.Stage1(e, it)
+}
+
+func (l *epochLoop) Stage2(e *engine.Env, it int) bool {
+	l.check(e, "Stage2", it)
+	return l.Loop.Stage2(e, it)
+}
+
+func (l *epochLoop) check(e *engine.Env, stage string, it int) {
+	before := e.SpecAccessCount()
+	e.Load(daIn + memsys.Addr(it)*memsys.LineSize)
+	if e.SpecAccessCount() == before {
+		l.outside = append(l.outside, fmt.Sprintf("%s(%d)", stage, it))
+	}
+}
+
+// TestStagesRunInsideTheirTransaction: every paradigm runs both stages of an
+// iteration inside the iteration's transaction.
+func TestStagesRunInsideTheirTransaction(t *testing.T) {
+	for _, k := range []paradigm.Kind{paradigm.DOALL, paradigm.DOACROSS, paradigm.DSWP, paradigm.PSDSWP} {
+		loop := &epochLoop{Loop: &doallLoop{n: 16}}
+		sys := engine.New(engine.DefaultConfig())
+		loop.Setup(sys.Mem)
+		Run(sys, loop, k, 4)
+		if len(loop.outside) > 0 {
+			t.Errorf("%v: stages ran outside their transaction: %v", k, loop.outside)
+		}
+	}
 }
 
 func TestDOALLMatchesSequentialAndSpeedsUp(t *testing.T) {

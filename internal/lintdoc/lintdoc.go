@@ -1,7 +1,7 @@
 // Package lintdoc defines the versioned JSON document hmtxlint emits with
 // -json, in the same style as the metrics document schemas
-// ("hmtx-series/v1", ...), so hmtxreport diff and the lint baseline differ
-// can treat lint output like any other versioned artifact.
+// ("hmtx-series/v1", ...), so hmtxreport diff can treat lint output like any
+// other versioned artifact.
 package lintdoc
 
 // Schema is the document identifier carried in the "schema" field.
@@ -22,9 +22,9 @@ type Analyzer struct {
 }
 
 // A Finding is one diagnostic in the stable external format. File paths are
-// relative to the working directory when possible so baselines survive
-// checkouts at different absolute paths. Findings are sorted by file, line,
-// column, analyzer, message.
+// relative to the working directory when possible so documents from
+// checkouts at different absolute paths compare. Findings are sorted by
+// file, line, column, analyzer, message.
 type Finding struct {
 	File     string `json:"file"`
 	Line     int    `json:"line"`

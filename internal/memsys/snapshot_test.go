@@ -2,6 +2,8 @@ package memsys
 
 import (
 	"bytes"
+	"reflect"
+	"strings"
 	"testing"
 )
 
@@ -118,10 +120,42 @@ func TestFingerprintDistinct(t *testing.T) {
 	base := buildSnapState(t)
 	fp := base.Fingerprint(snapAddrs)
 
+	// spec returns the first speculative line of addrA's set in L1.1.
+	spec := func(h *Hierarchy) *Line {
+		s := h.l1s[1].sets[h.l1s[1].setIndex(addrA)]
+		for i := range s {
+			if s[i].St.Speculative() {
+				return &s[i]
+			}
+		}
+		t.Fatal("no speculative line found to mutate")
+		return nil
+	}
 	mutations := []struct {
 		name string
 		mut  func(*Hierarchy)
 	}{
+		{"tag", func(h *Hierarchy) { spec(h).Tag += LineSize }},
+		{"state", func(h *Hierarchy) {
+			if ln := spec(h); ln.St == SpecModified {
+				ln.St = SpecOwned
+			} else {
+				ln.St = SpecModified
+			}
+		}},
+		{"modVID", func(h *Hierarchy) { spec(h).Mod++ }},
+		{"line epoch", func(h *Hierarchy) { spec(h).Epoch = h.epoch + 1 }},
+		{"lazy commit", func(h *Hierarchy) {
+			if ln := spec(h); ln.SettledLC == h.lc {
+				ln.SettledLC = h.lc + 1
+			} else {
+				ln.SettledLC = h.lc
+			}
+		}},
+		{"shadow mark", func(h *Hierarchy) {
+			ln := spec(h)
+			ln.ShadowEpoch, ln.ShadowHigh = h.epoch, ln.shadow(h.epoch)+1
+		}},
 		{"data byte", func(h *Hierarchy) {
 			h.l1s[1].sets[h.l1s[1].setIndex(addrA)][0].Data[0] ^= 0xff
 		}},
@@ -164,6 +198,33 @@ func TestFingerprintDistinct(t *testing.T) {
 		m.mut(h)
 		if h.Fingerprint(snapAddrs) == fp {
 			t.Errorf("%s mutation did not change the fingerprint", m.name)
+		}
+	}
+}
+
+// TestSnapshotFieldInventory lists every field of the structs Clone copies and
+// AppendCanonical encodes, so that a new field fails here until it is placed
+// in Clone, in AppendCanonical (or left out of it with a reason in its doc)
+// and in the exact encoding, and, for Line, in TestFingerprintDistinct. A
+// field the fingerprint misses merges states the model checker must keep
+// apart.
+func TestSnapshotFieldInventory(t *testing.T) {
+	for _, tc := range []struct {
+		v    any
+		want string
+	}{
+		{Line{}, "Tag St Mod High Epoch SettledLC ShadowHigh ShadowEpoch Data lru"},
+		{Hierarchy{}, "cfg l1s l2 all mem lc epoch stats tracker ins gen pres pendingOverflow san"},
+		{cache{}, "name id hier numSets ways sets hits setGen setTag lruClock"},
+		{memory{}, "lines"},
+	} {
+		typ := reflect.TypeOf(tc.v)
+		var names []string
+		for i := 0; i < typ.NumField(); i++ {
+			names = append(names, typ.Field(i).Name)
+		}
+		if got := strings.Join(names, " "); got != tc.want {
+			t.Errorf("%s fields are %q, the snapshot methods were written for %q", typ.Name(), got, tc.want)
 		}
 	}
 }

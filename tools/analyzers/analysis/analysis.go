@@ -8,10 +8,10 @@
 // target packages from source against compiler export data, so the module
 // needs no third-party imports. Load returns packages in dependency order;
 // a Runner carries analyzer facts (facts.go) from a package to its
-// importers, which is what lets detflow and txpath reason across function
+// importers, which is what lets detflow reason across function
 // and package boundaries. Sub-packages cfg and callgraph supply the
 // per-function control-flow graphs, the forward-dataflow fixpoint engine,
-// and the static call graph those analyzers are built on.
+// and the static call graph that analyzer is built on.
 package analysis
 
 import (
@@ -30,8 +30,8 @@ type Analyzer struct {
 	Doc string
 	// Version identifies the rule revision in versioned outputs (the
 	// hmtx-lint/v1 JSON schema). Analyzers that never changed report "1";
-	// bump it when a rule's findings change meaning so baseline and report
-	// diffs can tell rule drift from code drift.
+	// bump it when a rule's findings change meaning so report diffs can tell
+	// rule drift from code drift.
 	Version string
 	// Run applies the rule to a single package and reports diagnostics
 	// through pass.Report. The returned value is ignored by the driver

@@ -1,8 +1,10 @@
 package analysis_test
 
 import (
+	"fmt"
 	"go/ast"
 	"go/token"
+	"os"
 	"path/filepath"
 	"reflect"
 	"strings"
@@ -214,6 +216,52 @@ func TestLoadBetweenPackages(t *testing.T) {
 		if imp.Path() == "hmtx/internal/engine" && imp != byPath["hmtx/internal/engine"].Types {
 			t.Error("paradigm imports a different engine package than the source-checked one")
 		}
+	}
+}
+
+// TestLoadTestVariant loads a package a whose own tests recompile it and
+// whose external tests import b, which imports a back. go list then reports
+// b only as the test variant "b [a.test]"; it must still come from source,
+// marked DepOnly, against the test-augmented a.
+func TestLoadTestVariant(t *testing.T) {
+	dir := t.TempDir()
+	for name, src := range map[string]string{
+		"go.mod":        "module tv\n\ngo 1.22\n",
+		"a/a.go":        "package a\n\nfunc F() int { return 1 }\n",
+		"a/a_test.go":   "package a\n\nfunc g() int { return F() }\n",
+		"a/ext_test.go": "package a_test\n\nimport \"tv/b\"\n\nvar _ = b.G()\n",
+		"b/b.go":        "package b\n\nimport \"tv/a\"\n\nfunc G() int { return a.F() }\n",
+	} {
+		path := filepath.Join(dir, name)
+		if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
+			t.Fatal(err)
+		}
+		if err := os.WriteFile(path, []byte(src), 0o644); err != nil {
+			t.Fatal(err)
+		}
+	}
+	wd, err := os.Getwd()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Chdir(dir); err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() {
+		if err := os.Chdir(wd); err != nil {
+			t.Fatal(err)
+		}
+	})
+	pkgs, err := analysis.Load("./a")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var got []string
+	for _, p := range pkgs {
+		got = append(got, fmt.Sprintf("%s:%v", p.PkgPath, p.DepOnly))
+	}
+	if want := "tv/a:false tv/b:true tv/a_test:false"; strings.Join(got, " ") != want {
+		t.Errorf("loaded %v, want %s", got, want)
 	}
 }
 

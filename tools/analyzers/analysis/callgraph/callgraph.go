@@ -37,9 +37,6 @@ type Graph struct {
 	byFn  map[*types.Func]*Node
 }
 
-// Node returns the node for fn, or nil if fn is not declared in the package.
-func (g *Graph) Node(fn *types.Func) *Node { return g.byFn[fn] }
-
 // StaticCallee resolves the target of a call expression to a declared
 // function or method, or nil for calls through interfaces, function values,
 // type conversions and builtins.

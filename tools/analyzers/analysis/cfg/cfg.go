@@ -1,6 +1,6 @@
 // Package cfg builds per-function control-flow graphs from Go syntax and
 // provides a forward-dataflow fixpoint engine over them. It is the
-// path-structure substrate of the whole-program analyzers (detflow, txpath):
+// path-structure substrate of the whole-program analyzer detflow:
 // the AST-walking lints reason about one statement at a time, while a CFG
 // lets an analyzer ask "what states can reach this point" across branches,
 // loops and early exits.

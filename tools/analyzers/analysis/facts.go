@@ -6,7 +6,7 @@ import (
 	"reflect"
 )
 
-// A Fact is a datum one analyzer attaches to a package or object while
+// A Fact is a datum one analyzer attaches to an object while
 // analyzing it, for consumption when the same analyzer later runs on an
 // importing package. Facts make whole-program analyses possible under the
 // one-package-at-a-time driver: a bottom-up pass over the import DAG sees
@@ -24,7 +24,6 @@ type Fact interface {
 // factStore holds the facts of every analyzer across one Runner's lifetime.
 type factStore struct {
 	obj map[objFactKey]Fact
-	pkg map[pkgFactKey]Fact
 }
 
 type objFactKey struct {
@@ -33,16 +32,9 @@ type objFactKey struct {
 	t   reflect.Type
 }
 
-type pkgFactKey struct {
-	a   *Analyzer
-	pkg *types.Package
-	t   reflect.Type
-}
-
 func newFactStore() *factStore {
 	return &factStore{
 		obj: make(map[objFactKey]Fact),
-		pkg: make(map[pkgFactKey]Fact),
 	}
 }
 
@@ -72,25 +64,6 @@ func (p *Pass) ImportObjectFact(obj types.Object, fact Fact) bool {
 		return false
 	}
 	stored, ok := p.facts.obj[objFactKey{p.Analyzer, obj, factType(fact)}]
-	if !ok {
-		return false
-	}
-	reflect.ValueOf(fact).Elem().Set(reflect.ValueOf(stored).Elem())
-	return true
-}
-
-// ExportPackageFact associates fact with the package under analysis.
-func (p *Pass) ExportPackageFact(fact Fact) {
-	p.facts.pkg[pkgFactKey{p.Analyzer, p.Pkg, factType(fact)}] = fact
-}
-
-// ImportPackageFact copies into fact the package fact previously exported
-// for pkg by this analyzer, reporting whether one was found.
-func (p *Pass) ImportPackageFact(pkg *types.Package, fact Fact) bool {
-	if pkg == nil {
-		return false
-	}
-	stored, ok := p.facts.pkg[pkgFactKey{p.Analyzer, pkg, factType(fact)}]
 	if !ok {
 		return false
 	}

@@ -98,11 +98,20 @@ func Load(patterns ...string) ([]*Package, error) {
 	}
 
 	c := NewChecker()
-	var targets, deps []*ListedPackage
+	var targets, deps, variants []*ListedPackage
 	for _, p := range listed {
 		// Test variants ("pkg [pkg.test]", "pkg.test") duplicate the plain
 		// entries; only the plain entry describes the package's file split.
-		if p.ForTest != "" || strings.HasSuffix(p.ImportPath, ".test") {
+		// A variant of another package, "dep [pkg.test]", is a dependency
+		// that imports pkg and is recompiled against pkg's tests; when only
+		// pkg's tests import it, go list reports it in no other form.
+		if strings.HasSuffix(p.ImportPath, ".test") {
+			continue
+		}
+		if p.ForTest != "" {
+			if path := plainPath(p.ImportPath); path != p.ForTest && path != p.ForTest+"_test" {
+				variants = append(variants, p)
+			}
 			continue
 		}
 		if p.Export != "" {
@@ -117,6 +126,26 @@ func Load(patterns ...string) ([]*Package, error) {
 		default:
 			targets = append(targets, p)
 		}
+	}
+	listedPlain := make(map[string]bool, len(targets)+len(deps))
+	for _, list := range [][]*ListedPackage{targets, deps} {
+		for _, p := range list {
+			listedPlain[p.ImportPath] = true
+		}
+	}
+	for _, p := range variants {
+		path := plainPath(p.ImportPath)
+		if listedPlain[path] {
+			continue
+		}
+		listedPlain[path] = true
+		dep := *p
+		dep.ImportPath, dep.DepOnly = path, true
+		dep.Imports = make([]string, len(p.Imports))
+		for i, imp := range p.Imports {
+			dep.Imports[i] = plainPath(imp)
+		}
+		deps = append(deps, &dep)
 	}
 	between := betweenDeps(targets, deps)
 
@@ -276,6 +305,14 @@ func DependencyOrder(unitImports map[string][]string) []string {
 		order = append(order, rest...)
 	}
 	return order
+}
+
+// plainPath strips a test variant's " [pkg.test]" suffix from an import path.
+func plainPath(path string) string {
+	if i := strings.Index(path, " ["); i >= 0 {
+		return path[:i]
+	}
+	return path
 }
 
 func joinDir(dir string, names []string) []string {
