@@ -11,16 +11,13 @@
 // hmtxreport diff understands like the metric documents).
 //
 // The rules (see tools/analyzers/*) enforce the determinism contract from
-// DESIGN.md: no map-iteration-order dependence (detrange), no wall-clock or
-// ambient randomness (noclock), no cache-line protocol mutation outside
-// internal/memsys (statemut), no unguarded trace emit, profiler charge or
-// metric-instrument record on the simulator fast path (fastpath), and the
-// whole-program rule: interprocedural nondeterminism taint into
-// simulation-visible state (detflow). DESIGN.md §14.3 records the planted
-// bugs each rule was audited against.
-//
-// Packages are analyzed in dependency order with a shared fact store, so
-// the interprocedural analyzers see the summaries of every dependency.
+// DESIGN.md: no dependence on map iteration or select order (detrange), no
+// wall clock, ambient randomness, host identity or pointer address
+// (noclock), no cache-line protocol mutation outside internal/memsys
+// (statemut), and no unguarded trace emit, profiler charge or
+// metric-instrument record on the simulator fast path (fastpath). Each rule
+// judges one package at a time and flags a source where it is called.
+// DESIGN.md §14.3 records the planted bugs each rule was audited against.
 package main
 
 import (
@@ -34,7 +31,6 @@ import (
 
 	"hmtx/internal/lintdoc"
 	"hmtx/tools/analyzers/analysis"
-	"hmtx/tools/analyzers/detflow"
 	"hmtx/tools/analyzers/detrange"
 	"hmtx/tools/analyzers/fastpath"
 	"hmtx/tools/analyzers/noclock"
@@ -42,7 +38,6 @@ import (
 )
 
 var analyzers = []*analysis.Analyzer{
-	detflow.Analyzer,
 	detrange.Analyzer,
 	fastpath.Analyzer,
 	noclock.Analyzer,
@@ -69,16 +64,15 @@ func main() {
 	}
 
 	cwd, _ := os.Getwd()
-	runner := analysis.NewRunner()
 	var findings []Finding
 	for _, pkg := range pkgs {
+		if pkg.DepOnly {
+			continue // loaded only so its importers type-check
+		}
 		for _, a := range analyzers {
-			diags, err := runner.Run(pkg, a)
+			diags, err := analysis.Run(pkg, a)
 			if err != nil {
 				log.Fatal(err)
-			}
-			if pkg.DepOnly {
-				continue // analyzed for the facts its importers need
 			}
 			for _, d := range diags {
 				pos := pkg.Fset.Position(d.Pos)

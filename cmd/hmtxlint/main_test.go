@@ -55,12 +55,12 @@ func TestLintDoc(t *testing.T) {
 		vers[a.Name] = a.Version
 		names = append(names, a.Name)
 	}
-	want := "detflow detrange fastpath noclock statemut"
+	want := "detrange fastpath noclock statemut"
 	if got := strings.Join(names, " "); got != want {
 		t.Errorf("analyzer roster = %s\nwant %s", got, want)
 	}
-	if vers["fastpath"] != "2" || vers["detrange"] != "2" {
-		t.Errorf("analyzer versions = %v, want fastpath 2 and detrange 2", vers)
+	if vers["detrange"] != "3" || vers["fastpath"] != "3" || vers["noclock"] != "2" || vers["statemut"] != "1" {
+		t.Errorf("analyzer versions = %v, want detrange 3, fastpath 3, noclock 2 and statemut 1", vers)
 	}
 }
 

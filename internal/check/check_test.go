@@ -10,14 +10,21 @@ import (
 )
 
 // TestExhaustiveClean explores fast bounds to exhaustion and requires zero
-// property violations plus a sane summary shape. The CI model-check job runs
-// the wider evict+wrongpath bound through cmd/hmtxcheck; keeping that out of
-// the unit suite keeps `go test ./...` (and especially -race) quick.
+// property violations and the exact state, edge and depth counts each bound
+// has always produced: a change to the canonical encoding or the stimulus
+// alphabet that merges or splits states moves them. The CI model-check job
+// runs the wider evict+wrongpath bound through cmd/hmtxcheck and pins its
+// state count the same way; keeping that out of the unit suite keeps
+// `go test ./...` (and especially -race) quick.
 func TestExhaustiveClean(t *testing.T) {
-	for _, cfg := range []Config{
-		{Cores: 2, Addrs: 1, VIDs: 1, Evict: true},
-		{Cores: 2, Addrs: 1, VIDs: 1, WrongPath: true},
+	for _, tc := range []struct {
+		cfg                  Config
+		states, edges, depth int
+	}{
+		{Config{Cores: 2, Addrs: 1, VIDs: 1, Evict: true}, 3820, 64244, 13},
+		{Config{Cores: 2, Addrs: 1, VIDs: 1, WrongPath: true}, 3256, 51728, 10},
 	} {
+		cfg := tc.cfg
 		sum, err := Run(cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -28,8 +35,9 @@ func TestExhaustiveClean(t *testing.T) {
 		if !sum.Exhausted || sum.Truncated {
 			t.Fatalf("bound %+v not exhausted: states=%d truncated=%t", cfg, sum.States, sum.Truncated)
 		}
-		if sum.States < 100 || sum.Edges <= sum.States || sum.Depth < 3 {
-			t.Fatalf("implausible exploration at %+v: states=%d edges=%d depth=%d", cfg, sum.States, sum.Edges, sum.Depth)
+		if sum.States != tc.states || sum.Edges != tc.edges || sum.Depth != tc.depth {
+			t.Fatalf("exploration at %+v: states=%d edges=%d depth=%d, want %d, %d, %d",
+				cfg, sum.States, sum.Edges, sum.Depth, tc.states, tc.edges, tc.depth)
 		}
 		if !sum.OK() {
 			t.Fatal("OK() must be true for a clean exhaustive run")

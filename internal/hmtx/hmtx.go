@@ -105,15 +105,13 @@ type driver struct {
 	cores int
 	opts  Options
 
-	// exitSeq is the VID whose Stage2 took the loop exit, or 0. Every
-	// program runs as a coroutine on the goroutine that called Run, so
-	// these fields need no synchronisation.
-	exitSeq int64
 	// stopped records that a pipeline program ended the loop for a
 	// data-dependent reason (Stage1 returned false) rather than by reaching
 	// its segment's iteration limit. Without it a segment boundary would be
 	// indistinguishable from the loop deciding to stop, and the next
 	// segment would wrongly run more iterations.
+	// Every program runs as a coroutine on the goroutine that called Run,
+	// so it needs no synchronisation.
 	stopped bool
 }
 
@@ -141,7 +139,6 @@ func (d *driver) run() Outcome {
 // having merely reached the segment boundary).
 func (d *driver) runSegment(startIt, endIt int, out *Outcome) bool {
 	for {
-		d.exitSeq = 0
 		d.stopped = false
 		res := d.sys.Run(d.programs(startIt, endIt))
 		out.Cycles += res.Cycles
@@ -151,16 +148,9 @@ func (d *driver) runSegment(startIt, endIt int, out *Outcome) bool {
 			return d.stopped || int(res.LastCommitted) >= d.loop.Iters()
 		}
 		out.Aborts++
-		if d.exitSeq != 0 && vid.Seq(d.exitSeq) == res.LastCommitted {
-			// The abort was the intentional squash of iterations
-			// speculated past an early loop exit (Figure 3's
-			// abortMTX(vid+1)); the loop is done.
-			out.ExitedEarly = true
-			out.Iterations = int(res.LastCommitted)
-			return true
-		}
-		// Genuine misspeculation: re-execute the first uncommitted
-		// iteration alone, then resume the pipeline after it.
+		// Misspeculation, or the squash of a loop exit (takeExit):
+		// re-execute the first uncommitted iteration alone, then resume
+		// the pipeline after it unless it ended the loop.
 		it := int(res.LastCommitted)
 		if it >= d.loop.Iters() {
 			out.Iterations = it
@@ -192,6 +182,18 @@ func (d *driver) runSegment(startIt, endIt int, out *Outcome) bool {
 			return false
 		}
 	}
+}
+
+// takeExit squashes iteration seq, whose Stage2 took the loop exit, and
+// every iteration speculated past it (Figure 3's abortMTX). It first waits
+// for the iterations before seq to commit, so the one abort leaves the
+// exit iteration first in line. Committing seq and then aborting seq+1
+// would let seq+1 commit in between and the loop run past its exit.
+// runSegment's recovery re-runs the exit iteration alone, commits it and
+// ends the loop.
+func takeExit(e *engine.Env, seq vid.Seq) {
+	e.AwaitCommitted(seq - 1)
+	e.Abort(seq)
 }
 
 func (d *driver) programs(startIt, endIt int) []engine.Program {
@@ -252,14 +254,10 @@ func (d *driver) stage2Prog() engine.Program {
 			seq := vid.Seq(v)
 			it := int(seq) - 1
 			e.Begin(seq) // continue the transaction stage 1 started
-			exit := d.loop.Stage2(e, it)
-			e.Commit(seq)
-			if exit {
-				// The loop exit was control-flow speculated away;
-				// squash the iterations that over-speculated.
-				d.exitSeq = int64(seq)
-				e.Abort(seq + 1)
+			if d.loop.Stage2(e, it) {
+				takeExit(e, seq)
 			}
+			e.Commit(seq)
 		}
 	}
 }
@@ -270,12 +268,10 @@ func (d *driver) doallProg(startIt, endIt, w int) engine.Program {
 			seq := vid.Seq(it + 1)
 			e.Begin(seq)
 			d.loop.Stage1(e, it)
-			exit := d.loop.Stage2(e, it)
-			e.Commit(seq)
-			if exit {
-				d.exitSeq = int64(seq)
-				e.Abort(seq + 1)
+			if d.loop.Stage2(e, it) {
+				takeExit(e, seq)
 			}
+			e.Commit(seq)
 		}
 	}
 }
@@ -307,12 +303,10 @@ func (d *driver) doacrossProg(startIt, endIt, w int) engine.Program {
 				}
 				e.Produce(qOf((w+1)%d.cores), tok)
 			}
-			exit := d.loop.Stage2(e, it)
-			e.Commit(seq)
-			if exit {
-				d.exitSeq = int64(seq)
-				e.Abort(seq + 1)
+			if d.loop.Stage2(e, it) {
+				takeExit(e, seq)
 			}
+			e.Commit(seq)
 			if !cont {
 				d.stopped = true
 				return

@@ -214,9 +214,45 @@ func TestDOALLMatchesSequentialAndSpeedsUp(t *testing.T) {
 	}
 }
 
+// exitLoop wraps a loop whose Stage2 takes the loop exit at iteration at.
+type exitLoop struct {
+	paradigm.Loop
+	at int
+}
+
+func (l *exitLoop) Stage2(e *engine.Env, it int) bool {
+	return l.Loop.Stage2(e, it) || it == l.at
+}
+
+// TestLoopExitStopsTheLoop: a Stage2 that takes the loop exit ends the loop
+// at its own iteration, even when a later iteration is ready to commit
+// while the exiting worker squashes the ones speculated past it.
+func TestLoopExitStopsTheLoop(t *testing.T) {
+	for _, k := range []paradigm.Kind{paradigm.DOALL, paradigm.DOACROSS, paradigm.DSWP, paradigm.PSDSWP} {
+		loop := &exitLoop{Loop: &doallLoop{n: 32}, at: 10}
+		seqSys := engine.New(engine.DefaultConfig())
+		loop.Setup(seqSys.Mem)
+		paradigm.RunSequential(seqSys, loop)
+
+		sys := engine.New(engine.DefaultConfig())
+		loop.Setup(sys.Mem)
+		out := Run(sys, loop, k, 4)
+		if !out.ExitedEarly || out.Iterations != loop.at+1 {
+			t.Errorf("%v: ExitedEarly %t, Iterations %d; want true, %d", k, out.ExitedEarly, out.Iterations, loop.at+1)
+		}
+		for i := 0; i < 32; i++ {
+			a := daOut + memsys.Addr(i)*memsys.LineSize
+			if got, want := sys.Mem.PeekWord(a), seqSys.Mem.PeekWord(a); got != want {
+				t.Errorf("%v: out[%d] = %d, want %d (sequential)", k, i, got, want)
+			}
+		}
+	}
+}
+
 // TestEarlyExitSquashesOverSpeculation exercises the Figure 3 early-exit
-// path: stage 2 finds w > MAX, commits its iteration, and aborts the
-// iterations stage 1 speculated past the exit.
+// path: stage 2 finds w > MAX and squashes the iterations stage 1
+// speculated past the exit in one abort, and recovery commits the exit
+// iteration.
 func TestEarlyExitSquashesOverSpeculation(t *testing.T) {
 	loop := &listLoop{n: 50, max: 10, workCost: 2000}
 	_, out, _ := runBoth(t, loop, paradigm.PSDSWP, 4)

@@ -13,105 +13,22 @@ import (
 	"hmtx/tools/analyzers/analysis"
 )
 
-// loadFixturePair source-loads the facta/factb fixture pair in one Checker.
-func loadFixturePair(t *testing.T) (a, b *analysis.Package) {
+// loadDiag source-loads the diag fixture.
+func loadDiag(t *testing.T) *analysis.Package {
 	t.Helper()
 	c := analysis.NewChecker()
-	c.AddUnit("facta", []string{filepath.Join("testdata", "src", "facta", "a.go")})
-	c.AddUnit("factb", []string{filepath.Join("testdata", "src", "factb", "b.go")})
-	pa, err := c.Package("facta")
+	c.AddUnit("diag", []string{filepath.Join("testdata", "src", "diag", "diag.go")})
+	p, err := c.Package("diag")
 	if err != nil {
 		t.Fatal(err)
 	}
-	pb, err := c.Package("factb")
-	if err != nil {
-		t.Fatal(err)
-	}
-	return pa, pb
+	return p
 }
 
-type markFact struct{ Label string }
-
-func (*markFact) AFact() {}
-
-// TestFactPropagation runs a fact-exporting analyzer over two source-loaded
-// packages in dependency order with a shared Runner and checks that the
-// importer observes exactly the facts the dependency exported.
-func TestFactPropagation(t *testing.T) {
-	pa, pb := loadFixturePair(t)
-
-	var sawMarked, sawPlain bool
-	a := &analysis.Analyzer{
-		Name: "facttest",
-		Doc:  "exports a fact on facta.Marked and reads it from factb",
-		Run: func(pass *analysis.Pass) (any, error) {
-			switch pass.PkgPath {
-			case "facta":
-				obj := pass.Pkg.Scope().Lookup("Marked")
-				if obj == nil {
-					t.Fatal("facta.Marked not found")
-				}
-				pass.ExportObjectFact(obj, &markFact{Label: "yes"})
-			case "factb":
-				for _, imp := range pass.Pkg.Imports() {
-					if imp.Path() != "facta" {
-						continue
-					}
-					var f markFact
-					if pass.ImportObjectFact(imp.Scope().Lookup("Marked"), &f) {
-						sawMarked = true
-						if f.Label != "yes" {
-							t.Errorf("fact label = %q, want yes (copy must preserve fields)", f.Label)
-						}
-					}
-					if pass.ImportObjectFact(imp.Scope().Lookup("Plain"), &f) {
-						sawPlain = true
-					}
-				}
-			}
-			return nil, nil
-		},
-	}
-
-	runner := analysis.NewRunner()
-	for _, pkg := range []*analysis.Package{pa, pb} {
-		if _, err := runner.Run(pkg, a); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if !sawMarked {
-		t.Error("fact exported on facta.Marked was not visible in factb")
-	}
-	if sawPlain {
-		t.Error("fact reported for facta.Plain, which never had one exported")
-	}
-
-	// A second Runner starts with an empty store: facts must not leak
-	// between independent runs.
-	var leaked bool
-	probe := &analysis.Analyzer{
-		Name: "probe",
-		Doc:  "checks fact isolation between runners",
-		Run: func(pass *analysis.Pass) (any, error) {
-			var f markFact
-			if obj := pass.Pkg.Scope().Lookup("Marked"); obj != nil {
-				leaked = pass.ImportObjectFact(obj, &f)
-			}
-			return nil, nil
-		},
-	}
-	if _, err := analysis.NewRunner().Run(pa, probe); err != nil {
-		t.Fatal(err)
-	}
-	if leaked {
-		t.Error("fact from one Runner visible in a fresh Runner")
-	}
-}
-
-// TestDiagnosticOrdering reports diagnostics in scrambled order and checks
-// the Runner returns them sorted by position, then message.
+// TestDiagnosticOrdering reports diagnostics in scrambled order and checks that
+// Run returns them sorted by position, then message.
 func TestDiagnosticOrdering(t *testing.T) {
-	pa, _ := loadFixturePair(t)
+	pa := loadDiag(t)
 	a := &analysis.Analyzer{
 		Name: "scramble",
 		Doc:  "reports function declarations in reverse source order",
@@ -131,7 +48,7 @@ func TestDiagnosticOrdering(t *testing.T) {
 			return nil, nil
 		},
 	}
-	diags, err := analysis.NewRunner().Run(pa, a)
+	diags, err := analysis.Run(pa, a)
 	if err != nil {
 		t.Fatal(err)
 	}

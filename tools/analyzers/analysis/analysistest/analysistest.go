@@ -41,54 +41,36 @@ func TestData() string {
 	return p
 }
 
-// Run loads every fixture package under testdata/src, applies a to all of
-// them in dependency order with a shared fact store (so interprocedural
-// analyzers see the facts of fixture dependencies), and reports mismatches
-// between the diagnostics and the want comments of the named packages
-// through t. Diagnostics in fixture packages that are not named are ignored
-// — dependencies often deliberately contain the sources a finding in the
-// named package flows from.
+// Run type-checks the fixture packages under testdata/src, applies a to
+// each named package, and reports mismatches between its diagnostics and the
+// package's want comments through t. Fixture packages that are not named
+// are type-checked only as the named packages' imports.
 func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string) {
 	t.Helper()
-	checker, order, err := loadFixtures(filepath.Join(testdata, "src"))
+	checker, err := loadFixtures(filepath.Join(testdata, "src"))
 	if err != nil {
 		t.Fatal(err)
 	}
-	requested := make(map[string]bool, len(pkgpaths))
 	for _, path := range pkgpaths {
-		requested[path] = true
-	}
-	runner := analysis.NewRunner()
-	ran := make(map[string]bool)
-	for _, path := range order {
 		pkg, err := checker.Package(path)
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", path, err)
 		}
-		diags, err := runner.Run(pkg, a)
+		diags, err := analysis.Run(pkg, a)
 		if err != nil {
 			t.Fatalf("running %s on %s: %v", a.Name, path, err)
 		}
-		ran[path] = true
-		if requested[path] {
-			checkExpectations(t, pkg, diags)
-		}
-	}
-	for _, path := range pkgpaths {
-		if !ran[path] {
-			t.Errorf("requested fixture package %s not found under %s", path, testdata)
-		}
+		checkExpectations(t, pkg, diags)
 	}
 }
 
 // loadFixtures registers every directory under srcroot that contains Go
 // files as a source unit keyed by its slash-separated relative path, and
-// gathers export data for any imports that are not fixtures. The returned
-// order lists the fixture paths dependencies-first.
-func loadFixtures(srcroot string) (*analysis.Checker, []string, error) {
+// gathers export data for any imports that are not fixtures.
+func loadFixtures(srcroot string) (*analysis.Checker, error) {
 	checker := analysis.NewChecker()
-	units := make(map[string]bool)       // every fixture path
-	imports := make(map[string][]string) // fixture path -> all imports
+	units := make(map[string]bool) // every fixture path
+	var imports []string           // every import of every fixture
 	fset := token.NewFileSet()
 
 	err := filepath.WalkDir(srcroot, func(dir string, d os.DirEntry, err error) error {
@@ -123,30 +105,21 @@ func loadFixtures(srcroot string) (*analysis.Checker, []string, error) {
 			}
 			for _, imp := range syntax.Imports {
 				if path, err := strconv.Unquote(imp.Path.Value); err == nil {
-					imports[unitPath] = append(imports[unitPath], path)
+					imports = append(imports, path)
 				}
 			}
 		}
 		return nil
 	})
 	if err != nil {
-		return nil, nil, err
+		return nil, err
 	}
 
 	// Anything imported by a fixture that is not itself a fixture must come
 	// from export data; one `go list -export` resolves them all.
 	need := make(map[string]bool)
-	fixtureImports := make(map[string][]string, len(units))
-	for unitPath := range units {
-		fixtureImports[unitPath] = nil
-		for _, path := range imports[unitPath] {
-			if path == "unsafe" {
-				continue
-			}
-			if units[path] {
-				fixtureImports[unitPath] = append(fixtureImports[unitPath], path)
-				continue
-			}
+	for _, path := range imports {
+		if path != "unsafe" && !units[path] {
 			need[path] = true
 		}
 	}
@@ -158,7 +131,7 @@ func loadFixtures(srcroot string) (*analysis.Checker, []string, error) {
 	if len(needList) > 0 {
 		listed, err := analysis.GoList(needList...)
 		if err != nil {
-			return nil, nil, err
+			return nil, err
 		}
 		for _, p := range listed {
 			if p.ForTest == "" && p.Export != "" {
@@ -166,7 +139,7 @@ func loadFixtures(srcroot string) (*analysis.Checker, []string, error) {
 			}
 		}
 	}
-	return checker, analysis.DependencyOrder(fixtureImports), nil
+	return checker, nil
 }
 
 // An expectation is one regexp from a want comment, anchored to a line.

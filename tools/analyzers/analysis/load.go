@@ -26,8 +26,8 @@ type Package struct {
 	Types   *types.Package
 	Info    *types.Info
 	// DepOnly marks a package Load checked from source only because it
-	// lies on an import path between two matched packages. Analyze it for
-	// the facts its importers need, but do not report its diagnostics.
+	// lies on an import path between two matched packages, or only the
+	// matched package's tests import it. It was not asked for: skip it.
 	DepOnly bool
 }
 
@@ -82,9 +82,8 @@ func GoList(patterns ...string) ([]*ListedPackage, error) {
 // whose PkgPath carries a "_test" suffix.
 //
 // Packages come back in dependency order — every package after all the
-// loaded packages it imports, ties broken by import path — so a caller
-// running a fact-exporting analyzer over the slice in order gives each
-// package the facts of its dependencies.
+// loaded packages it imports, ties broken by import path — so the order is
+// deterministic and a package is type-checked before its importers.
 //
 // A dependency that imports a matched package, directly or not, is checked
 // from source as well (without its test files) and comes back with DepOnly

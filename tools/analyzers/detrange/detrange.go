@@ -1,4 +1,5 @@
-// Package detrange flags `for range` loops over maps in simulation packages.
+// Package detrange flags the places where Go's map iteration order or
+// select's random choice enters a simulation package.
 //
 // Go randomizes map iteration order, so any map range whose body can affect
 // simulation state, simulated time, or report text breaks the determinism
@@ -14,6 +15,17 @@
 // deterministic order. The allowance is keys-only: collected *values* may
 // contain sort-equal elements whose final order would still be the
 // iteration order.
+//
+// Since v3 it flags the other ways to observe those orders where they are
+// called:
+//
+//   - maps.Keys, maps.Values and maps.All, and reflect.Value's MapKeys and
+//     MapRange, unless slices.Sorted takes the result directly, or the keys
+//     (maps.Keys, possibly through slices.Collect, or MapKeys) are assigned
+//     to a local slice that the very next statement sorts, as in the v2
+//     collect-then-sort rule;
+//   - a select with two or more communication clauses: when several are
+//     ready, the runtime picks one at random.
 //
 // Test files are exempt: they only talk to testing.T, which tolerates
 // unordered reporting and cannot feed state back into a simulation run.
@@ -31,8 +43,8 @@ import (
 
 var Analyzer = &analysis.Analyzer{
 	Name:    "detrange",
-	Doc:     "flags map iteration with order-sensitive bodies in simulation packages",
-	Version: "2",
+	Doc:     "flags map iteration with order-sensitive bodies, unsorted map iterators and multi-way selects in simulation packages",
+	Version: "3",
 	Run:     run,
 }
 
@@ -45,29 +57,132 @@ func run(pass *analysis.Pass) (any, error) {
 			continue
 		}
 		next := nextStmts(file)
+		sorted := sortedCalls(pass, file, next)
 		ast.Inspect(file, func(n ast.Node) bool {
-			rs, ok := n.(*ast.RangeStmt)
-			if !ok {
-				return true
+			switch n := n.(type) {
+			case *ast.RangeStmt:
+				checkRange(pass, n, next[n])
+			case *ast.CallExpr:
+				if name, _ := mapOrderCall(pass, n); name != "" && !sorted[n] {
+					pass.Reportf(n.Pos(), "%s yields map iteration order; pass it straight to slices.Sorted or collect and sort the keys to keep runs deterministic", name)
+				}
+			case *ast.SelectStmt:
+				comms := 0
+				for _, c := range n.Body.List {
+					if c.(*ast.CommClause).Comm != nil {
+						comms++
+					}
+				}
+				if comms >= 2 {
+					pass.Reportf(n.Select, "select with %d communication clauses picks among ready cases at random; receive in a fixed order to keep runs deterministic", comms)
+				}
 			}
-			tv, ok := pass.TypesInfo.Types[rs.X]
-			if !ok {
-				return true
-			}
-			if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
-				return true
-			}
-			if orderInsensitive(pass, rs) {
-				return true
-			}
-			if collectThenSort(pass, rs, next[rs]) {
-				return true
-			}
-			pass.Reportf(rs.For, "range over map has an order-sensitive body; iterate a sorted key slice to keep runs deterministic")
 			return true
 		})
 	}
 	return nil, nil
+}
+
+func checkRange(pass *analysis.Pass, rs *ast.RangeStmt, after ast.Stmt) {
+	tv, ok := pass.TypesInfo.Types[rs.X]
+	if !ok {
+		return
+	}
+	if _, isMap := tv.Type.Underlying().(*types.Map); !isMap {
+		return
+	}
+	if orderInsensitive(pass, rs) || collectThenSort(pass, rs, after) {
+		return
+	}
+	pass.Reportf(rs.For, "range over map has an order-sensitive body; iterate a sorted key slice to keep runs deterministic")
+}
+
+// mapOrderCall names the call if it yields a map's entries in iteration
+// order, and reports whether it yields only the keys, which are distinct.
+func mapOrderCall(pass *analysis.Pass, call *ast.CallExpr) (name string, keys bool) {
+	sel, ok := call.Fun.(*ast.SelectorExpr)
+	if !ok {
+		return "", false
+	}
+	if s, ok := pass.TypesInfo.Selections[sel]; ok {
+		if s.Kind() == types.MethodVal && isNamed(s.Recv(), "reflect", "Value") {
+			switch sel.Sel.Name {
+			case "MapKeys":
+				return "reflect.Value.MapKeys", true
+			case "MapRange":
+				return "reflect.Value.MapRange", false
+			}
+		}
+		return "", false
+	}
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	if !ok || fn.Pkg() == nil || fn.Pkg().Path() != "maps" {
+		return "", false
+	}
+	switch fn.Name() {
+	case "Keys", "Values", "All":
+		return "maps." + fn.Name(), fn.Name() == "Keys"
+	}
+	return "", false
+}
+
+// sortedCalls returns the map-order calls of file whose order dies at once:
+// the argument of slices.Sorted, and keys assigned (directly or through
+// slices.Collect) to a variable that the next statement sorts.
+func sortedCalls(pass *analysis.Pass, file *ast.File, next map[ast.Stmt]ast.Stmt) map[*ast.CallExpr]bool {
+	sorted := map[*ast.CallExpr]bool{}
+	ast.Inspect(file, func(n ast.Node) bool {
+		switch n := n.(type) {
+		case *ast.CallExpr:
+			if isFunc(pass, n, "slices", "Sorted") && len(n.Args) == 1 {
+				if arg, ok := ast.Unparen(n.Args[0]).(*ast.CallExpr); ok {
+					sorted[arg] = true
+				}
+			}
+		case *ast.AssignStmt:
+			if len(n.Lhs) != 1 || len(n.Rhs) != 1 {
+				return true
+			}
+			dst, ok := n.Lhs[0].(*ast.Ident)
+			call, ok2 := ast.Unparen(n.Rhs[0]).(*ast.CallExpr)
+			if !ok || !ok2 {
+				return true
+			}
+			if isFunc(pass, call, "slices", "Collect") && len(call.Args) == 1 {
+				if inner, ok := ast.Unparen(call.Args[0]).(*ast.CallExpr); ok {
+					call = inner
+				}
+			}
+			if _, keys := mapOrderCall(pass, call); keys && sortsSlice(pass, next[n], identObj(pass, dst)) {
+				sorted[call] = true
+			}
+		}
+		return true
+	})
+	return sorted
+}
+
+// isFunc reports whether call calls the package-level function pkg.name.
+func isFunc(pass *analysis.Pass, call *ast.CallExpr, pkg, name string) bool {
+	fun := ast.Unparen(call.Fun)
+	if ix, ok := fun.(*ast.IndexExpr); ok { // explicit instantiation
+		fun = ix.X
+	}
+	sel, ok := fun.(*ast.SelectorExpr)
+	if !ok {
+		return false
+	}
+	fn, ok := pass.TypesInfo.Uses[sel.Sel].(*types.Func)
+	return ok && fn.Pkg() != nil && fn.Pkg().Path() == pkg && fn.Name() == name
+}
+
+// isNamed reports whether t, or the type t points to, is pkg.name.
+func isNamed(t types.Type, pkg, name string) bool {
+	if p, ok := t.(*types.Pointer); ok {
+		t = p.Elem()
+	}
+	n, ok := t.(*types.Named)
+	return ok && n.Obj().Pkg() != nil && n.Obj().Pkg().Path() == pkg && n.Obj().Name() == name
 }
 
 // nextStmts maps each statement to the statement that follows it in its

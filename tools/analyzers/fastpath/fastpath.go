@@ -13,10 +13,13 @@
 //   - obs.Tracer: Emit;
 //   - prof.Collector: every method but Enabled (Charge, ChargeLine, the
 //     heatmap counters, CoreDone, RunEnd);
-//   - every internal/metrics type (Sampler, Recorder, LatHists, Hist): every
-//     method but Enabled.
+//   - metrics.Sampler, metrics.Recorder and metrics.LatHists, one row each:
+//     every method but Enabled. A metrics.Hist has no Enabled of its own; it
+//     belongs to a LatHists bundle, whose guard covers it.
 //
-// Enabled itself is the guard and is exempt. Test files are exempt: tests
+// Since v3 each metrics kind is its own row, so a Lat.Enabled() guard no
+// longer opens the gate for a Conflicts.Record. Enabled itself is the guard
+// and is exempt. Test files are exempt: tests
 // drive the instruments deliberately and are not on the simulated fast path.
 package fastpath
 
@@ -24,6 +27,7 @@ import (
 	"go/ast"
 	"go/token"
 	"go/types"
+	"slices"
 	"strings"
 
 	"hmtx/tools/analyzers/analysis"
@@ -32,25 +36,27 @@ import (
 var Analyzer = &analysis.Analyzer{
 	Name:    "fastpath",
 	Doc:     "requires every instrument-hook call, trace emit, profiler charge and metrics-instrument call in memsys/engine/instr to be inside an Enabled() guard",
-	Version: "2",
+	Version: "3",
 	Run:     run,
 }
 
 // A gate names one instrument kind and how a finding tells the user to
 // guard it.
 type gate struct {
-	pkg    string // package-path suffix of the instrument
-	typ    string // receiver type name; "" matches every named type in pkg
-	method string // prefix of the guarded methods; "" guards every method but Enabled
-	guard  string // the guard the message suggests
-	why    string // what the guard keeps the fast path
+	pkg    string   // package-path suffix of the instrument
+	types  []string // receiver type names: the one with Enabled, then the types it bundles
+	method string   // prefix of the guarded methods; "" guards every method but Enabled
+	guard  string   // the guard the message suggests
+	why    string   // what the guard keeps the fast path
 }
 
 var gates = []gate{
-	{"internal/instr", "Hook", "On", "if h.Enabled()", "one branch when no instrument is attached"},
-	{"internal/obs", "Tracer", "Emit", "if tr.Enabled(cat)", "allocation-free"},
-	{"internal/prof", "Collector", "", "if p.Enabled()", "free when profiling is off"},
-	{"internal/metrics", "", "", "if m.Enabled()", "free when metrics are off"},
+	{"internal/instr", []string{"Hook"}, "On", "if h.Enabled()", "one branch when no instrument is attached"},
+	{"internal/obs", []string{"Tracer"}, "Emit", "if tr.Enabled(cat)", "allocation-free"},
+	{"internal/prof", []string{"Collector"}, "", "if p.Enabled()", "free when profiling is off"},
+	{"internal/metrics", []string{"Sampler"}, "", "if s.Enabled()", "free when the series is off"},
+	{"internal/metrics", []string{"Recorder"}, "", "if r.Enabled()", "free when the conflict recorder is off"},
+	{"internal/metrics", []string{"LatHists", "Hist"}, "", "if lat.Enabled()", "free when the histograms are off"},
 }
 
 // guardBody is the body of an if statement whose condition consults Enabled
@@ -146,7 +152,7 @@ func instrumentCall(pass *analysis.Pass, call *ast.CallExpr) (row int, recv *typ
 	}
 	obj := named.Obj()
 	for i, g := range gates {
-		if strings.HasSuffix(obj.Pkg().Path(), g.pkg) && (g.typ == "" || g.typ == obj.Name()) {
+		if strings.HasSuffix(obj.Pkg().Path(), g.pkg) && slices.Contains(g.types, obj.Name()) {
 			return i, obj, sel.Sel.Name
 		}
 	}

@@ -33,7 +33,7 @@ func TestProfgate(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), fastpath.Analyzer, "prof/internal/engine")
 }
 
-// TestMetricsgate covers the internal/metrics row, which took over the
+// TestMetricsgate covers the three internal/metrics rows, which took over the
 // former metricsgate analyzer's rule.
 func TestMetricsgate(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), fastpath.Analyzer, "metrics/internal/engine")

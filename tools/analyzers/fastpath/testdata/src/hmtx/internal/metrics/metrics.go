@@ -1,6 +1,7 @@
 // Package metrics is a minimal stand-in for hmtx/internal/metrics: the
-// analyzer matches any named type by package-path suffix, so the fixture only
-// needs the instruments and the methods the gate cares about.
+// analyzer matches the instrument types by name and package-path suffix, so
+// the fixture only needs the instruments and the methods the gates care
+// about.
 package metrics
 
 type EdgeKind uint8

@@ -43,6 +43,20 @@ func (s *msys) unguarded(now int64) {
 	s.lat.Open.Observe(uint64(now)) // want `Hist.Observe outside an Enabled\(\) guard`
 }
 
+// Each metrics kind is its own gate (v3): the histogram bundle's guard
+// covers its Hists, but not the conflict recorder.
+func (s *msys) crossKind(now int64) {
+	if s.lat.Enabled() {
+		s.conflicts.Record(1, 2, 0x40, metrics.EdgeConflict) // want `Recorder.Record outside an Enabled\(\) guard`
+		s.lat.Open.Observe(uint64(now))
+	}
+	if s.conflicts.Enabled() {
+		s.series.Tick(now)          // want `Sampler.Tick outside an Enabled\(\) guard`
+		s.lat.Validation.Observe(0) // want `Hist.Observe outside an Enabled\(\) guard`
+		s.conflicts.SetTime(now)
+	}
+}
+
 // Methods named like instrument methods on other types are not instrument
 // calls, and Enabled itself needs no guard.
 type ticker struct{}
