@@ -103,7 +103,7 @@ func emitCheckpoint(path string, cfg check.Config, ce *check.Counterexample) err
 	doc := &ckpt.Doc{Schema: ckpt.Schema, Kind: ckpt.KindCheck, Check: &ckpt.CheckState{
 		Config:         cfg,
 		Counterexample: ce,
-		FinalState:     h.AppendExact(nil),
+		FinalState:     &ckpt.Blob{Sparse: h.SparseExact()},
 	}}
 	return ckpt.WriteFile(path, doc)
 }

@@ -234,9 +234,9 @@ func (d *dbg) openCheck() error {
 	d.steps = cs.Counterexample.Steps
 	// The recorded final state must be what replaying the whole trace on
 	// this build's memsys gives; a checkpoint without one predates it.
-	if len(cs.FinalState) > 0 {
+	if cs.FinalState != nil {
 		h, _, _ := cs.Config.ReplayTo(d.steps, len(d.steps))
-		if h == nil || !bytes.Equal(h.AppendExact(nil), cs.FinalState) {
+		if h == nil || !bytes.Equal(h.AppendExact(nil), cs.FinalState.AppendDense(nil)) {
 			return fmt.Errorf("replaying the counterexample does not reproduce the checkpoint's final state; it was written by a different memory system")
 		}
 	}

@@ -183,7 +183,7 @@ func TestDebugCheckFinalState(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			doc := &ckpt.Doc{Schema: ckpt.Schema, Kind: ckpt.KindCheck, Check: &ckpt.CheckState{
-				Config: cfg, Counterexample: ce, FinalState: tc.final,
+				Config: cfg, Counterexample: ce, FinalState: &ckpt.Blob{Sparse: memsys.SparseOf(tc.final)},
 			}}
 			path := filepath.Join(t.TempDir(), "ce.json")
 			if err := ckpt.WriteFile(path, doc); err != nil {

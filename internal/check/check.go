@@ -224,20 +224,9 @@ func (c Config) applyStimulus(h *memsys.Hierarchy, o *oracle, s Stimulus) (note 
 		}
 	}
 
-	// Property: abort erases all VID-tagged state (§4.4): no speculative
-	// line and no wrong-path shadow mark survives an abort sweep.
 	if aborted {
-		for ci := 0; ci <= c.Cores; ci++ {
-			for i := 0; i < c.Addrs; i++ {
-				for _, ln := range h.Versions(ci, addrOf(i)) {
-					if ln.St.Speculative() || ln.ShadowHigh != 0 {
-						return note, &violation{
-							Property: "abort-erasure",
-							Detail:   fmt.Sprintf("cache %d line %#x still holds %s after abort", ci, addrOf(i), ln.String()),
-						}
-					}
-				}
-			}
+		if err := c.abortErasure(h); err != nil {
+			return note, err
 		}
 	}
 
@@ -247,6 +236,25 @@ func (c Config) applyStimulus(h *memsys.Hierarchy, o *oracle, s Stimulus) (note 
 		return note, &violation{Property: "invariant", Detail: ierr.Error()}
 	}
 	return note, nil
+}
+
+// abortErasure checks that abort erased all VID-tagged state (§4.4): no
+// speculative line and no wrong-path shadow mark survives an abort sweep.
+// It reports the first line that does, cache by cache.
+func (c Config) abortErasure(h *memsys.Hierarchy) error {
+	for ci := 0; ci <= c.Cores; ci++ {
+		for i := 0; i < c.Addrs; i++ {
+			for _, ln := range h.Versions(ci, addrOf(i)) {
+				if ln.St.Speculative() || ln.ShadowHigh != 0 {
+					return &violation{
+						Property: "abort-erasure",
+						Detail:   fmt.Sprintf("cache %d line %#x still holds %s after abort", ci, addrOf(i), ln.String()),
+					}
+				}
+			}
+		}
+	}
+	return nil
 }
 
 // edge records how a state was first reached, for counterexample paths.

@@ -2,6 +2,7 @@ package check
 
 import (
 	"bytes"
+	"fmt"
 	"reflect"
 	"strings"
 	"testing"
@@ -221,5 +222,34 @@ func TestOracleCanonical(t *testing.T) {
 		if bytes.Equal(o.appendCanon(nil), enc) {
 			t.Errorf("a changed %s did not move the canonical encoding", m.name)
 		}
+	}
+}
+
+// TestAbortErasure: the abort-erasure property reports a speculative line
+// an abort left behind, and nothing once AbortAll has run. The replayed
+// stimulus leaves core 0's L1 holding only an S-S copy of core 1's version,
+// the first line the property looks at, so the report must name the copy.
+func TestAbortErasure(t *testing.T) {
+	cfg := Config{Cores: 2, Addrs: 1, VIDs: 2}
+	steps := []Stimulus{
+		{Op: OpStore, Core: 1, Addr: addrOf(0), VID: 1, Val: 1},
+		{Op: OpLoad, Core: 0, Addr: addrOf(0), VID: 2},
+	}
+	h, n, err := cfg.ReplayTo(steps, len(steps))
+	if err != nil || n != len(steps) {
+		t.Fatalf("replay stopped after %d of %d steps: %v", n, len(steps), err)
+	}
+	copies := h.Versions(0, addrOf(0))
+	if len(copies) != 1 || copies[0].St != memsys.SpecShared {
+		t.Fatalf("core 0's L1 holds %v, want one S-S copy", copies)
+	}
+	err = cfg.abortErasure(h)
+	want := fmt.Sprintf("cache 0 line %#x still holds %s", addrOf(0), copies[0].String())
+	if v, ok := err.(*violation); !ok || v.Property != "abort-erasure" || !strings.Contains(v.Detail, want) {
+		t.Errorf("abortErasure = %v, want an abort-erasure violation naming %q", err, want)
+	}
+	h.AbortAll()
+	if err := cfg.abortErasure(h); err != nil {
+		t.Errorf("after AbortAll: %v", err)
 	}
 }

@@ -41,8 +41,6 @@ import (
 	"fmt"
 	"io"
 	"os"
-	"slices"
-	"strings"
 
 	"hmtx/internal/check"
 	"hmtx/internal/engine"
@@ -100,7 +98,7 @@ type RunState struct {
 	Partial hmtx.Outcome `json:"partial"`
 
 	// Engine is the persistent engine state; Mem is the exact
-	// memory-hierarchy encoding (memsys.AppendExact).
+	// memory-hierarchy encoding (memsys.AppendExact), in sparse form.
 	Engine engine.Ckpt `json:"engine"`
 	Mem    Blob        `json:"mem"`
 
@@ -129,27 +127,23 @@ type CheckState struct {
 	Counterexample *check.Counterexample `json:"counterexample,omitempty"`
 	// FinalState is the exact encoding (memsys.AppendExact) of the
 	// hierarchy after the last replayed step — for a violation, the state
-	// the failing stimulus produced.
-	FinalState Blob `json:"final_state,omitempty"`
+	// the failing stimulus produced. A document without one reads as nil.
+	FinalState *Blob `json:"final_state,omitempty"`
 }
 
-// Blob is an exact memory-hierarchy encoding (memsys.AppendExact). Its JSON
-// form is the lowercase hex string of its bytes; Read decodes it.
-type Blob []byte
+// Blob is an exact memory-hierarchy encoding (memsys.AppendExact) in its
+// sparse form, memsys.Sparse: only the stretches of the encoding a run
+// wrote are held, and every byte between them is zero. Its JSON form is the
+// lowercase hex string of the dense bytes; Read decodes it.
+type Blob struct{ memsys.Sparse }
 
 // MarshalJSON returns the blob as a JSON string of lowercase hex.
 func (b Blob) MarshalJSON() ([]byte, error) {
-	out := make([]byte, hex.EncodedLen(len(b))+2)
-	out[0], out[len(out)-1] = '"', '"'
-	hex.Encode(out[1:], b)
-	return out, nil
-}
-
-func nilIfEmpty(b []byte) Blob {
-	if len(b) == 0 {
-		return nil
-	}
-	return b
+	out := bytes.NewBuffer(make([]byte, 0, 2*b.Len+2))
+	out.WriteByte('"')
+	writeHex(out, b.Sparse)
+	out.WriteByte('"')
+	return out.Bytes(), nil
 }
 
 // CaptureRun completes a run checkpoint: the caller fills the identity and
@@ -158,7 +152,7 @@ func nilIfEmpty(b []byte) Blob {
 // quiescent (between Run calls).
 func CaptureRun(sys *engine.System, rs RunState) *Doc {
 	rs.Engine = sys.CaptureCkpt()
-	rs.Mem = sys.Mem.AppendExact(nil)
+	rs.Mem = Blob{sys.Mem.SparseExact()}
 	rs.Ckpt = sys.CaptureInstr()
 	return &Doc{Schema: Schema, Kind: KindRun, Run: &rs}
 }
@@ -176,14 +170,14 @@ func RestoreRun(doc *Doc) (*engine.System, error) {
 	if err := rs.EngineCfg.Mem.Validate(); err != nil {
 		return nil, fmt.Errorf("ckpt: engine config: %v", err)
 	}
-	if err := memsys.CheckExact(rs.EngineCfg.Mem, rs.Mem); err != nil {
+	if err := memsys.CheckExact(rs.EngineCfg.Mem, rs.Mem.Sparse); err != nil {
 		return nil, err
 	}
 	sys := engine.New(rs.EngineCfg)
 	if err := sys.RestoreInstr(rs.Ckpt); err != nil {
 		return nil, err
 	}
-	if err := sys.Mem.RestoreExact(rs.Mem); err != nil {
+	if err := sys.Mem.RestoreSparse(rs.Mem.Sparse); err != nil {
 		return nil, err
 	}
 	if err := sys.RestoreCkpt(rs.Engine); err != nil {
@@ -196,19 +190,20 @@ func RestoreRun(doc *Doc) (*engine.System, error) {
 // strings cannot hold a raw newline, so in Write's output it is unique.
 var memSlot = []byte("\n    \"mem\": \"")
 
-// hexChunk is how many blob bytes Write hex-encodes per write.
+// hexChunk is the most blob bytes Write hex-encodes or zero-fills per write.
 const hexChunk = 32 << 10
 
 // Write serialises the document as deterministic indented JSON: the bytes
 // json.MarshalIndent gives for the whole document, plus a newline. The
 // run section's memory blob, nearly all of a run checkpoint, never passes
 // through encoding/json: the document is marshalled with the blob empty,
-// and the blob's hex is streamed into its slot in fixed-size chunks.
+// and the blob's hex is written into its slot, each gap as copies of
+// zeroHex and only the stretches hex-encoded.
 func Write(w io.Writer, doc *Doc) error {
-	var blob Blob
-	if doc.Run != nil && len(doc.Run.Mem) > 0 {
+	var blob memsys.Sparse
+	if doc.Run != nil && doc.Run.Mem.Len > 0 {
 		rs := *doc.Run
-		blob, rs.Mem = rs.Mem, nil
+		blob, rs.Mem = rs.Mem.Sparse, Blob{}
 		d := *doc
 		d.Run = &rs
 		doc = &d
@@ -218,38 +213,38 @@ func Write(w io.Writer, doc *Doc) error {
 		return err
 	}
 	at := len(buf)
-	if blob != nil {
+	if blob.Len > 0 {
 		if at = bytes.Index(buf, memSlot); at < 0 {
 			return fmt.Errorf("ckpt: no memory slot in the marshalled run section")
 		}
 		at += len(memSlot)
 	}
 	if g, ok := w.(interface{ Grow(int) }); ok {
-		g.Grow(len(buf) + hex.EncodedLen(len(blob)) + 1) // one allocation for a *bytes.Buffer
+		g.Grow(len(buf) + 2*blob.Len + 1) // one allocation for a *bytes.Buffer
 	}
 	if _, err := w.Write(buf[:at]); err != nil {
 		return err
 	}
-	chunk := make([]byte, hex.EncodedLen(min(len(blob), hexChunk)))
-	for len(blob) > 0 {
-		n := min(len(blob), hexChunk)
-		encodeHex(chunk, blob[:n])
-		if _, err := w.Write(chunk[:2*n]); err != nil {
-			return err
-		}
-		blob = blob[n:]
+	if err := writeHex(w, blob); err != nil {
+		return err
 	}
 	_, err = w.Write(append(buf[at:], '\n'))
 	return err
 }
 
-// WriteFile writes the document to path.
+// WriteFile writes the document to path. The blob's stretches and gaps
+// reach the file through one buffer, not a write call each.
 func WriteFile(path string, doc *Doc) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
 	}
-	if err := Write(f, doc); err != nil {
+	bw := bufio.NewWriterSize(f, ioBuf)
+	if err := Write(bw, doc); err != nil {
+		f.Close()
+		return err
+	}
+	if err := bw.Flush(); err != nil {
 		f.Close()
 		return err
 	}
@@ -259,14 +254,10 @@ func WriteFile(path string, doc *Doc) error {
 // Read parses and validates a checkpoint document. The result is what
 // json.Unmarshal of the whole input gives, and every input it rejects is
 // rejected. A run checkpoint is not held whole: the memory slot's hex is
-// decoded into the blob as it is read (readSplit). A reader with a Len
-// method, such as a *bytes.Reader, gets its blob in one allocation.
+// decoded into the sparse blob as it is read (readSplit), so the blob
+// holds only the stretches that are not zero.
 func Read(r io.Reader) (*Doc, error) {
-	size := -1
-	if l, ok := r.(interface{ Len() int }); ok {
-		size = l.Len()
-	}
-	return read(r, size, readBuf)
+	return read(r, ioBuf)
 }
 
 // ReadFile reads the document at path.
@@ -276,11 +267,7 @@ func ReadFile(path string) (*Doc, error) {
 		return nil, err
 	}
 	defer f.Close()
-	size := -1
-	if fi, err := f.Stat(); err == nil && fi.Mode().IsRegular() {
-		size = int(fi.Size())
-	}
-	doc, err := read(f, size, readBuf)
+	doc, err := read(f, ioBuf)
 	if err != nil {
 		return nil, fmt.Errorf("%s: %w", path, err)
 	}
@@ -309,14 +296,14 @@ type wireCheck struct {
 	FinalState string `json:"final_state"`
 }
 
-// readBuf is the read buffer size of Read and ReadFile.
-const readBuf = 64 << 10
+// ioBuf is the read buffer size of Read and ReadFile, and the write
+// buffer size of WriteFile.
+const ioBuf = 64 << 10
 
-// read is Read given the input's length in bytes (or -1 when unknown) and
-// a read buffer size.
-func read(r io.Reader, size, bufSize int) (*Doc, error) {
+// read is Read with a read buffer of bufSize bytes.
+func read(r io.Reader, bufSize int) (*Doc, error) {
 	var w wireDoc
-	mem, data, split, err := readSplit(r, size, bufSize, &w)
+	mem, data, split, err := readSplit(r, bufSize, &w)
 	if err != nil {
 		return nil, fmt.Errorf("ckpt: %v", err)
 	}
@@ -338,8 +325,12 @@ func read(r io.Reader, size, bufSize int) (*Doc, error) {
 	}
 	if w.Check != nil {
 		doc.Check = &w.Check.CheckState
-		if doc.Check.FinalState, err = hexBlob(w.Check.FinalState); err != nil {
+		final, err := hexBlob(w.Check.FinalState)
+		if err != nil {
 			return nil, err
+		}
+		if final.Len > 0 {
+			doc.Check.FinalState = &final
 		}
 	}
 	if err := doc.validate(); err != nil {
@@ -348,12 +339,14 @@ func read(r io.Reader, size, bufSize int) (*Doc, error) {
 	return doc, nil
 }
 
+// hexBlob decodes a blob that json.Unmarshal took whole: its one-stretch
+// form, since a document off the streamed path is small or hand-made.
 func hexBlob(s string) (Blob, error) {
 	b, err := hex.DecodeString(s)
 	if err != nil {
-		return nil, fmt.Errorf("ckpt: corrupt memory encoding: %v", err)
+		return Blob{}, fmt.Errorf("ckpt: corrupt memory encoding: %v", err)
 	}
-	return nilIfEmpty(b), nil
+	return Blob{memsys.SparseOf(b)}, nil
 }
 
 // validate checks the schema tag and that the kind's section is present.
@@ -392,7 +385,7 @@ func (doc *Doc) validate() error {
 // if the slot is its value. Only the lowercase digits Write emits are
 // decoded as they stream, so the blob re-encodes to the exact input digits
 // when the input has to be decoded whole.
-func readSplit(r io.Reader, size, bufSize int, w *wireDoc) (blob Blob, data []byte, split bool, err error) {
+func readSplit(r io.Reader, bufSize int, w *wireDoc) (blob Blob, data []byte, split bool, err error) {
 	br := bufio.NewReaderSize(r, bufSize)
 	// The input up to the slot's first digit. The slot opens with the
 	// only newline a JSON string cannot hold, so it is looked for after
@@ -402,11 +395,11 @@ func readSplit(r io.Reader, size, bufSize int, w *wireDoc) (blob Blob, data []by
 		line, err := br.ReadSlice('\n')
 		head = append(head, line...)
 		if err == io.EOF {
-			return nil, head, false, nil
+			return Blob{}, head, false, nil
 		} else if err == bufio.ErrBufferFull {
 			continue
 		} else if err != nil {
-			return nil, nil, false, err
+			return Blob{}, nil, false, err
 		}
 		if p, _ := br.Peek(len(memSlot) - 1); bytes.Equal(p, memSlot[1:]) {
 			head = append(head, p...)
@@ -416,16 +409,13 @@ func readSplit(r io.Reader, size, bufSize int, w *wireDoc) (blob Blob, data []by
 	}
 	lo := len(head)
 	h := hexStream{half: -1}
-	if size > lo {
-		h.blob = make(Blob, 0, (size-lo)/2)
-	}
 	// The digits up to the closing quote, or to the first byte that is
 	// not a lowercase hex digit.
 	var chunk []byte
 	for {
 		chunk, err = br.ReadSlice('"')
 		if err != nil && err != io.EOF && err != bufio.ErrBufferFull {
-			return nil, nil, false, err
+			return Blob{}, nil, false, err
 		}
 		digits := chunk
 		if err == nil {
@@ -438,13 +428,13 @@ func readSplit(r io.Reader, size, bufSize int, w *wireDoc) (blob Blob, data []by
 	}
 	rest := bytes.NewBuffer(append(head, chunk...))
 	if _, err := rest.ReadFrom(br); err != nil {
-		return nil, nil, false, err
+		return Blob{}, nil, false, err
 	}
 	data = rest.Bytes()
 	if h.half < 0 && splitRest(data, lo, w) {
-		return nilIfEmpty(h.blob), nil, true, nil
+		return Blob{h.blob.Sparse()}, nil, true, nil
 	}
-	return nil, h.rebuild(data, lo), false, nil
+	return Blob{}, h.rebuild(data, lo), false, nil
 }
 
 // splitRest decodes rest, the input with the slot's digits cut out at lo,
@@ -464,9 +454,11 @@ func splitRest(rest []byte, lo int, w *wireDoc) bool {
 	return json.Unmarshal(marked, &probe) == nil && probe.Run != nil && probe.Run.Mem == "00"
 }
 
-// hexStream decodes lowercase hex digits into blob as they arrive.
+// hexStream decodes lowercase hex digits into a sparse blob as they
+// arrive: runs of zero digits become its gaps, and the other digits its
+// stretches.
 type hexStream struct {
-	blob Blob
+	blob memsys.SparseWriter
 	half int // the value of an unpaired last digit, or -1
 }
 
@@ -479,13 +471,11 @@ func (h *hexStream) write(p []byte) int {
 		if v > 0xf {
 			return 0
 		}
-		h.blob = append(h.blob, byte(h.half)<<4|v)
+		put(&h.blob, []byte{byte(h.half)<<4 | v})
 		h.half, n = -1, 1
 	}
-	at, pairs := len(h.blob), (len(p)-n)/2
-	h.blob = slices.Grow(h.blob, pairs)[:at+pairs]
-	k := decodeHex(h.blob[at:], p[n:n+2*pairs])
-	h.blob = h.blob[:at+k/2]
+	pairs := (len(p) - n) / 2
+	k := decodeHex(&h.blob, p[n:n+2*pairs])
 	if n += k; k == 2*pairs && n < len(p) {
 		if v := unhexLower[p[n]]; v <= 0xf {
 			h.half, n = int(v), n+1
@@ -497,24 +487,60 @@ func (h *hexStream) write(p []byte) int {
 // rebuild returns the input whose rest, with the digits h took cut out at
 // lo, is rest.
 func (h *hexStream) rebuild(rest []byte, lo int) []byte {
-	data := make([]byte, 0, len(rest)+2*len(h.blob)+1)
-	data = hex.AppendEncode(append(data, rest[:lo]...), h.blob)
+	blob := h.blob.Sparse()
+	data := bytes.NewBuffer(make([]byte, 0, len(rest)+2*blob.Len+1))
+	data.Write(rest[:lo])
+	writeHex(data, blob)
 	if h.half >= 0 {
-		data = append(data, hexDigits[h.half])
+		data.WriteByte(hexDigits[h.half])
 	}
-	return append(data, rest[lo:]...)
+	data.Write(rest[lo:])
+	return data.Bytes()
 }
 
-// Most of a memory blob is zero: the encoding of the cache sets a run never
-// touched. encodeHex and decodeHex pass a zero block of hexBlock bytes with
-// one comparison and one copy instead of a table lookup per digit.
+// writeHex writes the lowercase hex of s's dense bytes to w: each gap as
+// copies of zeroHex, and only the stretches hex-encoded.
+func writeHex(w io.Writer, s memsys.Sparse) error {
+	var chunk []byte
+	at := 0
+	for _, st := range s.Stretches {
+		if err := writeZeroHex(w, st.Off-at); err != nil {
+			return err
+		}
+		for p := st.Data; len(p) > 0; {
+			n := min(len(p), hexChunk)
+			chunk = hex.AppendEncode(chunk[:0], p[:n])
+			if _, err := w.Write(chunk); err != nil {
+				return err
+			}
+			p = p[n:]
+		}
+		at = st.Off + len(st.Data)
+	}
+	return writeZeroHex(w, s.Len-at)
+}
+
+// writeZeroHex writes the hex of n zero bytes.
+func writeZeroHex(w io.Writer, n int) error {
+	for n > 0 {
+		k := min(n, hexChunk)
+		if _, err := w.Write(zeroHex[:2*k]); err != nil {
+			return err
+		}
+		n -= k
+	}
+	return nil
+}
+
+// decodeHex passes a block of hexBlock zero bytes with one comparison.
 const hexBlock = 64
 
 const hexDigits = "0123456789abcdef"
 
 var (
-	zeroBlock [hexBlock]byte
-	zeroHex   = strings.Repeat("0", 2*hexBlock)
+	// zeroHex is the hex of hexChunk zero bytes. Writers must not change
+	// the bytes they are given, so every write of a gap can share it.
+	zeroHex = bytes.Repeat([]byte{'0'}, 2*hexChunk)
 	// unhexLower maps each lowercase hex digit to its value and every
 	// other byte to 0xff.
 	unhexLower = func() (t [256]byte) {
@@ -528,38 +554,45 @@ var (
 	}()
 )
 
-// encodeHex is hex.Encode with a fast path for zero blocks.
-func encodeHex(dst, src []byte) {
-	for len(src) >= hexBlock {
-		if bytes.Equal(src[:hexBlock], zeroBlock[:]) {
-			copy(dst, zeroHex)
-		} else {
-			hex.Encode(dst, src[:hexBlock])
-		}
-		dst, src = dst[2*hexBlock:], src[hexBlock:]
-	}
-	hex.Encode(dst, src)
-}
-
-// decodeHex decodes the pairs of lowercase hex digits in src into dst, which
-// holds len(src)/2 bytes, up to the first pair that is not one. It returns
-// how many digits it decoded, an even number, with a fast path for zero
-// blocks.
-func decodeHex(dst, src []byte) int {
+// decodeHex decodes the pairs of lowercase hex digits in src into dst, up
+// to the first pair that is not one, and returns how many digits it
+// decoded, an even number. A block of zero digits reaches dst as
+// hexBlock zeros after one comparison; any other block is decoded a pair
+// at a time.
+func decodeHex(dst *memsys.SparseWriter, src []byte) int {
+	var block [hexBlock]byte
 	n, end := 0, len(src)&^1
 	for n < end {
-		if end-n >= 2*hexBlock && string(src[n:n+2*hexBlock]) == zeroHex {
-			clear(dst[n/2 : n/2+hexBlock])
+		if end-n >= 2*hexBlock && bytes.Equal(src[n:n+2*hexBlock], zeroHex[:2*hexBlock]) {
+			dst.Zeros(hexBlock)
 			n += 2 * hexBlock
 			continue
 		}
-		for stop := min(end, n+2*hexBlock); n < stop; n += 2 {
+		k := 0
+		for stop := min(end, n+2*hexBlock); n < stop; n, k = n+2, k+1 {
 			hi, lo := unhexLower[src[n]], unhexLower[src[n+1]]
 			if hi|lo > 0xf {
+				put(dst, block[:k])
 				return n
 			}
-			dst[n/2] = hi<<4 | lo
+			block[k] = hi<<4 | lo
 		}
+		put(dst, block[:k])
 	}
 	return n
+}
+
+// put gives b to w with its leading and trailing zero bytes as zeros, so a
+// run of zeros that blocks or reads cut apart still reaches w whole.
+func put(w *memsys.SparseWriter, b []byte) {
+	lo, hi := 0, len(b)
+	for lo < hi && b[lo] == 0 {
+		lo++
+	}
+	for hi > lo && b[hi-1] == 0 {
+		hi--
+	}
+	w.Zeros(lo)
+	w.Write(b[lo:hi])
+	w.Zeros(len(b) - hi)
 }

@@ -6,6 +6,7 @@ import (
 	"encoding/json"
 	"math/rand"
 	"reflect"
+	"runtime"
 	"slices"
 	"strings"
 	"testing"
@@ -418,42 +419,112 @@ func TestDocDeterministic(t *testing.T) {
 	}
 }
 
-// TestHexZeroBlocks: encodeHex and decodeHex, with their zero-block fast
+// TestHexZeroBlocks: writeHex and decodeHex, with their zero-block fast
 // paths, agree with encoding/hex on every length and on zero, non-zero and
-// mixed blocks, and decodeHex stops at the first pair that holds a digit
-// other than a lowercase hex digit, as the streaming reader needs.
+// mixed blocks; decodeHex stops at the first pair that holds a digit other
+// than a lowercase hex digit, as the streaming reader needs; and a hexStream
+// fed the digits in pieces of any size builds the same sparse blob, with no
+// stretch at all for a blob of zeros.
 func TestHexZeroBlocks(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	for n := 0; n <= 3*hexBlock+1; n++ {
 		for trial := 0; trial < 8; trial++ {
 			src := make([]byte, n)
 			for i := range src {
-				if rng.Intn(50) == 0 {
+				if trial > 0 && rng.Intn(50) == 0 {
 					src[i] = byte(1 + rng.Intn(255))
 				}
 			}
-			enc := make([]byte, 2*n)
-			encodeHex(enc, src)
-			if want := hex.EncodeToString(src); string(enc) != want {
-				t.Fatalf("encodeHex(%x) = %s", src, enc)
+			var in memsys.SparseWriter
+			for p := src; len(p) > 0; {
+				k := min(len(p), 1+rng.Intn(80))
+				put(&in, p[:k])
+				p = p[k:]
 			}
-			dec := bytes.Repeat([]byte{0xee}, n) // decodeHex writes every byte
-			if k := decodeHex(dec, enc); k != len(enc) || !bytes.Equal(dec, src) {
-				t.Fatalf("decodeHex(%s) = %x, %d", enc, dec, k)
+			want := hex.EncodeToString(src)
+			for _, s := range []memsys.Sparse{in.Sparse(), memsys.SparseOf(src)} {
+				var enc bytes.Buffer
+				if err := writeHex(&enc, s); err != nil || enc.String() != want {
+					t.Fatalf("writeHex(%x) = %s, %v", src, enc.Bytes(), err)
+				}
 			}
+			enc := []byte(want)
+
+			whole := hexStream{half: -1}
+			if k := whole.write(enc); k != len(enc) {
+				t.Fatalf("hexStream took %d of %d digits of %s", k, len(enc), enc)
+			}
+			got := whole.blob.Sparse()
+			if !bytes.Equal(got.AppendDense(nil), src) || got.Len != n {
+				t.Fatalf("decoding %s gave %x", enc, got.AppendDense(nil))
+			}
+			if trial == 0 && len(got.Stretches) != 0 {
+				t.Fatalf("%d zero bytes decoded into %d stretches", n, len(got.Stretches))
+			}
+			pieces := hexStream{half: -1}
+			for p := enc; len(p) > 0; {
+				k := min(len(p), 1+rng.Intn(40))
+				if pieces.write(p[:k]) != k {
+					t.Fatalf("hexStream refused a piece of %s", enc)
+				}
+				p = p[k:]
+			}
+			if split := pieces.blob.Sparse(); !reflect.DeepEqual(split, got) {
+				t.Fatalf("decoding %s in pieces gave %+v, whole %+v", enc, split, got)
+			}
+
 			if n > 0 {
-				if k := decodeHex(make([]byte, n), enc[:len(enc)-1]); k != len(enc)-2 {
+				if k := decodeHex(new(memsys.SparseWriter), enc[:len(enc)-1]); k != len(enc)-2 {
 					t.Fatalf("decodeHex decoded %d digits of odd-length %s", k, enc[:len(enc)-1])
 				}
 				for _, c := range []byte{'g', 'A', '"', '\\'} {
 					bad := slices.Clone(enc)
 					at := rng.Intn(len(bad))
 					bad[at] = c
-					if k := decodeHex(make([]byte, n), bad); k != at&^1 {
+					var w memsys.SparseWriter
+					if k := decodeHex(&w, bad); k != at&^1 || !bytes.Equal(w.Sparse().AppendDense(nil), src[:at/2]) {
 						t.Fatalf("decodeHex(%s) decoded %d digits, want %d", bad, k, at&^1)
 					}
 				}
 			}
 		}
+	}
+}
+
+// TestSparseRoundTripAllocs is the allocation contract of the sparse blob:
+// on a Table 2, 4-core machine after a short DOALL run, CaptureRun and a
+// Write/Read round trip through a bytes.Buffer allocate less than 2 MB
+// besides the buffer itself. The blob's dense encoding is ~54 MB, which the
+// dense path allocated twice, at capture and at read.
+func TestSparseRoundTripAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("the race runtime's shadow allocations count as allocations")
+	}
+	cfg := engine.DefaultConfig()
+	cfg.Mem.Cores = 4
+	sys := engine.New(cfg)
+	loop := &gridLoop{n: 48}
+	loop.Setup(sys.Mem)
+	hmtx.RunOpts(sys, loop, paradigm.DOALL, 4, hmtx.Options{})
+	rs := RunState{Bench: "b", System: "hmtx", Paradigm: "doall", Cores: 4, EngineCfg: cfg}
+
+	var buf bytes.Buffer // the caller's buffer, grown to size before measuring
+	if err := Write(&buf, CaptureRun(sys, rs)); err != nil {
+		t.Fatal(err)
+	}
+	buf.Reset()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	werr := Write(&buf, CaptureRun(sys, rs))
+	back, rerr := Read(bytes.NewReader(buf.Bytes()))
+	runtime.ReadMemStats(&after)
+	if werr != nil || rerr != nil {
+		t.Fatal(werr, rerr)
+	}
+	if got := after.TotalAlloc - before.TotalAlloc; got >= 2<<20 {
+		t.Errorf("capture and round trip allocated %d bytes, want < 2 MB", got)
+	}
+	if !bytes.Equal(back.Run.Mem.AppendDense(nil), sys.Mem.AppendExact(nil)) {
+		t.Error("the blob read back is not the machine's exact encoding")
 	}
 }

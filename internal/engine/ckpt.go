@@ -193,7 +193,7 @@ func sortedAddrs(m map[memsys.Addr]struct{}) []uint64 {
 // RestoreCkpt overwrites the persistent engine state with a checkpoint. The
 // System must be freshly built by New with the same Config (in particular
 // the same Seed and core count) and must not have run yet. Its memory
-// hierarchy must already be restored, via Mem.RestoreExact: the RNG
+// hierarchy must already be restored, via Mem.RestoreSparse: the RNG
 // position is checked against the wrong-path loads its statistics count.
 func (s *System) RestoreCkpt(ck Ckpt) error {
 	if len(ck.Cores) != len(s.cores) {

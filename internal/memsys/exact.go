@@ -40,27 +40,42 @@ const exactMagic = "hmtxmem1"
 // buf grows once: from a nil buf AppendExact makes that allocation and one
 // for the sorted map keys (TestAppendExactAllocs).
 func (h *Hierarchy) AppendExact(buf []byte) []byte {
-	buf = slices.Grow(buf, h.exactLen())
-	buf = append(buf, exactMagic...)
+	w := SparseWriter{buf: slices.Grow(buf, h.exactLen()), dense: true}
+	h.writeExact(&w)
+	return w.buf
+}
+
+// SparseExact returns the AppendExact encoding in sparse form: the ways a
+// set has not used, and the sets never allocated, are gaps, so it costs as
+// much as the lines the run placed.
+func (h *Hierarchy) SparseExact() Sparse {
+	var w SparseWriter
+	h.writeExact(&w)
+	return w.Sparse()
+}
+
+// writeExact writes the exact encoding to w.
+func (h *Hierarchy) writeExact(w *SparseWriter) {
+	w.Write([]byte(exactMagic))
 	for _, g := range h.cfg.geometry() {
-		buf = binary.BigEndian.AppendUint64(buf, g)
+		w.u64(g)
 	}
-	buf = append(buf, byte(h.lc))
-	buf = binary.BigEndian.AppendUint64(buf, h.epoch)
-	buf = binary.BigEndian.AppendUint64(buf, h.gen)
+	overflow := byte(0)
 	if h.pendingOverflow {
-		buf = append(buf, 1)
-	} else {
-		buf = append(buf, 0)
+		overflow = 1
 	}
+	w.Write([]byte{byte(h.lc)})
+	w.u64(h.epoch)
+	w.u64(h.gen)
+	w.Write([]byte{overflow})
 
 	// Statistics, in declaration order. Stats.Add already guarantees every
 	// field is a uint64; rely on the same reflective walk so a new counter
 	// cannot silently fall out of the checkpoint format.
 	sv := reflect.ValueOf(&h.stats).Elem()
-	buf = binary.BigEndian.AppendUint64(buf, uint64(sv.NumField()))
+	w.u64(uint64(sv.NumField()))
 	for i := 0; i < sv.NumField(); i++ {
-		buf = binary.BigEndian.AppendUint64(buf, sv.Field(i).Uint())
+		w.u64(sv.Field(i).Uint())
 	}
 
 	// Snoop-filter presence masks, sorted by line address. The filter is a
@@ -72,12 +87,12 @@ func (h *Hierarchy) AppendExact(buf []byte) []byte {
 		keys = append(keys, a)
 	}
 	slices.Sort(keys)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(keys)))
+	w.u64(uint64(len(keys)))
 	for _, a := range keys {
-		buf = binary.BigEndian.AppendUint64(buf, a)
+		w.u64(a)
 		m := h.pres[a]
 		for wi := 0; wi < presWords; wi++ {
-			buf = binary.BigEndian.AppendUint64(buf, m[wi])
+			w.u64(m[wi])
 		}
 	}
 
@@ -87,18 +102,17 @@ func (h *Hierarchy) AppendExact(buf []byte) []byte {
 		keys = append(keys, a)
 	}
 	slices.Sort(keys)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(len(keys)))
+	w.u64(uint64(len(keys)))
 	for _, a := range keys {
-		buf = binary.BigEndian.AppendUint64(buf, a)
+		w.u64(a)
 		data := h.mem.lines[a]
-		buf = append(buf, data[:]...)
+		w.Write(data[:])
 	}
 
 	// Every cache, L1s in core order then the L2, frame by frame.
 	for _, c := range h.allCaches() {
-		buf = c.appendExact(buf)
+		c.writeExact(w)
 	}
-	return buf
 }
 
 // lineExactLen is the length of one Line's exact encoding (Line.appendExact).
@@ -128,51 +142,67 @@ func (c Config) geometry() []uint64 {
 	}
 }
 
-// CheckExact reports whether enc can be the AppendExact encoding of a
-// hierarchy built from the valid cfg, without building one: its magic and
-// geometry must match cfg, and it must be long enough for every cache's
-// sets. A restore that checks first cannot be made to allocate a machine
-// larger than its own encoding by a corrupt config.
-func CheckExact(cfg Config, enc []byte) error {
-	r := &exactReader{buf: enc}
+// CheckExact reports whether s can be the exact encoding of a hierarchy
+// built from the valid cfg, without building one: s must be well formed,
+// its magic and geometry must match cfg, and its length must be exactly
+// what its entry counts and cfg's caches take. A restore that checks first
+// cannot be made to allocate a machine larger than its own encoding by a
+// corrupt config, nor to read a length its caches do not account for.
+func CheckExact(cfg Config, s Sparse) error {
+	if err := s.check(); err != nil {
+		return err
+	}
+	r := &exactReader{s: s}
 	if err := r.header(cfg.geometry()); err != nil {
 		return err
 	}
+	r.skip(1, 1+8+8+1)             // LC VID, epoch, generation, overflow flag
+	r.skip(r.u64(), 8)             // statistics
+	r.skip(r.u64(), 8+8*presWords) // presence masks
+	r.skip(r.u64(), 8+LineSize)    // main memory
 	if r.err != nil {
 		return r.err
 	}
-	avail := len(enc)
+	avail := s.Len - r.pos
 	for i := 0; i <= cfg.Cores; i++ {
 		size, ways := cfg.L1Size, cfg.L1Ways
 		if i == cfg.Cores {
 			size, ways = cfg.L2Size, cfg.L2Ways
 		}
-		// Every set encodes as at least its two stamps and its ways.
-		if ways > avail/lineExactLen || size/(ways*LineSize) > avail/(16+ways*lineExactLen) {
-			return fmt.Errorf("memsys: exact encoding of %d bytes is too short for the machine's caches", len(enc))
+		// The cache's two counters, then each set's two stamps and ways.
+		sets, setLen := size/(ways*LineSize), 16+ways*lineExactLen
+		if ways > avail/lineExactLen || sets > (avail-16)/setLen {
+			return fmt.Errorf("memsys: exact encoding of %d bytes is too short for the machine's caches", s.Len)
 		}
-		avail -= size / (ways * LineSize) * (16 + ways*lineExactLen)
+		avail -= 16 + sets*setLen
+	}
+	if avail != 0 {
+		return fmt.Errorf("memsys: exact encoding of %d bytes is %d bytes too long for the machine", s.Len, avail)
 	}
 	return nil
 }
 
-// appendExact encodes every set as its ways, in order. The ways a set has
-// not used, all of them for a set never allocated, encode as zero Lines,
-// exactly the bytes of an all-Invalid set allocated up front, so the
-// encoding does not depend on how much of each set is allocated.
-func (c *cache) appendExact(buf []byte) []byte {
-	buf = binary.BigEndian.AppendUint64(buf, c.lruClock)
-	buf = binary.BigEndian.AppendUint64(buf, c.hits)
+// writeExact encodes every set as its two stamps and its ways, in order. The
+// ways a set has not used, all of them for a set never allocated, encode as
+// zero Lines, exactly the bytes of an all-Invalid set allocated up front, so
+// the encoding does not depend on how much of each set is allocated. They go
+// to w as zero bytes, and so do the stamps of a set never scanned.
+func (c *cache) writeExact(w *SparseWriter) {
+	w.u64(c.lruClock)
+	w.u64(c.hits)
 	for si, s := range c.sets {
-		buf = binary.BigEndian.AppendUint64(buf, c.setGen[si])
-		buf = binary.BigEndian.AppendUint64(buf, c.setTag[si])
+		if len(s) == 0 && c.setGen[si] == 0 && c.setTag[si] == 0 {
+			w.Zeros(16 + c.ways*lineExactLen)
+			continue
+		}
+		w.u64(c.setGen[si])
+		w.u64(c.setTag[si])
 		for wi := range s {
-			buf = s[wi].appendExact(buf)
+			w.line(&s[wi])
 		}
 		// A zero Line encodes as zero bytes (TestZeroLineExact).
-		buf = append(buf, make([]byte, (c.ways-len(s))*lineExactLen)...)
+		w.Zeros((c.ways - len(s)) * lineExactLen)
 	}
-	return buf
 }
 
 func (l *Line) appendExact(buf []byte) []byte {
@@ -184,26 +214,6 @@ func (l *Line) appendExact(buf []byte) []byte {
 	buf = binary.BigEndian.AppendUint64(buf, l.lru)
 	buf = append(buf, l.Data[:]...)
 	return buf
-}
-
-// exactReader decodes the fixed-width fields of the exact encoding, turning
-// truncation into an error instead of a panic.
-type exactReader struct {
-	buf []byte
-	err error
-}
-
-func (r *exactReader) bytes(n int) []byte {
-	if r.err != nil {
-		return nil
-	}
-	if len(r.buf) < n {
-		r.err = fmt.Errorf("memsys: truncated exact encoding (need %d bytes, have %d)", n, len(r.buf))
-		return nil
-	}
-	b := r.buf[:n]
-	r.buf = r.buf[n:]
-	return b
 }
 
 // header reads the magic and the geometry, which must equal geom. A
@@ -220,30 +230,23 @@ func (r *exactReader) header(geom []uint64) error {
 	return nil
 }
 
-func (r *exactReader) u64() uint64 {
-	b := r.bytes(8)
-	if b == nil {
-		return 0
-	}
-	return binary.BigEndian.Uint64(b)
-}
-
-func (r *exactReader) u8() byte {
-	b := r.bytes(1)
-	if b == nil {
-		return 0
-	}
-	return b[0]
-}
-
 // RestoreExact overwrites the hierarchy's mutable state with the encoding
-// produced by AppendExact. The hierarchy must have been built by New with a
+// produced by AppendExact: RestoreSparse of its one-stretch form.
+func (h *Hierarchy) RestoreExact(enc []byte) error {
+	return h.RestoreSparse(SparseOf(enc))
+}
+
+// RestoreSparse overwrites the hierarchy's mutable state with the exact
+// encoding s. The hierarchy must have been built by New with a
 // geometry-compatible Config (same core count, cache sizes/associativities
 // and VID width); latencies and feature flags are taken from the receiver's
 // own Config. Observers keep whatever the caller attached. On error the
 // hierarchy may be partially overwritten and must be discarded.
-func (h *Hierarchy) RestoreExact(enc []byte) error {
-	r := &exactReader{buf: enc}
+func (h *Hierarchy) RestoreSparse(s Sparse) error {
+	if err := s.check(); err != nil {
+		return err
+	}
+	r := &exactReader{s: s}
 	if err := r.header(h.cfg.geometry()); err != nil {
 		return err
 	}
@@ -251,6 +254,9 @@ func (h *Hierarchy) RestoreExact(enc []byte) error {
 	h.epoch = r.u64()
 	h.gen = r.u64()
 	h.pendingOverflow = r.u8() != 0
+	if h.lc > h.cfg.VIDSpace.Max() && r.err == nil {
+		return fmt.Errorf("memsys: committed VID %d is beyond the machine's VID space (%d)", h.lc, h.cfg.VIDSpace.Max())
+	}
 
 	sv := reflect.ValueOf(&h.stats).Elem()
 	if n := r.u64(); r.err == nil && n != uint64(sv.NumField()) {
@@ -260,13 +266,17 @@ func (h *Hierarchy) RestoreExact(enc []byte) error {
 		sv.Field(i).SetUint(r.u64())
 	}
 
+	// Both maps were written in ascending address order. Requiring it keeps
+	// a corrupt count from filling a map out of a gap, whose entries would
+	// all read as address 0.
 	var caches presMask // a bit for every cache of this machine
 	for i := range h.all {
 		caches.set(i)
 	}
 	h.pres = make(map[Addr]presMask)
-	for n := r.u64(); n > 0 && r.err == nil; n-- {
+	for n, i := r.u64(), uint64(0); i < n && r.err == nil; i++ {
 		a := r.u64()
+		r.ascending(i, a)
 		var m presMask
 		for wi := 0; wi < presWords; wi++ {
 			m[wi] = r.u64()
@@ -278,8 +288,9 @@ func (h *Hierarchy) RestoreExact(enc []byte) error {
 	}
 
 	h.mem = newMemory()
-	for n := r.u64(); n > 0 && r.err == nil; n-- {
+	for n, i := r.u64(), uint64(0); i < n && r.err == nil; i++ {
 		a := r.u64()
+		r.ascending(i, a)
 		var data [LineSize]byte
 		copy(data[:], r.bytes(LineSize))
 		h.mem.lines[a] = data
@@ -291,8 +302,8 @@ func (h *Hierarchy) RestoreExact(enc []byte) error {
 	if r.err != nil {
 		return r.err
 	}
-	if len(r.buf) != 0 {
-		return fmt.Errorf("memsys: %d trailing bytes after exact encoding", len(r.buf))
+	if r.pos != s.Len {
+		return fmt.Errorf("memsys: %d trailing bytes after exact encoding", s.Len-r.pos)
 	}
 	// A corrupt line (a state byte out of range, a Tag that is not
 	// line-aligned or indexes to another set, overlapping versions) would
@@ -311,7 +322,20 @@ func (h *Hierarchy) RestoreExact(enc []byte) error {
 	return nil
 }
 
-// restoreExact decodes the sets appendExact wrote. A set is allocated only
+// ascending records an error unless a, the address of map entry i, is above
+// the one before it.
+func (r *exactReader) ascending(i uint64, a Addr) {
+	if i > 0 && a <= r.last && r.err == nil {
+		r.err = fmt.Errorf("memsys: exact encoding lists address %#x after %#x", a, r.last)
+	}
+	r.last = a
+}
+
+// zeroLine is the exact encoding of a zero Line.
+var zeroLine [lineExactLen]byte
+
+// restoreExact decodes the sets writeExact wrote. A set whose ways lie in a
+// gap is left nil without a look at them. Any other set is allocated only
 // through its last way that does not encode a zero Line, and left nil when
 // there is none. A way that was ever used has an LRU stamp of at least 1, so
 // the trailing zero Lines are exactly the ways the set had not used, and the
@@ -321,45 +345,43 @@ func (h *Hierarchy) RestoreExact(enc []byte) error {
 func (c *cache) restoreExact(r *exactReader) {
 	c.lruClock = r.u64()
 	c.hits = r.u64()
-	zero := make([]byte, c.ways*lineExactLen)
+	setLen := c.ways * lineExactLen
 	for si := range c.sets {
 		c.setGen[si] = r.u64()
 		c.setTag[si] = r.u64()
-		enc := r.bytes(len(zero))
+		c.sets[si] = nil
+		if r.skipGap(setLen) {
+			continue
+		}
+		enc := r.bytes(setLen)
 		if r.err != nil {
 			return
 		}
 		n := c.ways
-		if bytes.Equal(enc, zero) {
-			n = 0
-		}
-		for n > 0 && bytes.Equal(enc[(n-1)*lineExactLen:n*lineExactLen], zero[:lineExactLen]) {
+		for n > 0 && bytes.Equal(enc[(n-1)*lineExactLen:n*lineExactLen], zeroLine[:]) {
 			n--
 		}
 		if n == 0 {
-			c.sets[si] = nil
 			continue
 		}
 		s := make([]Line, n)
-		wr := &exactReader{buf: enc}
 		for wi := range s {
-			s[wi].restoreExact(wr)
+			s[wi].restoreExact(enc[wi*lineExactLen:])
 		}
 		c.sets[si] = s
 	}
 }
 
-func (l *Line) restoreExact(r *exactReader) {
-	l.Tag = r.u64()
-	l.St = State(r.u8())
-	l.Mod = vid.V(r.u8())
-	l.High = vid.V(r.u8())
-	l.Epoch = r.u64()
-	l.SettledLC = vid.V(r.u8())
-	l.ShadowHigh = vid.V(r.u8())
-	l.ShadowEpoch = r.u64()
-	l.lru = r.u64()
-	copy(l.Data[:], r.bytes(LineSize))
+// restoreExact decodes the lineExactLen bytes appendExact wrote at the
+// start of b.
+func (l *Line) restoreExact(b []byte) {
+	l.Tag = binary.BigEndian.Uint64(b)
+	l.St, l.Mod, l.High = State(b[8]), vid.V(b[9]), vid.V(b[10])
+	l.Epoch = binary.BigEndian.Uint64(b[11:])
+	l.SettledLC, l.ShadowHigh = vid.V(b[19]), vid.V(b[20])
+	l.ShadowEpoch = binary.BigEndian.Uint64(b[21:])
+	l.lru = binary.BigEndian.Uint64(b[29:])
+	copy(l.Data[:], b[37:lineExactLen])
 }
 
 // Addrs returns every line address the hierarchy knows about — resident in

@@ -285,7 +285,7 @@ func TestCheckExact(t *testing.T) {
 	var lc vid.V
 	driveRandom(h, rand.New(rand.NewSource(3)), 200, &lc)
 	enc := h.AppendExact(nil)
-	if err := CheckExact(cfg, enc); err != nil {
+	if err := CheckExact(cfg, SparseOf(enc)); err != nil {
 		t.Fatalf("own encoding rejected: %v", err)
 	}
 	big := cfg
@@ -304,7 +304,7 @@ func TestCheckExact(t *testing.T) {
 		{"truncated header", cfg, enc[:len(exactMagic)+20], "truncated"},
 		{"too short for the caches", big, inflated, "too short"},
 	} {
-		if err := CheckExact(tc.cfg, tc.enc); err == nil || !strings.Contains(err.Error(), tc.want) {
+		if err := CheckExact(tc.cfg, SparseOf(tc.enc)); err == nil || !strings.Contains(err.Error(), tc.want) {
 			t.Errorf("%s: error %v, want one naming %q", tc.name, err, tc.want)
 		}
 	}
