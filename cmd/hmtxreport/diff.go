@@ -3,10 +3,8 @@ package main
 import (
 	"fmt"
 	"io"
-	"sort"
 
 	"hmtx/internal/ckpt"
-	"hmtx/internal/lintdoc"
 	"hmtx/internal/metrics"
 	"hmtx/internal/prof"
 	"hmtx/internal/stats"
@@ -71,15 +69,6 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 			return fail("%v", err)
 		}
 		diffHists(stdout, &a, &b)
-	case lintdoc.Schema:
-		var a, b lintdoc.Doc
-		if err := readJSON(pa, &a); err != nil {
-			return fail("%v", err)
-		}
-		if err := readJSON(pb, &b); err != nil {
-			return fail("%v", err)
-		}
-		diffLint(stdout, &a, &b)
 	case ckpt.Schema:
 		// Checkpoints are simulation state, not metrics: two checkpoints of
 		// the same configuration differ in machine state, which hmtxdbg can
@@ -93,7 +82,7 @@ func runDiff(args []string, stdout, stderr io.Writer) int {
 		// byte diff is the exact comparison (EXPERIMENTS.md).
 		return fail("%s is an hmtx-bench/v1 document, which is deterministic; compare it with cmp or diff -u", pa)
 	default:
-		return fail("unsupported schema %q (want series, conflicts, hist, or lint)", sa.Schema)
+		return fail("unsupported schema %q (want series, conflicts or hist)", sa.Schema)
 	}
 	return 0
 }
@@ -252,82 +241,4 @@ func diffHists(w io.Writer, a, b *metrics.HistDoc) {
 			fmt.Fprint(w, t.String())
 		}
 	}
-}
-
-// diffLint compares two hmtx-lint/v1 documents: the analyzer roster (rule
-// versions and finding counts per analyzer) and the finding movement —
-// matching ignores line and column, so unrelated edits above a finding do
-// not show up as churn.
-func diffLint(w io.Writer, a, b *lintdoc.Doc) {
-	fmt.Fprintf(w, "lint diff: A has %d findings, B has %d\n\n", len(a.Findings), len(b.Findings))
-
-	verA := map[string]string{}
-	verB := map[string]string{}
-	cntA := map[string]int{}
-	cntB := map[string]int{}
-	for _, an := range a.Analyzers {
-		verA[an.Name] = an.Version
-	}
-	for _, an := range b.Analyzers {
-		verB[an.Name] = an.Version
-	}
-	for _, f := range a.Findings {
-		cntA[f.Analyzer]++
-	}
-	for _, f := range b.Findings {
-		cntB[f.Analyzer]++
-	}
-	nameSet := map[string]bool{}
-	for n := range verA {
-		nameSet[n] = true
-	}
-	for n := range verB {
-		nameSet[n] = true
-	}
-	names := make([]string, 0, len(nameSet))
-	for n := range nameSet {
-		names = append(names, n)
-	}
-	sort.Strings(names)
-	var t stats.Table
-	t.Add("analyzer", "A ver", "B ver", "A findings", "B findings")
-	cell := func(m map[string]string, n string) string {
-		if v, ok := m[n]; ok {
-			return v
-		}
-		return "-"
-	}
-	for _, n := range names {
-		t.AddF(n, cell(verA, n), cell(verB, n), cntA[n], cntB[n])
-	}
-	fmt.Fprint(w, t.String())
-
-	key := func(f lintdoc.Finding) lintdoc.Finding {
-		f.Line, f.Col = 0, 0
-		return f
-	}
-	printMoves := func(header string, from, to []lintdoc.Finding) {
-		seen := map[lintdoc.Finding]int{}
-		for _, f := range from {
-			seen[key(f)]++
-		}
-		var out []lintdoc.Finding
-		for _, f := range to {
-			k := key(f)
-			if seen[k] > 0 {
-				seen[k]--
-				continue
-			}
-			out = append(out, f)
-		}
-		if len(out) == 0 {
-			return
-		}
-		fmt.Fprintf(w, "\n%s:\n", header)
-		for _, f := range out {
-			fmt.Fprintf(w, "  %s:%d:%d: %s [%s]\n", f.File, f.Line, f.Col, f.Message, f.Analyzer)
-		}
-	}
-	printMoves("new in B", a.Findings, b.Findings)
-	printMoves("fixed in B (present only in A)", b.Findings, a.Findings)
 }

@@ -24,9 +24,7 @@
 // The diff subcommand compares two documents of the same schema (A/B runs,
 // e.g. the same suite under different paradigms or configurations), pairing
 // entries by label and reporting per-column final deltas (series), percentile
-// deltas (hist), or edge/cascade deltas (conflicts). It also accepts the
-// "hmtx-lint/v1" documents hmtxlint -json emits, reporting per-analyzer
-// version and finding-count drift plus the new/fixed findings themselves.
+// deltas (hist), or edge/cascade deltas (conflicts).
 package main
 
 import (

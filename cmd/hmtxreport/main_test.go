@@ -8,7 +8,6 @@ import (
 	"strings"
 	"testing"
 
-	"hmtx/internal/lintdoc"
 	"hmtx/internal/metrics"
 	"hmtx/internal/prof"
 )
@@ -202,57 +201,6 @@ func TestDiff(t *testing.T) {
 		if msg := stderr.String(); !strings.Contains(msg, tc.want) || !strings.Contains(msg, tc.schema) {
 			t.Errorf("%s diff stderr should point at %s, got %q", tc.schema, tc.want, msg)
 		}
-	}
-}
-
-// TestDiffLint verifies the hmtx-lint/v1 diff: roster table, new and fixed
-// finding movement, and line-drift tolerance.
-func TestDiffLint(t *testing.T) {
-	dir := t.TempDir()
-	a := lintdoc.Doc{Schema: lintdoc.Schema,
-		Analyzers: []lintdoc.Analyzer{{Name: "fastpath", Version: "1"}, {Name: "hotalloc", Version: "1"}},
-		Findings: []lintdoc.Finding{
-			{File: "x.go", Line: 10, Col: 2, Analyzer: "hotalloc", Message: "make allocates"},
-			{File: "x.go", Line: 20, Col: 2, Analyzer: "hotalloc", Message: "fixed later"},
-		}}
-	b := lintdoc.Doc{Schema: lintdoc.Schema,
-		Analyzers: a.Analyzers,
-		Findings: []lintdoc.Finding{
-			// Same finding, moved: must not count as new.
-			{File: "x.go", Line: 14, Col: 2, Analyzer: "hotalloc", Message: "make allocates"},
-			{File: "y.go", Line: 1, Col: 1, Analyzer: "fastpath", Message: "brand new"},
-		}}
-	write := func(name string, v any) string {
-		buf, err := json.MarshalIndent(v, "", "  ")
-		if err != nil {
-			t.Fatal(err)
-		}
-		p := filepath.Join(dir, name)
-		if err := os.WriteFile(p, buf, 0o644); err != nil {
-			t.Fatal(err)
-		}
-		return p
-	}
-	pa, pb := write("a.json", a), write("b.json", b)
-	var stdout, stderr bytes.Buffer
-	if code := run([]string{"diff", pa, pb}, &stdout, &stderr); code != 0 {
-		t.Fatalf("exit %d, stderr: %s", code, stderr.String())
-	}
-	out := stdout.String()
-	for _, want := range []string{
-		"lint diff: A has 2 findings, B has 2",
-		"fastpath",
-		"new in B",
-		"brand new",
-		"fixed in B",
-		"fixed later",
-	} {
-		if !strings.Contains(out, want) {
-			t.Errorf("lint diff missing %q:\n%s", want, out)
-		}
-	}
-	if strings.Contains(out, "make allocates") {
-		t.Errorf("moved finding reported as churn:\n%s", out)
 	}
 }
 

@@ -214,8 +214,11 @@ func (c Config) applyStimulus(h *memsys.Hierarchy, o *oracle, s Stimulus) (note 
 	// Property: committed-value linearization. The committed image the
 	// hierarchy serves to a non-speculative observer must always equal the
 	// oracle's — this is also what makes lost speculative writes visible
-	// the moment their transaction commits.
+	// the moment their transaction commits. The lines are settled first, so
+	// that two paths to the same state leave the same resident lines and
+	// the state fingerprint merges them.
 	for i := 0; i < c.Addrs; i++ {
+		h.Settle(addrOf(i))
 		if got, want := h.PeekWord(addrOf(i)), o.committed[i]; got != want {
 			return note, &violation{
 				Property: "linearization",

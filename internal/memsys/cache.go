@@ -93,25 +93,7 @@ func (c *cache) findHit(lineAddr Addr, a vid.V, snoop bool) *Line {
 	var hit *Line
 	for i := range s {
 		ln := &s[i]
-		if ln.St == Invalid || ln.Tag != lineAddr {
-			continue
-		}
-		if snoop && ln.St == SpecShared {
-			continue
-		}
-		ok := false
-		switch {
-		case !ln.St.Speculative():
-			// A non-speculative line coexists with no speculative
-			// versions (the first speculative access converts it),
-			// so it serves every request.
-			ok = true
-		case ln.St.latest():
-			ok = a >= ln.Mod
-		case ln.St.superseded():
-			ok = ln.Mod <= a && a < ln.High
-		}
-		if !ok {
+		if ln.St == Invalid || ln.Tag != lineAddr || !ln.serves(a, snoop) {
 			continue
 		}
 		if hit != nil {
@@ -121,6 +103,26 @@ func (c *cache) findHit(lineAddr Addr, a vid.V, snoop bool) *Line {
 		hit = ln
 	}
 	return hit
+}
+
+// serves reports whether the valid version ln answers a request with
+// effective VID a under the rules of §4.1. If snoop is true, SpecShared
+// copies do not respond.
+func (ln *Line) serves(a vid.V, snoop bool) bool {
+	switch {
+	case snoop && ln.St == SpecShared:
+		return false
+	case !ln.St.Speculative():
+		// A non-speculative line coexists with no speculative versions
+		// (the first speculative access converts it), so it serves every
+		// request.
+		return true
+	case ln.St.latest():
+		return a >= ln.Mod
+	case ln.St.superseded():
+		return ln.Mod <= a && a < ln.High
+	}
+	return false
 }
 
 // touch updates LRU bookkeeping for ln.

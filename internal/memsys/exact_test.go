@@ -240,25 +240,41 @@ func TestExactRestoreByteCorruption(t *testing.T) {
 	}
 }
 
-// TestVersionsReadOnly: Versions settles copies, not the resident lines, so
-// calling it on one of two identical hierarchies leaves their exact
-// encodings equal. A commit leaves lazy commits pending and the settle-skip
-// stamps stale, the state in which an in-place settle would show.
+// TestVersionsReadOnly: the read-only readers, Versions and PeekWord,
+// settle copies, not the resident lines, so calling one on one of two
+// identical hierarchies leaves their exact encodings equal. A commit leaves
+// lazy commits pending and the settle-skip stamps stale, the state in which
+// an in-place settle shows: Settle, which does settle in place, must change
+// the encoding.
 func TestVersionsReadOnly(t *testing.T) {
-	a, b := buildSnapState(t), buildSnapState(t)
-	a.Commit(1)
-	b.Commit(1)
-	var seen int
-	for ci := range a.all {
-		for _, addr := range snapAddrs {
-			seen += len(a.Versions(ci, addr))
-		}
-	}
-	if seen == 0 {
-		t.Fatal("Versions found no line to read")
-	}
-	if !bytes.Equal(a.AppendExact(nil), b.AppendExact(nil)) {
-		t.Fatal("Versions changed the exact encoding")
+	for _, tc := range []struct {
+		name string
+		read func(h *Hierarchy, addr Addr)
+	}{
+		{"Versions", func(h *Hierarchy, addr Addr) {
+			for ci := range h.all {
+				h.Versions(ci, addr)
+			}
+		}},
+		{"PeekWord", func(h *Hierarchy, addr Addr) { h.PeekWord(addr) }},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			a, b := buildSnapState(t), buildSnapState(t)
+			a.Commit(1)
+			b.Commit(1)
+			for _, addr := range snapAddrs {
+				tc.read(a, addr)
+			}
+			if !bytes.Equal(a.AppendExact(nil), b.AppendExact(nil)) {
+				t.Fatalf("%s changed the exact encoding", tc.name)
+			}
+			for _, addr := range snapAddrs {
+				a.Settle(addr)
+			}
+			if bytes.Equal(a.AppendExact(nil), b.AppendExact(nil)) {
+				t.Fatal("Settle left the encoding as it was: no stale line to read")
+			}
+		})
 	}
 }
 

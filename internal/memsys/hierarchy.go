@@ -1026,22 +1026,44 @@ func (h *Hierarchy) checkOverflow(res *Result) {
 }
 
 // PeekWord returns the committed value at addr without affecting timing or
-// state. It is a host-side helper for verification and workload setup.
+// state. It is a host-side helper for verification and workload setup, and
+// read-only like Versions: it reads each version through view.
 func (h *Hierarchy) PeekWord(addr Addr) uint64 {
 	la := LineAddr(addr)
-	var best *Line
+	var word uint64
 	bestRank := -1
-	for _, c := range h.allCaches() {
-		if ln := c.findHit(la, h.lc, false); ln != nil {
+	var cp Line
+	for _, c := range h.all {
+		ways := c.sets[c.setIndex(la)]
+		for i := range ways {
+			ln := &ways[i]
+			if ln.St == Invalid || ln.Tag != la {
+				continue
+			}
+			if ln = h.view(ln, &cp); ln == nil || !ln.serves(h.lc, false) {
+				continue
+			}
 			if r := stateRank(ln.St); r > bestRank {
-				best, bestRank = ln, r
+				word, bestRank = ln.Word(addr), r
 			}
 		}
 	}
-	if best != nil {
-		return best.Word(addr)
+	if bestRank < 0 {
+		return h.mem.word(addr)
 	}
-	return h.mem.word(addr)
+	return word
+}
+
+// Settle settles every resident version of the line containing addr against
+// pending lazy commits, in place in every cache, as the next access to the
+// line would. Simulated behaviour does not change: the model checker calls
+// it so that a state's encoding does not depend on which lines were last
+// read.
+func (h *Hierarchy) Settle(addr Addr) {
+	la := LineAddr(addr)
+	for _, c := range h.all {
+		c.set(la)
+	}
 }
 
 // PokeWord writes the committed value at addr directly, bypassing timing.
@@ -1063,23 +1085,41 @@ func (h *Hierarchy) PokeWord(addr Addr, val uint64) {
 // Versions returns copies of every valid version of the line containing
 // addr held by the given cache (0..Cores-1 are the L1s, Cores is the L2),
 // for tests, the model checker, hmtxdbg and the cachetrace example. It is
-// read-only: each copy is settled against pending lazy commits, and the
-// resident lines and the set's settle-skip stamps are left as they are, so
-// a call does not change the next AppendExact or checkpoint bytes.
+// read-only: it reads each version through view, so a call does not change
+// the next AppendExact or checkpoint bytes.
 func (h *Hierarchy) Versions(cacheIdx int, addr Addr) []Line {
-	c := h.all[cacheIdx]
-	la := LineAddr(addr)
+	c, la := h.all[cacheIdx], LineAddr(addr)
+	ways := c.sets[c.setIndex(la)]
 	var out []Line
-	for _, ln := range c.sets[c.setIndex(la)] {
-		if ln.St == Invalid || ln.Tag != la {
+	var cp Line
+	for i := range ways {
+		if ways[i].St == Invalid || ways[i].Tag != la {
 			continue
 		}
-		ln.settle(h.epoch, h.lc, h.cfg.VIDSpace.Max())
-		if ln.St != Invalid {
-			out = append(out, ln)
+		if ln := h.view(&ways[i], &cp); ln != nil {
+			out = append(out, *ln)
 		}
 	}
 	return out
+}
+
+// view returns the resident version ln as a settle against pending lazy
+// commits would leave it, without writing to the cache: ln itself when it
+// is already settled, else a settled copy in *cp, or nil when the settle
+// leaves no valid version. The set's settle-skip stamps are not touched
+// either. The filter on state and tag stays in the callers' loops, where it
+// is inlined: a call per way made the oracle's PeekWord walk slower than
+// the in-place settle it replaces.
+func (h *Hierarchy) view(ln, cp *Line) *Line {
+	if ln.settled(h.epoch, h.lc) {
+		return ln
+	}
+	*cp = *ln
+	cp.settle(h.epoch, h.lc, h.cfg.VIDSpace.Max())
+	if cp.St == Invalid {
+		return nil
+	}
+	return cp
 }
 
 // FlushCommitted writes every dirty non-speculative line back to memory so

@@ -168,8 +168,8 @@ func (l *Line) applyAbort() {
 // epoch and lc are the hierarchy's current VID epoch and latest committed
 // VID.
 func (l *Line) settle(epoch uint64, lc vid.V, maxV vid.V) {
-	if l.Epoch == epoch && l.SettledLC == lc {
-		return // already settled against the current registers
+	if l.settled(epoch, lc) {
+		return
 	}
 	if l.St == Invalid || !l.St.Speculative() {
 		l.Epoch, l.SettledLC = epoch, lc
@@ -198,6 +198,12 @@ func (l *Line) settle(epoch uint64, lc vid.V, maxV vid.V) {
 		l.applyCommit(lc)
 		l.SettledLC = lc
 	}
+}
+
+// settled reports whether the line is already settled against the given
+// epoch and LC registers, so that settle would leave it as it is.
+func (l *Line) settled(epoch uint64, lc vid.V) bool {
+	return l.Epoch == epoch && l.SettledLC == lc
 }
 
 // shadow returns the line's effective wrong-path shadow mark for the given

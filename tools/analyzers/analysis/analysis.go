@@ -24,15 +24,9 @@ type Analyzer struct {
 	Name string
 	// Doc is a one-paragraph description of what the analyzer reports.
 	Doc string
-	// Version identifies the rule revision in versioned outputs (the
-	// hmtx-lint/v1 JSON schema). Analyzers that never changed report "1";
-	// bump it when a rule's findings change meaning so report diffs can tell
-	// rule drift from code drift.
-	Version string
 	// Run applies the rule to a single package and reports diagnostics
-	// through pass.Report. The returned value is ignored by the driver
-	// but kept for signature compatibility with go/analysis.
-	Run func(*Pass) (any, error)
+	// through pass.Report.
+	Run func(*Pass)
 }
 
 // A Pass provides one analyzer with one type-checked package.
@@ -60,7 +54,7 @@ func (p *Pass) Reportf(pos token.Pos, format string, args ...any) {
 // Run applies one analyzer to one loaded package and returns its diagnostics
 // sorted by position (ties broken by message), so the output is independent
 // of the analyzer's internal traversal order.
-func Run(pkg *Package, a *Analyzer) ([]Diagnostic, error) {
+func Run(pkg *Package, a *Analyzer) []Diagnostic {
 	var diags []Diagnostic
 	pass := &Pass{
 		Analyzer:  a,
@@ -71,16 +65,14 @@ func Run(pkg *Package, a *Analyzer) ([]Diagnostic, error) {
 		TypesInfo: pkg.Info,
 		Report:    func(d Diagnostic) { diags = append(diags, d) },
 	}
-	if _, err := a.Run(pass); err != nil {
-		return nil, fmt.Errorf("%s: %s: %w", a.Name, pkg.PkgPath, err)
-	}
+	a.Run(pass)
 	sort.SliceStable(diags, func(i, j int) bool {
 		if diags[i].Pos != diags[j].Pos {
 			return diags[i].Pos < diags[j].Pos
 		}
 		return diags[i].Message < diags[j].Message
 	})
-	return diags, nil
+	return diags
 }
 
 // NewInfo returns a types.Info with all maps the analyzers rely on.

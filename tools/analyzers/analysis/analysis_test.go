@@ -32,7 +32,7 @@ func TestDiagnosticOrdering(t *testing.T) {
 	a := &analysis.Analyzer{
 		Name: "scramble",
 		Doc:  "reports function declarations in reverse source order",
-		Run: func(pass *analysis.Pass) (any, error) {
+		Run: func(pass *analysis.Pass) {
 			var decls []*ast.FuncDecl
 			for _, f := range pass.Files {
 				for _, d := range f.Decls {
@@ -45,13 +45,9 @@ func TestDiagnosticOrdering(t *testing.T) {
 				pass.Reportf(decls[i].Pos(), "decl %s", decls[i].Name.Name)
 				pass.Reportf(decls[i].Pos(), "also %s", decls[i].Name.Name)
 			}
-			return nil, nil
 		},
 	}
-	diags, err := analysis.Run(pa, a)
-	if err != nil {
-		t.Fatal(err)
-	}
+	diags := analysis.Run(pa, a)
 	if len(diags) != 4 {
 		t.Fatalf("got %d diagnostics, want 4", len(diags))
 	}

@@ -56,11 +56,7 @@ func Run(t *testing.T, testdata string, a *analysis.Analyzer, pkgpaths ...string
 		if err != nil {
 			t.Fatalf("loading fixture %s: %v", path, err)
 		}
-		diags, err := analysis.Run(pkg, a)
-		if err != nil {
-			t.Fatalf("running %s on %s: %v", a.Name, path, err)
-		}
-		checkExpectations(t, pkg, diags)
+		checkExpectations(t, pkg, analysis.Run(pkg, a))
 	}
 }
 

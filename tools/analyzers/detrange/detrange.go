@@ -42,15 +42,14 @@ import (
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:    "detrange",
-	Doc:     "flags map iteration with order-sensitive bodies, unsorted map iterators and multi-way selects in simulation packages",
-	Version: "3",
-	Run:     run,
+	Name: "detrange",
+	Doc:  "flags map iteration with order-sensitive bodies, unsorted map iterators and multi-way selects in simulation packages",
+	Run:  run,
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) {
 	if !simscope.Covers(pass.PkgPath) {
-		return nil, nil
+		return
 	}
 	for _, file := range pass.Files {
 		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
@@ -80,7 +79,6 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 func checkRange(pass *analysis.Pass, rs *ast.RangeStmt, after ast.Stmt) {

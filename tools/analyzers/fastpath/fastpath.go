@@ -34,10 +34,9 @@ import (
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:    "fastpath",
-	Doc:     "requires every instrument-hook call, trace emit, profiler charge and metrics-instrument call in memsys/engine/instr to be inside an Enabled() guard",
-	Version: "3",
-	Run:     run,
+	Name: "fastpath",
+	Doc:  "requires every instrument-hook call, trace emit, profiler charge and metrics-instrument call in memsys/engine/instr to be inside an Enabled() guard",
+	Run:  run,
 }
 
 // A gate names one instrument kind and how a finding tells the user to
@@ -66,11 +65,11 @@ type guardBody struct {
 	rows   uint
 }
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) {
 	pkg := strings.TrimSuffix(pass.PkgPath, "_test")
 	if !strings.HasSuffix(pkg, "internal/memsys") && !strings.HasSuffix(pkg, "internal/engine") &&
 		!strings.HasSuffix(pkg, "internal/instr") {
-		return nil, nil
+		return
 	}
 	for _, file := range pass.Files {
 		if strings.HasSuffix(pass.Fset.Position(file.Pos()).Filename, "_test.go") {
@@ -112,7 +111,6 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // enabledRows returns the gates whose Enabled method the expression calls,

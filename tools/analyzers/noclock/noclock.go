@@ -38,10 +38,9 @@ import (
 )
 
 var Analyzer = &analysis.Analyzer{
-	Name:    "noclock",
-	Doc:     "forbids wall-clock reads, unseeded randomness, host identity and pointer addresses in simulation packages and commands",
-	Version: "2",
-	Run:     run,
+	Name: "noclock",
+	Doc:  "forbids wall-clock reads, unseeded randomness, host identity and pointer addresses in simulation packages and commands",
+	Run:  run,
 }
 
 var forbiddenTime = map[string]bool{
@@ -64,9 +63,9 @@ var hostIdentity = map[string]map[string]bool{
 // first, so an escaped percent sign followed by p does not match.
 var pointerVerb = regexp.MustCompile(`%[-+# 0]*[0-9]*p`)
 
-func run(pass *analysis.Pass) (any, error) {
+func run(pass *analysis.Pass) {
 	if !simscope.Covers(pass.PkgPath) && !strings.HasPrefix(pass.PkgPath, "hmtx/cmd/") {
-		return nil, nil
+		return
 	}
 	// The engine owns RNG construction: engine.New seeds exactly one
 	// generator from cfg.Seed and everything else draws from it.
@@ -84,7 +83,6 @@ func run(pass *analysis.Pass) (any, error) {
 			return true
 		})
 	}
-	return nil, nil
 }
 
 // checkSelector reports a package-level function or variable that reads a

@@ -9,5 +9,5 @@ import (
 
 func TestNoclock(t *testing.T) {
 	analysistest.Run(t, analysistest.TestData(), noclock.Analyzer,
-		"clock", "hmtx/internal/engine", "hmtx/internal/lintdoc", "hmtx/cmd/hmtxsim")
+		"clock", "hmtx/internal/engine", "hmtx/cmd/hmtxsim")
 }

@@ -2,8 +2,7 @@
 // to. The simulator must be bit-reproducible for a fixed Config.Seed (see
 // DESIGN.md "Determinism contract"), so the rules cover every package that
 // computes simulated time, protocol state, or reported figures: all of
-// hmtx/internal/ except lintdoc, which only encodes lint findings. A new
-// internal package is covered without an edit here.
+// hmtx/internal/. A new internal package is covered without an edit here.
 package simscope
 
 import "strings"
@@ -18,5 +17,5 @@ func Covers(path string) bool {
 		return true
 	}
 	path = strings.TrimSuffix(path, "_test")
-	return strings.HasPrefix(path, "hmtx/internal/") && path != "hmtx/internal/lintdoc"
+	return strings.HasPrefix(path, "hmtx/internal/")
 }
