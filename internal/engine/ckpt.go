@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/bits"
 	"math/rand"
+	"slices"
 	"sort"
 
 	"hmtx/internal/memsys"
@@ -168,9 +169,10 @@ func (s *System) CaptureCkpt() Ckpt {
 		sort.Slice(seqs, func(i, j int) bool { return seqs[i] < seqs[j] })
 		for _, seq := range seqs {
 			t := s.txs[seq]
+			read, write := t.sortedSets()
 			ck.Txs[uint64(seq)] = TxCkpt{
-				Read:         sortedAddrs(t.read),
-				Write:        sortedAddrs(t.write),
+				Read:         read,
+				Write:        write,
 				SpecAccesses: t.specAccesses,
 				Avoided:      t.avoided,
 				Begun:        t.begun,
@@ -181,13 +183,40 @@ func (s *System) CaptureCkpt() Ckpt {
 	return ck
 }
 
-func sortedAddrs(m map[memsys.Addr]struct{}) []uint64 {
-	out := make([]uint64, 0, len(m))
-	for a := range m {
-		out = append(out, a)
+// sortedSets returns t's read and write sets, each sorted ascending.
+func (t *txStats) sortedSets() (read, write []uint64) {
+	addrs := make([]uint64, 0, len(t.lines))
+	for a := range t.lines {
+		addrs = append(addrs, a)
 	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(addrs)
+	read, write = make([]uint64, 0, t.nRead), make([]uint64, 0, t.nWrite)
+	for _, a := range addrs {
+		if t.lines[a]&txRead != 0 {
+			read = append(read, a)
+		}
+		if t.lines[a]&txWrite != 0 {
+			write = append(write, a)
+		}
+	}
+	return read, write
+}
+
+// restoreSet sets bit on every line of addrs, a read or write set as
+// sortedSets writes it. A list that is not strictly ascending, or holds an
+// address that is not line-aligned, is corrupt: its duplicates and strays
+// would each count as a line of the set.
+func (t *txStats) restoreSet(addrs []uint64, bit uint8) error {
+	for i, a := range addrs {
+		if a%memsys.LineSize != 0 {
+			return fmt.Errorf("address %#x is not line-aligned", a)
+		}
+		if i > 0 && a <= addrs[i-1] {
+			return fmt.Errorf("address %#x follows %#x", a, addrs[i-1])
+		}
+		t.lines[a] |= bit
+	}
+	return nil
 }
 
 // RestoreCkpt overwrites the persistent engine state with a checkpoint. The
@@ -244,18 +273,19 @@ func (s *System) RestoreCkpt(ck Ckpt) error {
 	for _, seq := range seqs {
 		t := ck.Txs[seq]
 		ts := &txStats{
-			read:         make(map[memsys.Addr]struct{}, len(t.Read)),
-			write:        make(map[memsys.Addr]struct{}, len(t.Write)),
+			lines:        make(map[memsys.Addr]uint8, len(t.Read)+len(t.Write)),
+			nRead:        uint64(len(t.Read)),
+			nWrite:       uint64(len(t.Write)),
 			specAccesses: t.SpecAccesses,
 			avoided:      t.Avoided,
 			begun:        t.Begun,
 			beginAt:      t.BeginAt,
 		}
-		for _, a := range t.Read {
-			ts.read[a] = struct{}{}
+		if err := ts.restoreSet(t.Read, txRead); err != nil {
+			return fmt.Errorf("engine: transaction %d read set: %w", seq, err)
 		}
-		for _, a := range t.Write {
-			ts.write[a] = struct{}{}
+		if err := ts.restoreSet(t.Write, txWrite); err != nil {
+			return fmt.Errorf("engine: transaction %d write set: %w", seq, err)
 		}
 		s.txs[vid.Seq(seq)] = ts
 	}

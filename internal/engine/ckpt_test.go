@@ -1,8 +1,11 @@
 package engine
 
 import (
+	"slices"
 	"strings"
 	"testing"
+
+	"hmtx/internal/memsys"
 )
 
 // TestRestoreCkptBoundsRNGDraws pins that RestoreCkpt replays at most the
@@ -51,6 +54,64 @@ func TestRestoreCkptBoundsRNGDraws(t *testing.T) {
 	}
 	if got := maxDraws(1<<62, 4, 1<<63); got != ^uint64(0) {
 		t.Errorf("maxDraws(2^62, 4, 2^63) = %d, want it saturated", got)
+	}
+}
+
+// TestRestoreCkptRejectsTamperedSets pins that RestoreCkpt accepts a
+// transaction's read and write sets only as CaptureCkpt writes them: line
+// addresses, strictly ascending. A duplicate or unaligned entry would count
+// as one more line of the set, so the commit would report more read or write
+// bytes than the transaction touched.
+func TestRestoreCkptRejectsTamperedSets(t *testing.T) {
+	s := newSys()
+	s.Run([]Program{func(e *Env) {
+		e.Begin(1)
+		e.Load(privLine(0))
+		e.Load(privLine(1))
+		e.Store(privLine(1), 1)
+		e.Store(privLine(2), 2)
+	}})
+	ck := s.CaptureCkpt()
+	tx := ck.Txs[1]
+	a0, a1, a2 := uint64(privLine(0)), uint64(privLine(1)), uint64(privLine(2))
+	if !slices.Equal(tx.Read, []uint64{a0, a1}) || !slices.Equal(tx.Write, []uint64{a1, a2}) {
+		t.Fatalf("open transaction 1 has read set %#x and write set %#x, want [%#x %#x] and [%#x %#x]",
+			tx.Read, tx.Write, a0, a1, a1, a2)
+	}
+	mem := s.Mem.AppendExact(nil)
+	restore := func(read, write []uint64) (*System, error) {
+		c := ck
+		c.Txs = map[uint64]TxCkpt{1: {Read: read, Write: write, SpecAccesses: tx.SpecAccesses, Begun: tx.Begun, BeginAt: tx.BeginAt}}
+		r := newSys()
+		if err := r.Mem.RestoreExact(mem); err != nil {
+			t.Fatalf("restoring the memory: %v", err)
+		}
+		return r, r.RestoreCkpt(c)
+	}
+
+	r, err := restore(tx.Read, tx.Write)
+	if err != nil {
+		t.Fatalf("restoring the captured checkpoint: %v", err)
+	}
+	r.Run([]Program{func(e *Env) { e.Commit(1) }})
+	if st := r.Stats(); st.ReadSetBytes != 2*memsys.LineSize || st.WriteSetBytes != 2*memsys.LineSize {
+		t.Errorf("committing the restored transaction counted %d read and %d write bytes, want %d each",
+			st.ReadSetBytes, st.WriteSetBytes, 2*memsys.LineSize)
+	}
+
+	for _, tc := range []struct {
+		name        string
+		read, write []uint64
+		want        string
+	}{
+		{"duplicate read", []uint64{a0, a0, a1}, tx.Write, "read set: address 0x40000 follows 0x40000"},
+		{"descending read", []uint64{a1, a0}, tx.Write, "read set: address 0x40000 follows 0x41000"},
+		{"duplicate write", tx.Read, []uint64{a1, a2, a2}, "write set: address 0x42000 follows 0x42000"},
+		{"unaligned write", tx.Read, []uint64{a1, a2 + 8}, "write set: address 0x42008 is not line-aligned"},
+	} {
+		if _, err := restore(tc.read, tc.write); err == nil || !strings.Contains(err.Error(), tc.want) {
+			t.Errorf("%s: error %v, want one containing %q", tc.name, err, tc.want)
+		}
 	}
 }
 

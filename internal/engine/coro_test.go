@@ -395,6 +395,25 @@ func commitRelay(core, n int) Program {
 	}
 }
 
+// txRelay is commitRelay with a transaction around each commit: the core
+// begins the sequence number, stores to and loads its own line, and commits.
+func txRelay(core, n int) Program {
+	return func(e *Env) {
+		base := e.sys.LastCommitted()
+		for k := 0; k < n; k++ {
+			seq := base + vid.Seq(2*k+2)
+			if core == 1 {
+				e.Compute(10)
+				seq = base + vid.Seq(2*k+1)
+			}
+			e.Begin(seq)
+			e.Store(privLine(core), uint64(k))
+			e.Load(privLine(core))
+			e.Commit(seq)
+		}
+	}
+}
+
 // TestHandoffAllocFree pins that handing an operation to the scheduler and
 // back, handling it inline, parking and waking a core, and keeping the run
 // queue ordered, allocate nothing: a run's allocations do not depend on its
@@ -402,8 +421,9 @@ func commitRelay(core, n int) Program {
 // 3-cycle steps, core 0 handles two steps inline and yields on the third; 64
 // cores in lockstep always yield; in a commit relay one core parks for its
 // turn and wakes on the other's commits, so the run queue's pushes grow with
-// the commits. The relay's six runs of 2×20 commits fit one epoch of 8-bit
-// VIDs.
+// the commits. In the transaction relay each commit ends a begin, a store
+// and a load: a footprint, once warm, is reused without allocating. Each
+// relay's six runs of 2×20 commits fit one epoch of 8-bit VIDs.
 func TestHandoffAllocFree(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race instrumentation allocates; see race_enabled_test.go")
@@ -416,6 +436,7 @@ func TestHandoffAllocFree(t *testing.T) {
 		{2, 1000, 10000, func(core, n int) Program { return strideProgram(int64(2*core+1), n) }},
 		{64, 200, 2000, func(_, n int) Program { return computeProgram(n) }},
 		{2, 4, 20, commitRelay},
+		{2, 4, 20, txRelay},
 	} {
 		allocs := func(n int) float64 {
 			cfg := DefaultConfig()

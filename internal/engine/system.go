@@ -8,7 +8,9 @@ import (
 	// language version. go.mod stays at 1.22 because the simbench module,
 	// which builds against this one, declares 1.22.
 	"iter"
+	"maps"
 	"math/rand"
+	"slices"
 
 	"hmtx/internal/instr"
 	"hmtx/internal/memsys"
@@ -129,11 +131,21 @@ type queue struct {
 	lastPopTime int64
 }
 
+// Footprint bits: a transaction's marks on one line (§4.1, §5.1).
+const (
+	txRead uint8 = 1 << iota
+	txWrite
+)
+
 // txStats tracks one in-flight transaction's speculative footprint.
 type txStats struct {
-	read, write  map[memsys.Addr]struct{}
-	specAccesses uint64
-	avoided      uint64
+	// lines holds the footprint bits of every line the transaction
+	// touched; nRead and nWrite count the lines with each bit set, which
+	// are its read- and write-set sizes (Fig. 9).
+	lines         map[memsys.Addr]uint8
+	nRead, nWrite uint64
+	specAccesses  uint64
+	avoided       uint64
 
 	// begun/beginAt record the cycle of the first beginMTX of this
 	// sequence number, for begin-to-commit latency.
@@ -149,6 +161,11 @@ type System struct {
 
 	queues map[int]*queue
 	txs    map[vid.Seq]*txStats
+	// freeTxs holds the footprints of committed and aborted transactions,
+	// cleared, for tx to reuse: their maps keep their buckets, so a
+	// transaction that touches no more lines than an earlier one
+	// allocates nothing.
+	freeTxs []*txStats
 
 	lastCommitted  vid.Seq
 	lastCommitTime int64
@@ -466,10 +483,22 @@ func (s *System) hwVID(q vid.Seq) vid.V {
 func (s *System) tx(q vid.Seq) *txStats {
 	t, ok := s.txs[q]
 	if !ok {
-		t = &txStats{read: make(map[memsys.Addr]struct{}), write: make(map[memsys.Addr]struct{})}
+		if n := len(s.freeTxs); n > 0 {
+			t, s.freeTxs = s.freeTxs[n-1], s.freeTxs[:n-1]
+		} else {
+			t = &txStats{lines: make(map[memsys.Addr]uint8)}
+		}
 		s.txs[q] = t
 	}
 	return t
+}
+
+// freeTx clears the footprint t, which no s.txs entry or core holds any
+// more, and puts it on the free list.
+func (s *System) freeTx(t *txStats) {
+	clear(t.lines)
+	*t = txStats{lines: t.lines}
+	s.freeTxs = append(s.freeTxs, t)
 }
 
 // txInfo returns the speculative-access count Env.TxInfo reports: the
@@ -737,8 +766,8 @@ func (s *System) doCommit(c *core, seq vid.Seq, stall int64, resumed bool) {
 		s.stats.Txs++
 		s.stats.SpecAccesses += t.specAccesses
 		s.stats.AvoidedAborts += t.avoided
-		rb := uint64(len(t.read)) * memsys.LineSize
-		wb := uint64(len(t.write)) * memsys.LineSize
+		rb := t.nRead * memsys.LineSize
+		wb := t.nWrite * memsys.LineSize
 		s.stats.ReadSetBytes += rb
 		s.stats.WriteSetBytes += wb
 		if rb+wb > s.stats.MaxCombinedBytes {
@@ -754,6 +783,7 @@ func (s *System) doCommit(c *core, seq vid.Seq, stall int64, resumed bool) {
 			s.ins.OnTxCommit(c.time, c.id, uint64(seq), uint64(lat), rb, wb)
 		}
 		delete(s.txs, seq)
+		s.freeTx(t)
 	}
 }
 
@@ -832,7 +862,10 @@ func (s *System) triggerAbort(cause string, c *core) {
 		s.ins.OnTx(obs.KTxAbort, c.time, c.id, uint64(c.curSeq), cause)
 	}
 	// Discard in-flight transaction footprints; they never committed.
-	s.txs = make(map[vid.Seq]*txStats)
+	for _, q := range slices.Sorted(maps.Keys(s.txs)) {
+		s.freeTx(s.txs[q])
+	}
+	clear(s.txs)
 	for _, d := range s.cores {
 		d.curTx = nil
 	}
@@ -932,20 +965,25 @@ type sysTracker System
 
 func (t *sysTracker) SpecTouch(coreID int, lineAddr memsys.Addr, isStore bool) bool {
 	s := (*System)(t)
-	seq := s.cores[coreID].curSeq
-	if seq == 0 {
+	c := s.cores[coreID]
+	if c.curSeq == 0 {
 		return true
 	}
-	tx := s.tx(seq)
-	tx.specAccesses++
-	_, inR := tx.read[lineAddr]
-	_, inW := tx.write[lineAddr]
-	if isStore {
-		tx.write[lineAddr] = struct{}{}
-	} else {
-		tx.read[lineAddr] = struct{}{}
+	tx := c.curTx
+	if tx == nil {
+		tx = s.tx(c.curSeq)
 	}
-	return inR || inW
+	tx.specAccesses++
+	marks := tx.lines[lineAddr]
+	switch {
+	case isStore && marks&txWrite == 0:
+		tx.lines[lineAddr] = marks | txWrite
+		tx.nWrite++
+	case !isStore && marks&txRead == 0:
+		tx.lines[lineAddr] = marks | txRead
+		tx.nRead++
+	}
+	return marks != 0
 }
 
 func (t *sysTracker) AvoidedAbort(coreID int) {

@@ -144,3 +144,19 @@ func BenchmarkAbortSweep(b *testing.B) {
 		h.AbortAll()
 	}
 }
+
+// BenchmarkPeekWordLine measures the sequential oracle's read of one
+// committed line, the 8 PeekWord calls simbench makes for every line a run
+// leaves: the line is resident in one L1 of a 4-core machine.
+func BenchmarkPeekWordLine(b *testing.B) {
+	h := newBenchH(4)
+	h.Store(2, addrA, 1, vid.NonSpec)
+	la := LineAddr(addrA)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		for w := Addr(0); w < LineSize; w += WordSize {
+			h.PeekWord(la + w)
+		}
+	}
+}

@@ -27,6 +27,7 @@ type cache struct {
 	id      int // index into the hierarchy's cache array; bit in presence masks
 	hier    *Hierarchy
 	numSets int
+	setMask Addr // numSets-1 when numSets is a power of two above 1, else 0
 	ways    int
 	sets    [][]Line
 	hits    uint64 // requests this cache served (per-cache stats registry)
@@ -50,13 +51,23 @@ type cache struct {
 func newCache(name string, id, size, ways int, h *Hierarchy) *cache {
 	numSets := size / (ways * LineSize)
 	c := &cache{name: name, id: id, hier: h, numSets: numSets, ways: ways}
+	if numSets&(numSets-1) == 0 {
+		c.setMask = Addr(numSets - 1)
+	}
 	c.sets = make([][]Line, numSets)
 	c.setGen = make([]uint64, numSets)
 	c.setTag = make([]Addr, numSets)
 	return c
 }
 
+// setIndex returns the set lineAddr maps to: the line number modulo the set
+// count. Table 2's set counts are powers of two, which take a mask instead of
+// a 64-bit division. Config.Validate allows any count; the others, and a
+// single set, keep the modulo.
 func (c *cache) setIndex(lineAddr Addr) int {
+	if c.setMask != 0 {
+		return int((lineAddr / LineSize) & c.setMask)
+	}
 	return int((lineAddr / LineSize) % Addr(c.numSets))
 }
 

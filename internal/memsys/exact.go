@@ -7,7 +7,6 @@ import (
 	"fmt"
 	"reflect"
 	"slices"
-	"sort"
 
 	"hmtx/internal/vid"
 )
@@ -82,7 +81,7 @@ func (h *Hierarchy) writeExact(w *SparseWriter) {
 	// conservative superset and carries no architectural data, but it is
 	// part of the deterministic replay state: which caches a sweep visits
 	// (and therefore which stale bits it clears) depends on it.
-	keys := make([]Addr, 0, max(len(h.pres), len(h.mem.lines)))
+	keys := make([]Addr, 0, max(len(h.pres), len(h.mem.chunks)))
 	for a := range h.pres {
 		keys = append(keys, a)
 	}
@@ -96,18 +95,12 @@ func (h *Hierarchy) writeExact(w *SparseWriter) {
 		}
 	}
 
-	// Main memory, sorted by line address.
-	keys = keys[:0]
-	for a := range h.mem.lines {
-		keys = append(keys, a)
-	}
-	slices.Sort(keys)
-	w.u64(uint64(len(keys)))
-	for _, a := range keys {
+	// Main memory: every present line, sorted by line address.
+	w.u64(uint64(h.mem.lines))
+	h.mem.eachLine(keys, func(a Addr, data *[LineSize]byte) {
 		w.u64(a)
-		data := h.mem.lines[a]
 		w.Write(data[:])
-	}
+	})
 
 	// Every cache, L1s in core order then the L2, frame by frame.
 	for _, c := range h.allCaches() {
@@ -123,7 +116,7 @@ func (h *Hierarchy) exactLen() int {
 	n := len(exactMagic) + 8*len(h.cfg.geometry()) + 1 + 8 + 8 + 1
 	n += 8 + 8*reflect.TypeFor[Stats]().NumField()
 	n += 8 + len(h.pres)*(8+8*presWords)
-	n += 8 + len(h.mem.lines)*(8+LineSize)
+	n += 8 + h.mem.lines*(8+LineSize)
 	for _, c := range h.allCaches() {
 		n += 16 + len(c.sets)*(16+c.ways*lineExactLen)
 	}
@@ -291,9 +284,7 @@ func (h *Hierarchy) RestoreSparse(s Sparse) error {
 	for n, i := r.u64(), uint64(0); i < n && r.err == nil; i++ {
 		a := r.u64()
 		r.ascending(i, a)
-		var data [LineSize]byte
-		copy(data[:], r.bytes(LineSize))
-		h.mem.lines[a] = data
+		copy(h.mem.line(a)[:], r.bytes(LineSize))
 	}
 
 	for _, c := range h.allCaches() {
@@ -388,24 +379,18 @@ func (l *Line) restoreExact(b []byte) {
 // any cache or present in main memory — sorted ascending. It is the address
 // universe hmtxdbg enumerates for state dumps and diffs.
 func (h *Hierarchy) Addrs() []Addr {
-	seen := make(map[Addr]struct{}, len(h.mem.lines))
-	for a := range h.mem.lines {
-		seen[a] = struct{}{}
-	}
+	out := make([]Addr, 0, h.mem.lines)
+	h.mem.eachLine(nil, func(a Addr, _ *[LineSize]byte) { out = append(out, a) })
 	for _, c := range h.allCaches() {
 		for si := range c.sets {
 			s := c.sets[si]
 			for wi := range s {
 				if s[wi].St != Invalid {
-					seen[s[wi].Tag] = struct{}{}
+					out = append(out, s[wi].Tag)
 				}
 			}
 		}
 	}
-	out := make([]Addr, 0, len(seen))
-	for a := range seen {
-		out = append(out, a)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
+	slices.Sort(out)
+	return slices.Compact(out)
 }

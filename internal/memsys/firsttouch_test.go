@@ -52,72 +52,163 @@ func TestNewAllocatesLittle(t *testing.T) {
 	}
 }
 
-// TestFirstTouchSeams drives the first install into L2 set 0, the last L2
-// set, and a set first reached by a wrong-path load. Each must allocate
-// exactly the sets it installs into, each only as long as the lines placed
-// there, and leave the hierarchy indistinguishable from one whose sets were
-// all allocated up front: same values, statistics and exact encoding, before
-// and after a round trip.
+// Boundary addresses of the address space and of main memory's chunks.
+const (
+	seamLine0     = Addr(0)                               // the first line of all
+	seamChunkLast = Addr((chunkLines - 1) * LineSize)     // the last line of chunk 0
+	seamChunkNext = Addr(chunkLines * LineSize)           // the first line of chunk 1
+	seamTop       = ^Addr(0) &^ (LineSize - 1)            // the last line of all
+	seamTopChunk  = ^Addr(0) &^ (chunkLines*LineSize - 1) // the first line of the last chunk
+)
+
+// exactMemory decodes the main-memory section of h's exact encoding: the
+// lines it lists, in order, and their data.
+func exactMemory(t testing.TB, h *Hierarchy) ([]Addr, map[Addr][LineSize]byte) {
+	t.Helper()
+	r := &exactReader{s: SparseOf(h.AppendExact(nil))}
+	if err := r.header(h.cfg.geometry()); err != nil {
+		t.Fatal(err)
+	}
+	r.skip(1, 1+8+8+1)             // LC VID, epoch, generation, overflow flag
+	r.skip(r.u64(), 8)             // statistics
+	r.skip(r.u64(), 8+8*presWords) // presence masks
+	var addrs []Addr
+	lines := map[Addr][LineSize]byte{}
+	for n, i := r.u64(), uint64(0); i < n && r.err == nil; i++ {
+		a := r.u64()
+		addrs = append(addrs, a)
+		lines[a] = [LineSize]byte(r.bytes(LineSize))
+	}
+	if r.err != nil {
+		t.Fatal(r.err)
+	}
+	return addrs, lines
+}
+
+// checkPlacement requires every valid line of every cache of h to sit in
+// set (la/LineSize) % numSets, computed here without setIndex.
+func checkPlacement(t *testing.T, h *Hierarchy) {
+	t.Helper()
+	for _, c := range h.all {
+		for si, s := range c.sets {
+			for wi := range s {
+				if s[wi].St == Invalid {
+					continue
+				}
+				if want := int(s[wi].Tag / LineSize % Addr(c.numSets)); si != want {
+					t.Fatalf("%s: line %#x sits in set %d of %d, want set %d", c.name, s[wi].Tag, si, c.numSets, want)
+				}
+			}
+		}
+	}
+}
+
+// TestFirstTouchSeams is a table of boundary addresses, in the manner of a
+// memory-accessor test: the first and last line of the address space and of
+// a memory chunk, the first and last L2 set, a set first reached by a
+// wrong-path load, a line written as zeros, and caches of a power-of-two
+// number of sets, of three sets and of one set. Each row pokes a value into
+// its line, drives it into the caches, and requires that
+//   - every set allocated is one an install touched, each only as long as
+//     the lines placed there, and the hierarchy is indistinguishable from
+//     one whose sets were all allocated up front: same values, statistics
+//     and exact encoding, before and after a round trip;
+//   - every line sits in set (la/LineSize) % numSets of its cache;
+//   - main memory holds exactly the poked line, zeros included, counts it,
+//     lists it in the exact encoding, and restores it.
 func TestFirstTouchSeams(t *testing.T) {
-	cfg := DefaultConfig()
-	cfg.Cores = 2
-	cfg.Sanitize = true
-	l2Sets := cfg.L2Size / (cfg.L2Ways * LineSize)
+	base := DefaultConfig()
+	base.Cores = 2
+	base.Sanitize = true
+	l2Sets := base.L2Size / (base.L2Ways * LineSize)
+	l1Sets := func(n int) func(*Config) {
+		return func(cfg *Config) { cfg.L1Size = n * cfg.L1Ways * LineSize }
+	}
 	// Loads fill the L1 only; a line reaches the L2 when it leaves an L1,
 	// so the L2 cases force that eviction.
+	viaL2 := func(h *Hierarchy, a Addr) uint64 {
+		h.Load(0, a, vid.NonSpec)
+		h.Evict(0, a)
+		v, _ := h.Load(1, a, vid.NonSpec)
+		return v
+	}
+	// The store leaves an S-O and an S-M version in L1.1.
+	versions := func(h *Hierarchy, a Addr) uint64 {
+		h.Store(1, a, 99, 1)
+		h.Evict(1, a)
+		v, _ := h.Load(0, a, 2)
+		return v
+	}
+	load := func(h *Hierarchy, a Addr) uint64 {
+		v, _ := h.Load(1, a, vid.NonSpec)
+		return v
+	}
 	cases := []struct {
-		name  string
-		addr  Addr
-		cache int // index into h.all of the cache whose set is first touched
-		set   int
-		lens  []int // per cache of h.all, the length of the set holding addr
-		drive func(h *Hierarchy, a Addr) uint64
+		name   string
+		config func(*Config) // nil for the Table 2 caches, 64 L1 sets and 65,536 L2 sets
+		addr   Addr
+		poke   uint64
+		lens   []int // per cache of h.all, the length of the set holding addr
+		want   uint64
+		drive  func(h *Hierarchy, a Addr) uint64
 	}{
-		{"L2 set 0", Addr(l2Sets * LineSize), cfg.Cores, 0, []int{1, 1, 1}, func(h *Hierarchy, a Addr) uint64 {
-			h.Load(0, a, vid.NonSpec)
-			h.Evict(0, a)
-			v, _ := h.Load(1, a, vid.NonSpec)
-			return v
-		}},
-		// The store leaves an S-O and an S-M version in L1.1.
-		{"last L2 set", Addr((l2Sets - 1) * LineSize), cfg.Cores, l2Sets - 1, []int{1, 2, 1}, func(h *Hierarchy, a Addr) uint64 {
-			h.Store(1, a, 99, 1)
-			h.Evict(1, a)
-			v, _ := h.Load(0, a, 2)
-			return v
-		}},
-		{"wrong-path load", Addr(777 * LineSize), 1, 777 % (cfg.L1Size / (cfg.L1Ways * LineSize)), []int{0, 1, 0}, func(h *Hierarchy, a Addr) uint64 {
+		{"L2 set 0", nil, Addr(l2Sets * LineSize), 7, []int{1, 1, 1}, 7, viaL2},
+		{"last L2 set", nil, Addr((l2Sets - 1) * LineSize), 7, []int{1, 2, 1}, 99, versions},
+		{"wrong-path load", nil, Addr(777 * LineSize), 7, []int{0, 1, 0}, 7, func(h *Hierarchy, a Addr) uint64 {
 			v, _ := h.WrongPathLoad(1, a, 3)
 			return v
 		}},
+		{"line 0", nil, seamLine0, 7, []int{1, 1, 1}, 7, viaL2},
+		{"last line of a chunk", nil, seamChunkLast, 7, []int{1, 2, 1}, 99, versions},
+		{"first line of the next chunk", nil, seamChunkNext, 7, []int{1, 2, 1}, 99, versions},
+		{"top line", nil, seamTop, 7, []int{1, 1, 1}, 7, viaL2},
+		{"first line of the top chunk", nil, seamTopChunk, 7, []int{1, 2, 1}, 99, versions},
+		{"written zero line", nil, seamChunkNext, 0, []int{0, 1, 0}, 0, load},
+		{"3-set L1s, top line", l1Sets(3), seamTop, 7, []int{1, 1, 1}, 7, viaL2},
+		{"3-set L1s, line 5", l1Sets(3), 5 * LineSize, 7, []int{1, 2, 1}, 99, versions},
+		{"1-set L1s", l1Sets(1), seamChunkLast, 7, []int{1, 1, 1}, 7, viaL2},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
+			cfg := base
+			if tc.config != nil {
+				tc.config(&cfg)
+			}
 			lazy, eager := New(cfg), New(cfg)
 			allocateAll(eager)
 			for _, h := range []*Hierarchy{lazy, eager} {
-				h.PokeWord(tc.addr, 7)
+				h.PokeWord(tc.addr, tc.poke)
 			}
 			got, want := tc.drive(lazy, tc.addr), tc.drive(eager, tc.addr)
-			if got != want {
-				t.Fatalf("first-touch load returned %d, eagerly allocated machine %d", got, want)
-			}
-			c := lazy.all[tc.cache]
-			if c.sets[tc.set] == nil {
-				t.Fatalf("%s set %d not allocated by the first install", c.name, tc.set)
+			if got != want || got != tc.want {
+				t.Fatalf("first-touch load returned %d, eagerly allocated machine %d, want %d", got, want, tc.want)
 			}
 			for i, c := range lazy.all {
-				want := min(tc.lens[i], 1)
-				if n := allocatedSets(c); n != want {
+				si := int(tc.addr / LineSize % Addr(c.numSets))
+				if n := len(c.sets[si]); n != tc.lens[i] {
+					t.Fatalf("%s: set %d of %d holds %d ways, want %d", c.name, si, c.numSets, n, tc.lens[i])
+				}
+				if n, want := allocatedSets(c), min(tc.lens[i], 1); n != want {
 					t.Fatalf("%s: %d sets allocated, want %d", c.name, n, want)
 				}
-				if n := len(c.sets[c.setIndex(tc.addr)]); n != tc.lens[i] {
-					t.Fatalf("%s: touched set holds %d ways, want %d", c.name, n, tc.lens[i])
-				}
 			}
+			checkPlacement(t, lazy)
 			if lazy.stats != eager.stats {
 				t.Fatalf("stats differ from the eagerly allocated machine:\n%+v\n%+v", lazy.stats, eager.stats)
 			}
+
+			// The poked line is main memory's only line, even as zeros.
+			wantLine := lazy.mem.read(tc.addr)
+			if w := lazy.mem.word(tc.addr); w != tc.poke {
+				t.Fatalf("memory word at %#x is %d, want %d", tc.addr, w, tc.poke)
+			}
+			if lazy.mem.lines != 1 {
+				t.Fatalf("memory counts %d lines, want 1", lazy.mem.lines)
+			}
+			if addrs, lines := exactMemory(t, lazy); len(addrs) != 1 || addrs[0] != tc.addr || lines[tc.addr] != wantLine {
+				t.Fatalf("exact encoding lists memory lines %#x, want [%#x]", addrs, tc.addr)
+			}
+
 			enc := lazy.AppendExact(nil)
 			if !bytes.Equal(enc, eager.AppendExact(nil)) {
 				t.Fatal("exact encoding differs from the eagerly allocated machine")
@@ -128,6 +219,9 @@ func TestFirstTouchSeams(t *testing.T) {
 			}
 			if !bytes.Equal(back.AppendExact(nil), enc) {
 				t.Fatal("restored machine re-encodes differently")
+			}
+			if back.mem.lines != 1 || back.mem.read(tc.addr) != wantLine {
+				t.Fatalf("restored memory counts %d lines, want the poked one", back.mem.lines)
 			}
 			for i, c := range back.all {
 				if got, want := allocatedSets(c), allocatedSets(lazy.all[i]); got != want {

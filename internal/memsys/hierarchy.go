@@ -420,7 +420,7 @@ func (h *Hierarchy) specReadTransition(ln *Line, a vid.V) {
 	case Exclusive, Shared:
 		ln.St = SpecExclusive
 	default:
-		panic(fmt.Sprintf("memsys: specReadTransition on %v", ln))
+		panic("memsys: specReadTransition on " + ln.String())
 	}
 	ln.Mod = 0
 	ln.High = a
@@ -1027,24 +1027,31 @@ func (h *Hierarchy) checkOverflow(res *Result) {
 
 // PeekWord returns the committed value at addr without affecting timing or
 // state. It is a host-side helper for verification and workload setup, and
-// read-only like Versions: it reads each version through view.
+// read-only like Versions: it reads each version through view. It visits
+// only the caches the snoop filter names, in cache order; the filter is a
+// conservative superset of residency, so the caches it skips hold no
+// version, and the result is that of a scan of every cache.
 func (h *Hierarchy) PeekWord(addr Addr) uint64 {
 	la := LineAddr(addr)
 	var word uint64
 	bestRank := -1
 	var cp Line
-	for _, c := range h.all {
-		ways := c.sets[c.setIndex(la)]
-		for i := range ways {
-			ln := &ways[i]
-			if ln.St == Invalid || ln.Tag != la {
-				continue
-			}
-			if ln = h.view(ln, &cp); ln == nil || !ln.serves(h.lc, false) {
-				continue
-			}
-			if r := stateRank(ln.St); r > bestRank {
-				word, bestRank = ln.Word(addr), r
+	mask := h.holders(la)
+	for wi := 0; wi < presWords; wi++ {
+		for bitsLeft := mask[wi]; bitsLeft != 0; bitsLeft &= bitsLeft - 1 {
+			c := h.all[wi<<6+bits.TrailingZeros64(bitsLeft)]
+			ways := c.sets[c.setIndex(la)]
+			for i := range ways {
+				ln := &ways[i]
+				if ln.St == Invalid || ln.Tag != la {
+					continue
+				}
+				if ln = h.view(ln, &cp); ln == nil || !ln.serves(h.lc, false) {
+					continue
+				}
+				if r := stateRank(ln.St); r > bestRank {
+					word, bestRank = ln.Word(addr), r
+				}
 			}
 		}
 	}

@@ -68,6 +68,20 @@ func TestHotPathZeroAllocs(t *testing.T) {
 	}); n != 0 {
 		t.Errorf("settle-after-commit access: %v allocs/op, want 0", n)
 	}
+
+	// A speculative load of a line a peer L1 holds non-speculatively
+	// migrates it and marks it in place, through a pointer to the moved
+	// Line: that pointer must not escape either.
+	h6 := newBenchH(2)
+	v = 0
+	if n := testing.AllocsPerRun(200, func() {
+		v++
+		h6.Store(0, addrA, uint64(v), vid.NonSpec)
+		h6.Load(1, addrA, v)
+		h6.Commit(v)
+	}); n != 0 {
+		t.Errorf("speculative load migrating a peer's line: %v allocs/op, want 0", n)
+	}
 }
 
 // TestSnoopFilterPresence exercises the snoop-filter maintenance rules
@@ -215,7 +229,7 @@ func TestAppendExactAllocs(t *testing.T) {
 	h := New(exactTestCfg(3))
 	var lc vid.V
 	driveRandom(h, rand.New(rand.NewSource(5)), 400, &lc)
-	if len(h.pres) == 0 || len(h.mem.lines) == 0 {
+	if len(h.pres) == 0 || h.mem.lines == 0 {
 		t.Fatal("stimulus left the snoop filter or main memory empty")
 	}
 	if got, want := len(h.AppendExact(nil)), h.exactLen(); got != want {

@@ -487,6 +487,6 @@ func (h *Hierarchy) String() string {
 			}
 		}
 	}
-	fmt.Fprintf(&b, "  memory: %d lines resident\n", len(h.mem.lines))
+	fmt.Fprintf(&b, "  memory: %d lines resident\n", h.mem.lines)
 	return b.String()
 }

@@ -54,6 +54,7 @@ func (c *cache) clone(h *Hierarchy) *cache {
 		id:       c.id,
 		hier:     h,
 		numSets:  c.numSets,
+		setMask:  c.setMask,
 		ways:     c.ways,
 		hits:     c.hits,
 		lruClock: c.lruClock,
@@ -71,9 +72,9 @@ func (c *cache) clone(h *Hierarchy) *cache {
 
 // clone deep-copies the simulated main memory.
 func (m *memory) clone() *memory {
-	cp := newMemory()
-	for a, data := range m.lines {
-		cp.lines[a] = data
+	cp := &memory{chunks: make(map[Addr]*memChunk, len(m.chunks)), lines: m.lines}
+	for base, ch := range m.chunks {
+		cp.chunks[base] = &memChunk{present: ch.present, data: ch.data}
 	}
 	return cp
 }

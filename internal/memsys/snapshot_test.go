@@ -215,8 +215,9 @@ func TestSnapshotFieldInventory(t *testing.T) {
 	}{
 		{Line{}, "Tag St Mod High Epoch SettledLC ShadowHigh ShadowEpoch Data lru"},
 		{Hierarchy{}, "cfg l1s l2 all mem lc epoch stats tracker ins gen pres pendingOverflow san"},
-		{cache{}, "name id hier numSets ways sets hits setGen setTag lruClock"},
-		{memory{}, "lines"},
+		{cache{}, "name id hier numSets setMask ways sets hits setGen setTag lruClock"},
+		{memory{}, "chunks lines"},
+		{memChunk{}, "present data"},
 	} {
 		typ := reflect.TypeOf(tc.v)
 		var names []string
