@@ -63,9 +63,6 @@ func main() {
 	cwd, _ := os.Getwd()
 	var findings []Finding
 	for _, pkg := range pkgs {
-		if pkg.DepOnly {
-			continue // loaded only so its importers type-check
-		}
 		for _, a := range analyzers {
 			for _, d := range analysis.Run(pkg, a) {
 				pos := pkg.Fset.Position(d.Pos)

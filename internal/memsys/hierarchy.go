@@ -1128,20 +1128,3 @@ func (h *Hierarchy) view(ln, cp *Line) *Line {
 	}
 	return cp
 }
-
-// FlushCommitted writes every dirty non-speculative line back to memory so
-// that main memory holds the full committed image. It panics if speculative
-// lines remain; call it only after all transactions have committed.
-func (h *Hierarchy) FlushCommitted() {
-	for _, c := range h.allCaches() {
-		c.forEach(func(ln *Line) {
-			if ln.St.Speculative() {
-				panic(fmt.Sprintf("memsys: FlushCommitted with live speculative line %v", ln))
-			}
-			if ln.St == Modified || ln.St == Owned {
-				h.mem.write(ln.Tag, ln.Data)
-				h.stats.MemWrites++
-			}
-		})
-	}
-}

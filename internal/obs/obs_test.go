@@ -308,9 +308,9 @@ func TestTxCollectorAbortRecommit(t *testing.T) {
 func TestRegistrySnapshotTextAndJSON(t *testing.T) {
 	r := NewRegistry()
 	g := r.Group("memsys").Group("l1[0]")
-	c := g.Counter("hits", "L1 hits")
-	c.Add(41)
-	c.Inc()
+	var hits uint64
+	g.CounterFunc("hits", "L1 hits", func() uint64 { return hits })
+	hits = 42 // read at snapshot time, not at registration
 	var misses uint64 = 7
 	g.CounterFunc("misses", "L1 misses", func() uint64 { return misses })
 	r.Scalar("memsys.l1[0].hit_rate", "hit rate", func() float64 { return 42.0 / 49.0 })
@@ -369,6 +369,8 @@ func TestRegistrySnapshotTextAndJSON(t *testing.T) {
 // zero defeats constant folding so the NaN is produced at run time.
 func zero() float64 { return 0 }
 
+func one() uint64 { return 1 }
+
 func TestRegistryDuplicatePanics(t *testing.T) {
 	defer func() {
 		if recover() == nil {
@@ -376,14 +378,14 @@ func TestRegistryDuplicatePanics(t *testing.T) {
 		}
 	}()
 	r := NewRegistry()
-	r.Counter("x", "")
-	r.Counter("x", "")
+	r.CounterFunc("x", "", one)
+	r.CounterFunc("x", "", one)
 }
 
 func TestNestedConflict(t *testing.T) {
 	r := NewRegistry()
-	r.Counter("a.b", "")
-	r.Counter("a.b.c", "")
+	r.CounterFunc("a.b", "", one)
+	r.CounterFunc("a.b.c", "", one)
 	if _, err := r.Snapshot().Nested(); err == nil {
 		t.Fatal("leaf/subtree conflict not reported")
 	}

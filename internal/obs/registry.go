@@ -16,9 +16,8 @@ import (
 // "engine.aborts.overflow"), and a Snapshot renders them as an aligned text
 // table or deterministic JSON.
 //
-// Counter-valued entries are either live *Counter cells or read-through
-// closures over a component's existing counter fields; scalars are always
-// closures, evaluated at snapshot time. The Registry is not safe for
+// Counters and scalars are read-through closures over a component's own
+// fields, evaluated at snapshot time. The Registry is not safe for
 // concurrent use.
 type Registry struct {
 	entries []*entry
@@ -45,18 +44,6 @@ type entry struct {
 func NewRegistry() *Registry {
 	return &Registry{byName: make(map[string]*entry)}
 }
-
-// Counter is a live cumulative counter cell.
-type Counter struct{ n uint64 }
-
-// Inc adds one.
-func (c *Counter) Inc() { c.n++ }
-
-// Add adds d.
-func (c *Counter) Add(d uint64) { c.n += d }
-
-// Value returns the current count.
-func (c *Counter) Value() uint64 { return c.n }
 
 // Histogram is a fixed-bucket histogram of uint64 samples. Bounds are
 // inclusive upper bounds; one extra overflow bucket catches larger samples.
@@ -130,13 +117,6 @@ func (r *Registry) add(name, desc string, e *entry) *entry {
 	return e
 }
 
-// Counter registers and returns a live counter cell.
-func (r *Registry) Counter(name, desc string) *Counter {
-	c := &Counter{}
-	r.add(name, desc, &entry{kind: entryCounter, counter: c.Value})
-	return c
-}
-
 // CounterFunc registers a counter read through f at snapshot time, for
 // components that keep their counts in plain struct fields.
 func (r *Registry) CounterFunc(name, desc string, f func() uint64) {
@@ -184,9 +164,6 @@ func (g Group) full(name string) string {
 func (g Group) Group(prefix string) Group {
 	return Group{r: g.r, prefix: g.full(prefix)}
 }
-
-// Counter registers a live counter cell under the group's prefix.
-func (g Group) Counter(name, desc string) *Counter { return g.r.Counter(g.full(name), desc) }
 
 // CounterFunc registers a read-through counter under the group's prefix.
 func (g Group) CounterFunc(name, desc string, f func() uint64) {

@@ -167,6 +167,10 @@ func TestDocRoundTripAndDeterminism(t *testing.T) {
 	if _, err := prof.ReadDoc(bad); err == nil {
 		t.Fatal("ReadDoc accepted a wrong schema tag")
 	}
+	trailing := strings.NewReader(b.String() + `{"schema":"garbage"`)
+	if _, err := prof.ReadDoc(trailing); err == nil {
+		t.Fatal("ReadDoc accepted data after the document")
+	}
 }
 
 func TestWriteFolded(t *testing.T) {

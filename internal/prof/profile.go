@@ -224,12 +224,16 @@ func WriteDoc(w io.Writer, doc Doc) error {
 	return err
 }
 
-// ReadDoc parses a profile document and verifies its schema tag.
+// ReadDoc parses one profile document, rejecting any data after it, and
+// verifies its schema tag.
 func ReadDoc(r io.Reader) (Doc, error) {
 	var doc Doc
 	dec := json.NewDecoder(r)
 	if err := dec.Decode(&doc); err != nil {
 		return doc, err
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return doc, fmt.Errorf("prof: data after the document")
 	}
 	if doc.Schema != Schema {
 		return doc, fmt.Errorf("prof: unexpected schema %q (want %q)", doc.Schema, Schema)

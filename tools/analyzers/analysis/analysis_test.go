@@ -1,7 +1,6 @@
 package analysis_test
 
 import (
-	"fmt"
 	"go/ast"
 	"go/token"
 	"os"
@@ -92,50 +91,29 @@ func TestLoadDependencyOrder(t *testing.T) {
 
 // TestLoadBetweenPackages loads two packages with a third on the import path
 // between them (internal/hmtx imports internal/paradigm, which imports
-// internal/engine). The third must come from source, marked DepOnly, so
-// that both importers see one engine package; from export data it carried a
-// second copy and type-checking internal/hmtx failed.
+// internal/engine). Each is checked alone against export data, so exactly
+// the two matched packages come back, both type-checked.
 func TestLoadBetweenPackages(t *testing.T) {
 	pkgs, err := analysis.Load("hmtx/internal/engine", "hmtx/internal/hmtx")
 	if err != nil {
 		t.Fatal(err)
 	}
-	byPath := make(map[string]*analysis.Package)
+	var got []string
 	for _, p := range pkgs {
-		byPath[p.PkgPath] = p
-	}
-	want := map[string]bool{ // loaded package -> DepOnly
-		"hmtx/internal/engine":   false,
-		"hmtx/internal/hmtx":     false,
-		"hmtx/internal/paradigm": true,
-	}
-	for path, dep := range want {
-		p, ok := byPath[path]
-		if !ok {
-			t.Fatalf("%s missing from Load result", path)
+		if p.Types == nil || !p.Types.Complete() || len(p.Files) == 0 {
+			t.Errorf("%s: not type-checked from source", p.PkgPath)
 		}
-		if p.DepOnly != dep {
-			t.Errorf("%s: DepOnly = %v, want %v", path, p.DepOnly, dep)
-		}
+		got = append(got, p.PkgPath)
 	}
-	if len(byPath) != len(want) {
-		var got []string
-		for path := range byPath {
-			got = append(got, path)
-		}
-		t.Errorf("loaded %v, want only %d packages (dependencies importing no matched package stay export data)", got, len(want))
-	}
-	for _, imp := range byPath["hmtx/internal/paradigm"].Types.Imports() {
-		if imp.Path() == "hmtx/internal/engine" && imp != byPath["hmtx/internal/engine"].Types {
-			t.Error("paradigm imports a different engine package than the source-checked one")
-		}
+	if want := "hmtx/internal/engine hmtx/internal/hmtx"; strings.Join(got, " ") != want {
+		t.Errorf("loaded %v, want %s", got, want)
 	}
 }
 
 // TestLoadTestVariant loads a package a whose own tests recompile it and
 // whose external tests import b, which imports a back. go list then reports
-// b only as the test variant "b [a.test]"; it must still come from source,
-// marked DepOnly, against the test-augmented a.
+// b only as the test variant "b [a.test]"; the external test package must
+// type-check against that variant's export data and the test-augmented a.
 func TestLoadTestVariant(t *testing.T) {
 	dir := t.TempDir()
 	for name, src := range map[string]string{
@@ -171,37 +149,9 @@ func TestLoadTestVariant(t *testing.T) {
 	}
 	var got []string
 	for _, p := range pkgs {
-		got = append(got, fmt.Sprintf("%s:%v", p.PkgPath, p.DepOnly))
+		got = append(got, p.PkgPath)
 	}
-	if want := "tv/a:false tv/b:true tv/a_test:false"; strings.Join(got, " ") != want {
+	if want := "tv/a tv/a_test"; strings.Join(got, " ") != want {
 		t.Errorf("loaded %v, want %s", got, want)
-	}
-}
-
-// TestDependencyOrderDeterministic checks the topological sort breaks ties
-// lexicographically and still emits every unit when the edges form a cycle.
-func TestDependencyOrderDeterministic(t *testing.T) {
-	edges := map[string][]string{
-		"c":   {"a", "b"},
-		"b":   nil,
-		"a":   nil,
-		"d":   {"c"},
-		"ind": nil,
-	}
-	got := analysis.DependencyOrder(edges)
-	// After a and b are emitted, c unblocks and sorts ahead of ind.
-	want := []string{"a", "b", "c", "d", "ind"}
-	if !reflect.DeepEqual(got, want) {
-		t.Errorf("order = %v, want %v", got, want)
-	}
-
-	cyc := map[string][]string{"x": {"y"}, "y": {"x"}, "z": nil}
-	got = analysis.DependencyOrder(cyc)
-	if len(got) != 3 || got[0] != "z" {
-		t.Errorf("cycle order = %v, want z first then the cycle members", got)
-	}
-	joined := strings.Join(got[1:], ",")
-	if joined != "x,y" {
-		t.Errorf("cycle members = %s, want x,y in name order", joined)
 	}
 }
