@@ -18,7 +18,7 @@
 // a deterministic "hmtx-bench/v1" document (see EXPERIMENTS.md for how to
 // diff two of them); -prof attaches the cycle-attribution profiler to every
 // simulation and writes the suite's profiles as an "hmtx-prof/v1" document
-// (inspect or diff them with cmd/hmtxprof). -series, -conflicts and -hist
+// (inspect, diff or fold them with cmd/hmtxreport). -series, -conflicts and -hist
 // attach the DESIGN.md §15 metric instruments to every simulation and write
 // the suite's time-series ("hmtx-series/v1"), conflict-graph
 // ("hmtx-conflicts/v1") and latency-histogram ("hmtx-hist/v1") documents,

@@ -201,14 +201,8 @@ func (d *dbg) openRun() error {
 		return err
 	}
 	d.spec = spec
-	d.kind = paradigm.Sequential
-	for _, k := range []paradigm.Kind{paradigm.DOALL, paradigm.DOACROSS, paradigm.DSWP, paradigm.PSDSWP} {
-		if k.String() == rs.Paradigm {
-			d.kind = k
-		}
-	}
-	if d.kind == paradigm.Sequential {
-		return fmt.Errorf("checkpoint records unknown paradigm %q", rs.Paradigm)
+	if d.kind, err = paradigm.ParseParallel(rs.Paradigm); err != nil {
+		return fmt.Errorf("checkpoint records %w", err)
 	}
 	// The initial position is the checkpoint boundary itself: its memory
 	// image is in the document, no re-execution needed.

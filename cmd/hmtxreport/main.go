@@ -1,5 +1,5 @@
-// Command hmtxreport turns the simulator's metric documents into one
-// self-contained report.
+// Command hmtxreport renders, compares and folds the simulator's metric
+// documents.
 //
 // Usage:
 //
@@ -7,6 +7,7 @@
 //	           [-hist HIST.json] [-prof PROF.json]
 //	           [-o report.html] [-title NAME]
 //	hmtxreport diff A.json B.json
+//	hmtxreport fold PROF.json
 //
 // The default mode consumes any subset of the four artifact kinds the
 // simulator emits — "hmtx-series/v1" time series (hmtxsim -series,
@@ -17,14 +18,19 @@
 // and the validation-vs-commit cycle split that shows the paper's §6 shift
 // from software validation to hardware commit), conflict-cascade and
 // dominant-address tables, latency percentile tables, and the profiler's
-// per-line conflict heatmap. Without -o it prints the same content as plain
-// text. The HTML contains no scripts and no external references, and is
-// byte-identical for byte-identical inputs.
+// per-line conflict heatmap. Without -o it prints the documents as plain
+// text, each profile with its per-core bucket table, heatmap and
+// re-executed transactions. The HTML contains no scripts and no external
+// references, and is byte-identical for byte-identical inputs.
 //
-// The diff subcommand compares two documents of the same schema (A/B runs,
-// e.g. the same suite under different paradigms or configurations), pairing
-// entries by label and reporting per-column final deltas (series), percentile
-// deltas (hist), or edge/cascade deltas (conflicts).
+// The diff subcommand compares two documents of the same schema: per-column
+// final deltas (series), edge/cascade deltas (conflicts), percentile deltas
+// (hist) or per-bucket cycle and share deltas (prof). Two one-entry
+// documents compare directly whatever their labels, which is how the HMTX
+// vs SMTX validation/commit trade (§6) reads off two hmtxsim runs;
+// otherwise entries pair by label and an unpaired entry is reported. The
+// fold subcommand writes a profile's "label;coreN;bucket cycles" folded
+// stacks for flamegraph tooling.
 package main
 
 import (
@@ -37,7 +43,6 @@ import (
 
 	"hmtx/internal/metrics"
 	"hmtx/internal/prof"
-	"hmtx/internal/stats"
 )
 
 // newFlagSet returns a flag set that reports errors to stderr instead of
@@ -53,10 +58,21 @@ func main() {
 }
 
 func run(args []string, stdout, stderr io.Writer) int {
-	if len(args) > 0 && args[0] == "diff" {
-		return runDiff(args[1:], stdout, stderr)
+	if len(args) > 0 {
+		switch args[0] {
+		case "diff":
+			return runDiff(args[1:], stdout, stderr)
+		case "fold":
+			return runFold(args[1:], stdout, stderr)
+		}
 	}
 	return runReport(args, stdout, stderr)
+}
+
+// fail reports an error under the command's name and returns exit status 1.
+func fail(stderr io.Writer, format string, a ...any) int {
+	fmt.Fprintf(stderr, "hmtxreport: "+format+"\n", a...)
+	return 1
 }
 
 // readJSON decodes one JSON document from path into v.
@@ -101,6 +117,55 @@ func readSeries(path string) (*metrics.SeriesDoc, error) {
 	return &doc, nil
 }
 
+// readConflicts reads an hmtx-conflicts/v1 document.
+func readConflicts(path string) (*metrics.ConflictDoc, error) {
+	var doc metrics.ConflictDoc
+	if err := readJSON(path, &doc); err != nil {
+		return nil, err
+	}
+	return &doc, checkSchema(path, doc.Schema, metrics.ConflictSchema)
+}
+
+// readHist reads an hmtx-hist/v1 document.
+func readHist(path string) (*metrics.HistDoc, error) {
+	var doc metrics.HistDoc
+	if err := readJSON(path, &doc); err != nil {
+		return nil, err
+	}
+	return &doc, checkSchema(path, doc.Schema, metrics.HistSchema)
+}
+
+// readProf reads an hmtx-prof/v1 document; prof.ReadDoc checks its schema
+// and that every profile's buckets partition its core cycles.
+func readProf(path string) (*prof.Doc, error) {
+	f, err := os.Open(path)
+	if err != nil {
+		return nil, err
+	}
+	defer f.Close()
+	doc, err := prof.ReadDoc(f)
+	if err != nil {
+		return nil, fmt.Errorf("%s: %w", path, err)
+	}
+	return &doc, nil
+}
+
+// runFold writes a profile document as folded stacks: hmtxreport fold P.json.
+func runFold(args []string, stdout, stderr io.Writer) int {
+	if len(args) != 1 {
+		fmt.Fprintln(stderr, "usage: hmtxreport fold PROF.json")
+		return 2
+	}
+	doc, err := readProf(args[0])
+	if err != nil {
+		return fail(stderr, "%v", err)
+	}
+	if err := prof.WriteFolded(stdout, *doc); err != nil {
+		return fail(stderr, "%v", err)
+	}
+	return 0
+}
+
 func runReport(args []string, stdout, stderr io.Writer) int {
 	fs := newFlagSet("hmtxreport", stderr)
 	seriesPath := fs.String("series", "", "hmtx-series/v1 time-series document")
@@ -112,10 +177,6 @@ func runReport(args []string, stdout, stderr io.Writer) int {
 	if err := fs.Parse(args); err != nil {
 		return 2
 	}
-	fail := func(format string, a ...any) int {
-		fmt.Fprintf(stderr, "hmtxreport: "+format+"\n", a...)
-		return 1
-	}
 	if *seriesPath == "" && *conflictsPath == "" && *histPath == "" && *profPath == "" {
 		fs.Usage()
 		return 2
@@ -126,41 +187,30 @@ func runReport(args []string, stdout, stderr io.Writer) int {
 	if *seriesPath != "" {
 		doc, err := readSeries(*seriesPath)
 		if err != nil {
-			return fail("%v", err)
+			return fail(stderr, "%v", err)
 		}
 		rep.SeriesDoc = doc
 	}
 	if *conflictsPath != "" {
-		var doc metrics.ConflictDoc
-		if err := readJSON(*conflictsPath, &doc); err != nil {
-			return fail("%v", err)
+		doc, err := readConflicts(*conflictsPath)
+		if err != nil {
+			return fail(stderr, "%v", err)
 		}
-		if err := checkSchema(*conflictsPath, doc.Schema, metrics.ConflictSchema); err != nil {
-			return fail("%v", err)
-		}
-		rep.ConflictDoc = &doc
+		rep.ConflictDoc = doc
 	}
 	if *histPath != "" {
-		var doc metrics.HistDoc
-		if err := readJSON(*histPath, &doc); err != nil {
-			return fail("%v", err)
+		doc, err := readHist(*histPath)
+		if err != nil {
+			return fail(stderr, "%v", err)
 		}
-		if err := checkSchema(*histPath, doc.Schema, metrics.HistSchema); err != nil {
-			return fail("%v", err)
-		}
-		rep.HistDoc = &doc
+		rep.HistDoc = doc
 	}
 	if *profPath != "" {
-		f, err := os.Open(*profPath)
+		doc, err := readProf(*profPath)
 		if err != nil {
-			return fail("%v", err)
+			return fail(stderr, "%v", err)
 		}
-		doc, err := prof.ReadDoc(f)
-		f.Close()
-		if err != nil {
-			return fail("%v", err)
-		}
-		rep.ProfDoc = &doc
+		rep.ProfDoc = doc
 	}
 
 	if *out == "" {
@@ -169,10 +219,10 @@ func runReport(args []string, stdout, stderr io.Writer) int {
 	}
 	html, err := rep.html()
 	if err != nil {
-		return fail("%v", err)
+		return fail(stderr, "%v", err)
 	}
 	if err := os.WriteFile(*out, []byte(html), 0o644); err != nil {
-		return fail("%v", err)
+		return fail(stderr, "%v", err)
 	}
 	fmt.Fprintf(stdout, "wrote %s\n", *out)
 	return 0
@@ -211,21 +261,7 @@ func (r *report) writeText(w io.Writer) {
 	if r.ProfDoc != nil {
 		for i := range r.ProfDoc.Profiles {
 			fmt.Fprintln(w)
-			fmt.Fprint(w, heatmapText(&r.ProfDoc.Profiles[i]))
+			fmt.Fprint(w, r.ProfDoc.Profiles[i].Text())
 		}
 	}
-}
-
-// heatmapText renders one profile's per-line conflict heatmap as text.
-func heatmapText(p *prof.Profile) string {
-	out := fmt.Sprintf("per-line heatmap: %s\n", p.Label)
-	if len(p.HotLines) == 0 {
-		return out + "(no hot lines)\n"
-	}
-	var t stats.Table
-	t.Add("line", "conflicts", "overflows", "peer-xfer", "access-cycles", "wasted-cycles")
-	for _, l := range p.HotLines {
-		t.AddF(l.Addr, l.Conflicts, l.Overflows, l.PeerTransfers, l.AccessCycles, l.WastedCycles)
-	}
-	return out + t.String()
 }

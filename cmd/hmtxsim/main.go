@@ -27,7 +27,7 @@
 // core to a bucket (compute, cache/memory latency by level, bus contention,
 // commit, stalls, validation, abort, wasted re-execution) and prints the
 // attribution tables; -prof-out writes the profile as an "hmtx-prof/v1"
-// document for cmd/hmtxprof, and -prof-folded writes folded stacks for
+// document for cmd/hmtxreport, and -prof-folded writes folded stacks for
 // flamegraph tooling. All outputs are byte-identical across runs of the same
 // configuration.
 //
@@ -255,14 +255,8 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("unknown paradigm %q", *par)
 	}
 	if rdoc != nil {
-		kind = paradigm.Sequential
-		for _, k := range []paradigm.Kind{paradigm.DOALL, paradigm.DOACROSS, paradigm.DSWP, paradigm.PSDSWP} {
-			if k.String() == rdoc.Run.Paradigm {
-				kind = k
-			}
-		}
-		if kind == paradigm.Sequential {
-			return fail("checkpoint records unknown paradigm %q", rdoc.Run.Paradigm)
+		if kind, err = paradigm.ParseParallel(rdoc.Run.Paradigm); err != nil {
+			return fail("checkpoint records %v", err)
 		}
 	}
 	switch *system {

@@ -2,6 +2,7 @@ package main
 
 import (
 	"bytes"
+	"encoding/json"
 	"os"
 	"path/filepath"
 	"strings"
@@ -165,25 +166,24 @@ func writeAbortTrace(t *testing.T) string {
 	return path
 }
 
-// writeProf writes a one-profile hmtx-prof/v1 document whose re-execution
-// records carry the given per-VID aborted-attempt counts.
-func writeProf(t *testing.T, reexec []prof.TxProfile) string {
+// writeProf writes a one-profile hmtx-prof/v1 document.
+func writeProf(t *testing.T, p prof.Profile) string {
 	t.Helper()
-	path := filepath.Join(t.TempDir(), "prof.json")
-	f, err := os.Create(path)
+	buf, err := json.Marshal(prof.Doc{Schema: prof.Schema, Profiles: []prof.Profile{p}})
 	if err != nil {
 		t.Fatal(err)
 	}
-	doc := prof.Doc{Schema: prof.Schema, Profiles: []prof.Profile{{
-		Label: "wl/hmtx", ReexecutedTxs: reexec,
-	}}}
-	if err := prof.WriteDoc(f, doc); err != nil {
-		t.Fatal(err)
-	}
-	if err := f.Close(); err != nil {
+	path := filepath.Join(t.TempDir(), "prof.json")
+	if err := os.WriteFile(path, buf, 0o644); err != nil {
 		t.Fatal(err)
 	}
 	return path
+}
+
+// reexecProf is a profile whose re-execution records carry the given
+// per-VID aborted-attempt counts.
+func reexecProf(reexec ...prof.TxProfile) prof.Profile {
+	return prof.Profile{Label: "wl/hmtx", ReexecutedTxs: reexec}
 }
 
 func TestAttemptLedger(t *testing.T) {
@@ -208,10 +208,10 @@ func TestAttemptLedger(t *testing.T) {
 func TestProfCrossCheck(t *testing.T) {
 	trace := writeAbortTrace(t)
 
-	good := writeProf(t, []prof.TxProfile{
-		{VID: 3, AbortedAttempts: 2, WastedCycles: 160},
-		{VID: 4, AbortedAttempts: 1, WastedCycles: 80},
-	})
+	good := writeProf(t, reexecProf(
+		prof.TxProfile{VID: 3, AbortedAttempts: 2, WastedCycles: 160},
+		prof.TxProfile{VID: 4, AbortedAttempts: 1, WastedCycles: 80},
+	))
 	var out, errb bytes.Buffer
 	if code := run([]string{"-prof", good, trace}, &out, &errb); code != 0 {
 		t.Fatalf("agreeing cross-check failed (exit %d):\n%s%s", code, out.String(), errb.String())
@@ -221,10 +221,10 @@ func TestProfCrossCheck(t *testing.T) {
 	}
 
 	// Wrong count for VID 3 and a VID the trace never aborted: both named.
-	bad := writeProf(t, []prof.TxProfile{
-		{VID: 3, AbortedAttempts: 1},
-		{VID: 9, AbortedAttempts: 1},
-	})
+	bad := writeProf(t, reexecProf(
+		prof.TxProfile{VID: 3, AbortedAttempts: 1},
+		prof.TxProfile{VID: 9, AbortedAttempts: 1},
+	))
 	out.Reset()
 	if code := run([]string{"-prof", bad, trace}, &out, &errb); code != 1 {
 		t.Fatalf("disagreeing cross-check: exit %d, want 1", code)
@@ -239,5 +239,20 @@ func TestProfCrossCheck(t *testing.T) {
 		if !strings.Contains(s, want) {
 			t.Errorf("mismatch report missing %q:\n%s", want, s)
 		}
+	}
+
+	// A profile whose buckets do not partition its core cycles is refused
+	// before any cross-check.
+	tampered := reexecProf(prof.TxProfile{VID: 3, AbortedAttempts: 2}, prof.TxProfile{VID: 4, AbortedAttempts: 1})
+	tampered.CoreCycles = 100
+	tampered.Cores = []prof.CoreProfile{{Core: 0, Cycles: 100, Buckets: map[string]int64{"compute": 99}}}
+	tampered.Buckets = map[string]int64{"compute": 99}
+	out.Reset()
+	errb.Reset()
+	if code := run([]string{"-prof", writeProf(t, tampered), trace}, &out, &errb); code != 1 {
+		t.Fatalf("tampered profile: exit %d, want 1", code)
+	}
+	if !strings.Contains(errb.String(), "buckets sum to 99, cycles 100") {
+		t.Errorf("tampered profile stderr %q does not name the broken sum", errb.String())
 	}
 }

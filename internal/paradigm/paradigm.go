@@ -35,6 +35,18 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
+// ParseParallel returns the parallel paradigm whose String is name, as a
+// checkpoint records it. Sequential is not a parallel paradigm and is
+// rejected like any unknown name.
+func ParseParallel(name string) (Kind, error) {
+	for k := DOALL; k <= PSDSWP; k++ {
+		if k.String() == name {
+			return k, nil
+		}
+	}
+	return Sequential, fmt.Errorf("unknown paradigm %q", name)
+}
+
 // Loop is a speculatively parallelizable hot loop.
 //
 // All mutable loop state must live in simulated memory and be accessed

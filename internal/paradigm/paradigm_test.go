@@ -1,6 +1,7 @@
 package paradigm
 
 import (
+	"fmt"
 	"testing"
 
 	"hmtx/internal/engine"
@@ -64,5 +65,19 @@ func TestKindString(t *testing.T) {
 	}
 	if (Kind(99)).String() != "Kind(99)" {
 		t.Errorf("unknown kind formatting broken")
+	}
+}
+
+func TestParseParallel(t *testing.T) {
+	for _, k := range []Kind{DOALL, DOACROSS, DSWP, PSDSWP} {
+		got, err := ParseParallel(k.String())
+		if err != nil || got != k {
+			t.Errorf("ParseParallel(%q) = %v, %v; want %v", k.String(), got, err, k)
+		}
+	}
+	for _, name := range []string{"Sequential", "Kind(99)", "doall", ""} {
+		if _, err := ParseParallel(name); err == nil || err.Error() != fmt.Sprintf("unknown paradigm %q", name) {
+			t.Errorf("ParseParallel(%q): err %v, want unknown paradigm", name, err)
+		}
 	}
 }

@@ -2,6 +2,7 @@ package prof_test
 
 import (
 	"bytes"
+	"encoding/json"
 	"strings"
 	"testing"
 
@@ -142,34 +143,44 @@ func sampleDoc() prof.Doc {
 }
 
 func TestDocRoundTripAndDeterminism(t *testing.T) {
-	var a, b bytes.Buffer
-	if err := prof.WriteDoc(&a, sampleDoc()); err != nil {
+	a, err := json.Marshal(sampleDoc())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if err := prof.WriteDoc(&b, sampleDoc()); err != nil {
+	b, err := json.Marshal(sampleDoc())
+	if err != nil {
 		t.Fatal(err)
 	}
-	if !bytes.Equal(a.Bytes(), b.Bytes()) {
+	if !bytes.Equal(a, b) {
 		t.Fatal("two identical collections serialized differently")
 	}
-	doc, err := prof.ReadDoc(&a)
+	doc, err := prof.ReadDoc(bytes.NewReader(a))
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(doc.Profiles) != 1 || doc.Profiles[0].Label != "wl/hmtx" {
 		t.Fatalf("round trip lost data: %+v", doc)
 	}
-	if err := doc.Profiles[0].CheckInvariant(); err != nil {
-		t.Fatalf("invariant after round trip: %v", err)
-	}
 
 	bad := strings.NewReader(`{"schema":"hmtx-prof/v999","profiles":[]}`)
 	if _, err := prof.ReadDoc(bad); err == nil {
 		t.Fatal("ReadDoc accepted a wrong schema tag")
 	}
-	trailing := strings.NewReader(b.String() + `{"schema":"garbage"`)
+	trailing := strings.NewReader(string(b) + `{"schema":"garbage"`)
 	if _, err := prof.ReadDoc(trailing); err == nil {
 		t.Fatal("ReadDoc accepted data after the document")
+	}
+
+	// A bucket that no longer sums to its core's cycles breaks the
+	// partition every consumer relies on.
+	tampered := sampleDoc()
+	tampered.Profiles[0].Cores[1].Buckets["peer"]++
+	buf, err := json.Marshal(tampered)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := prof.ReadDoc(bytes.NewReader(buf)); err == nil || !strings.Contains(err.Error(), "core 1") {
+		t.Fatalf("ReadDoc of a tampered bucket: err %v, want a core 1 invariant error", err)
 	}
 }
 

@@ -213,19 +213,9 @@ func BucketNames() []string {
 	return out
 }
 
-// WriteDoc writes the document as indented JSON with a trailing newline.
-func WriteDoc(w io.Writer, doc Doc) error {
-	buf, err := json.MarshalIndent(doc, "", "  ")
-	if err != nil {
-		return err
-	}
-	buf = append(buf, '\n')
-	_, err = w.Write(buf)
-	return err
-}
-
 // ReadDoc parses one profile document, rejecting any data after it, and
-// verifies its schema tag.
+// verifies its schema tag and that every profile's buckets partition its
+// core cycles (CheckInvariant).
 func ReadDoc(r io.Reader) (Doc, error) {
 	var doc Doc
 	dec := json.NewDecoder(r)
@@ -237,6 +227,11 @@ func ReadDoc(r io.Reader) (Doc, error) {
 	}
 	if doc.Schema != Schema {
 		return doc, fmt.Errorf("prof: unexpected schema %q (want %q)", doc.Schema, Schema)
+	}
+	for i := range doc.Profiles {
+		if err := doc.Profiles[i].CheckInvariant(); err != nil {
+			return doc, err
+		}
 	}
 	return doc, nil
 }
