@@ -10,8 +10,8 @@
 // The rules (see tools/analyzers/*) enforce the determinism contract from
 // DESIGN.md: no dependence on map iteration or select order (detrange), no
 // wall clock, ambient randomness, host identity or pointer address
-// (noclock), and no unguarded trace emit, profiler charge or
-// metric-instrument record on the simulator fast path (fastpath). Each rule
+// (noclock), and no instrument-hook emit outside its Enabled guard on the
+// simulator fast path (fastpath). Each rule
 // judges one package at a time and flags a source where it is called.
 // DESIGN.md §14.3 records the planted bugs each rule was audited against.
 package main

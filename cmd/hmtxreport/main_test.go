@@ -10,6 +10,7 @@ import (
 	"testing"
 
 	"hmtx/internal/metrics"
+	"hmtx/internal/obs"
 	"hmtx/internal/prof"
 )
 
@@ -26,23 +27,27 @@ func fixtures(t testing.TB, dir string) (series, conflicts, hist, profile string
 	sm.Probe("spec_lines", func() uint64 { return 7 })
 	for i := int64(1); i <= 5; i++ {
 		commits, val = uint64(i), uint64(i*300)
-		sm.Tick(i * 100)
+		sm.Fold(obs.Event{Kind: obs.KStep, Arg: uint64(i * 100)})
 	}
 	sdoc := metrics.SeriesDoc{Schema: metrics.SeriesSchema, Scale: 1, Cores: 4,
 		Series: []metrics.Series{sm.Snapshot("bench/hmtx")}}
 
 	rec := metrics.NewRecorder(100)
-	rec.SetTime(50)
-	rec.Record(1, 2, 0x40, metrics.EdgeConflict)
-	rec.SetTime(80)
-	rec.Record(2, 3, 0x40, metrics.EdgeConflict)
+	for _, e := range []obs.Event{
+		{Kind: obs.KStep, Arg: 50},
+		{Kind: obs.KConflict, Aux: 1, VID: 2, Addr: 0x40, Sub: uint8(metrics.EdgeConflict)},
+		{Kind: obs.KStep, Arg: 80},
+		{Kind: obs.KConflict, Aux: 2, VID: 3, Addr: 0x40, Sub: uint8(metrics.EdgeConflict)},
+	} {
+		rec.Fold(e)
+	}
 	cdoc := metrics.ConflictDoc{Schema: metrics.ConflictSchema, Scale: 1, Cores: 4,
 		Graphs: []metrics.Graph{rec.Snapshot("bench/hmtx")}}
 
 	l := metrics.NewLatHists()
 	for i := uint64(1); i <= 100; i++ {
-		l.Open.Observe(i * 10)
-		l.CommitArb.Observe(i % 3)
+		l.Fold(obs.Event{Kind: obs.KTxCommit, Arg: i * 10})
+		l.Fold(obs.Event{Kind: obs.KCommitArb, Arg: i % 3})
 	}
 	hdoc := metrics.HistDoc{Schema: metrics.HistSchema, Scale: 1, Cores: 4,
 		Histograms: []metrics.LabeledHists{l.Snapshot("bench/hmtx")}}
@@ -337,12 +342,12 @@ func profileWith(label string, buckets map[prof.Bucket]int64) prof.Profile {
 	var total int64
 	for _, b := range prof.Buckets() {
 		if v := buckets[b]; v != 0 {
-			c.Charge(0, 1, b, v)
+			c.Fold(obs.Event{Kind: obs.KCharge, VID: 1, Sub: uint8(b), Arg: uint64(v)})
 			total += v
 		}
 	}
-	c.CoreDone(0, total)
-	c.RunEnd(total, false, 1)
+	c.Fold(obs.Event{Kind: obs.KCoreDone, Arg: uint64(total)})
+	c.Fold(obs.Event{Kind: obs.KRunEnd, Arg: uint64(total), Aux: 1})
 	workload, system, _ := strings.Cut(label, "/")
 	return c.Snapshot(workload, system, "DOALL", 0)
 }

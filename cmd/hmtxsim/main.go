@@ -241,18 +241,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 	}
 
 	kind := spec.Paradigm
-	switch *par {
-	case "auto":
-	case "doall":
-		kind = paradigm.DOALL
-	case "doacross":
-		kind = paradigm.DOACROSS
-	case "dswp":
-		kind = paradigm.DSWP
-	case "psdswp":
-		kind = paradigm.PSDSWP
-	default:
-		return fail("unknown paradigm %q", *par)
+	if *par != "auto" {
+		if kind, err = paradigm.ParseParallel(*par); err != nil {
+			return fail("%v", err)
+		}
 	}
 	if rdoc != nil {
 		if kind, err = paradigm.ParseParallel(rdoc.Run.Paradigm); err != nil {

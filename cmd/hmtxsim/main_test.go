@@ -448,3 +448,31 @@ func TestCheckpointFlagValidation(t *testing.T) {
 		}
 	}
 }
+
+// TestParadigmFlag: -paradigm takes every parallel paradigm by the name
+// Kind.String prints or by its lowercase, dash-free spelling, through the one
+// lookup paradigm.ParseParallel; auto keeps the benchmark's own, and
+// Sequential is not a parallel paradigm.
+func TestParadigmFlag(t *testing.T) {
+	for _, tc := range []struct {
+		flag, want string // want: the paradigm in the benchmark line, or the error
+	}{
+		{"auto", "(DOALL,"},
+		{"doall", "(DOALL,"}, {"DOALL", "(DOALL,"},
+		{"doacross", "(DOACROSS,"}, {"DOACROSS", "(DOACROSS,"},
+		{"dswp", "(DSWP,"}, {"Dswp", "(DSWP,"},
+		{"psdswp", "(PS-DSWP,"}, {"PS-DSWP", "(PS-DSWP,"}, {"ps-dswp", "(PS-DSWP,"},
+		{"Sequential", `unknown paradigm "Sequential"`},
+		{"bogus", `unknown paradigm "bogus"`},
+	} {
+		var out, errb bytes.Buffer
+		code := run([]string{"-bench", "052.alvinn", "-system", "seq", "-paradigm", tc.flag}, &out, &errb)
+		if strings.HasPrefix(tc.want, "(") {
+			if code != 0 || !strings.Contains(out.String(), "052.alvinn "+tc.want) {
+				t.Errorf("-paradigm %s: exit %d, want the benchmark line to name %s:\n%s%s", tc.flag, code, tc.want, out.String(), errb.String())
+			}
+		} else if code != 1 || !strings.Contains(errb.String(), tc.want) {
+			t.Errorf("-paradigm %s: exit %d, stderr %q; want exit 1 and %q", tc.flag, code, errb.String(), tc.want)
+		}
+	}
+}

@@ -72,6 +72,10 @@ func run(args []string, stdout, stderr io.Writer) int {
 		fmt.Fprintln(stderr, "hmtxtrace: -to is before -from")
 		return 2
 	}
+	if *top < 0 {
+		fmt.Fprintln(stderr, "hmtxtrace: -top is negative")
+		return 2
+	}
 	fail := func(format string, a ...any) int {
 		fmt.Fprintf(stderr, "hmtxtrace: "+format+"\n", a...)
 		return 1
@@ -88,6 +92,11 @@ func run(args []string, stdout, stderr io.Writer) int {
 		return fail("parsing %s: %v", fs.Arg(0), err)
 	}
 	evs := doc.TraceEvents
+	for i := range evs {
+		if evs[i].TS < 0 || evs[i].Dur < 0 {
+			return fail("%s: event %d has a negative ts or dur (%d, %d)", fs.Arg(0), i, evs[i].TS, evs[i].Dur)
+		}
+	}
 	total := len(evs)
 	if *from > 0 || *to > 0 {
 		var kept []traceEvent

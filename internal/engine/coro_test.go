@@ -7,6 +7,8 @@ import (
 	"unsafe"
 
 	"hmtx/internal/memsys"
+	"hmtx/internal/metrics"
+	"hmtx/internal/prof"
 	"hmtx/internal/vid"
 )
 
@@ -452,6 +454,50 @@ func TestHandoffAllocFree(t *testing.T) {
 		if short, long := allocs(tc.short), allocs(tc.long); short != long {
 			t.Errorf("%d cores: allocations per Run: %v at %d ops per core, %v at %d; the dispatch allocates",
 				tc.cores, short, tc.short, long, tc.long)
+		}
+	}
+}
+
+// TestInstrumentedRunAllocs pins the allocations of one transaction-relay
+// Run with observed's instruments attached (profiler, series, conflict
+// recorder, latency histograms) to the count measured before the hook folded
+// one obs.Event stream. Every decision point then passes through Hook.Emit;
+// an event that escaped to the heap, or an emit site that built a Note
+// string, would add allocations per event.
+func TestInstrumentedRunAllocs(t *testing.T) {
+	if raceEnabled {
+		t.Skip("race instrumentation allocates; see race_enabled_test.go")
+	}
+	cfg := DefaultConfig()
+	cfg.Mem.Cores = 2
+	cfg.Mem.VIDSpace = vid.Space{Bits: 8}
+	s := New(cfg)
+	s.SetProf(prof.New())
+	s.SetSeries(metrics.NewSampler(0))
+	s.SetConflicts(metrics.NewRecorder(0))
+	s.SetLatHists(metrics.NewLatHists())
+	progs := []Program{readRelay(0, 20), readRelay(1, 20)}
+	if got := testing.AllocsPerRun(5, func() { s.Run(progs) }); got != 38 {
+		t.Errorf("instrumented Run allocates %v times, want 38", got)
+	}
+}
+
+// readRelay is txRelay with a speculative load of one of four shared lines
+// first in each transaction, so its lines change protocol state.
+func readRelay(core, n int) Program {
+	return func(e *Env) {
+		base := e.sys.LastCommitted()
+		for k := 0; k < n; k++ {
+			seq := base + vid.Seq(2*k+2)
+			if core == 1 {
+				e.Compute(10)
+				seq = base + vid.Seq(2*k+1)
+			}
+			e.Begin(seq)
+			e.Load(privLine(2 + k%4))
+			e.Store(privLine(core), uint64(k))
+			e.Load(privLine(core))
+			e.Commit(seq)
 		}
 	}
 }

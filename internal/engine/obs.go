@@ -171,7 +171,8 @@ func (s *System) Register(r *obs.Registry) {
 func (e *Env) Emit(ev obs.Event) {
 	if ins := e.sys.ins; ins.Enabled() {
 		e.sync()
-		ins.OnEmit(e.c.time, e.c.id, ev)
+		ev.Cycle, ev.Core = e.c.time, int32(e.c.id)
+		ins.Emit(ev)
 	}
 }
 

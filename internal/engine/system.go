@@ -249,7 +249,7 @@ func (s *System) Run(programs []Program) RunResult {
 	s.busFreeAt = 0
 	s.front = nil // a panic that surfaced from the last Run skipped the reset
 	if s.ins.Enabled() {
-		s.ins.OnRunStart(len(programs))
+		s.ins.Emit(obs.Event{Kind: obs.KRunStart, Core: -1, Arg: uint64(len(programs))})
 	}
 	s.queues = make(map[int]*queue)
 	s.nLive = len(programs)
@@ -298,7 +298,8 @@ func (s *System) Run(programs []Program) RunResult {
 		}
 	}
 	if s.ins.Enabled() {
-		s.ins.OnRunEnd(cycles, s.abortCause, uint64(s.lastCommitted))
+		s.ins.Emit(obs.Event{Kind: obs.KRunEnd, Cycle: cycles, Core: -1, Arg: uint64(cycles),
+			Note: s.abortCause, Aux: uint64(s.lastCommitted)})
 	}
 	s.cumCycles += cycles
 	return RunResult{
@@ -519,7 +520,7 @@ func (s *System) step(c *core, r request) (resp response, ok bool) {
 	if s.ins.Enabled() {
 		// Stamps subsequent events (including the memory system's, which
 		// has no clock of its own) with the issuing core's time.
-		s.ins.OnStep(c.time, s.cumCycles+c.time)
+		s.ins.Emit(obs.Event{Kind: obs.KStep, Cycle: c.time, Arg: uint64(s.cumCycles + c.time)})
 		if s.ins.Debug != nil {
 			s.ins.Debug(s.debugEvent(c, r))
 		}
@@ -531,7 +532,7 @@ func (s *System) step(c *core, r request) (resp response, ok bool) {
 		if s.ins.Enabled() {
 			// Sum-to-total invariant: every cycle of this core's clock
 			// must have been charged to a bucket (panics on a gap).
-			s.ins.OnCoreDone(c.id, c.time)
+			s.ins.Emit(obs.Event{Kind: obs.KCoreDone, Core: int32(c.id), Arg: uint64(c.time)})
 		}
 		return resp, false
 	}
@@ -553,7 +554,8 @@ func (s *System) step(c *core, r request) (resp response, ok bool) {
 		busWait := s.charge(c, res.Lat, s.Mem.Stats().BusMessages-busBefore)
 		s.stats.Instructions++
 		if s.ins.Enabled() {
-			s.ins.OnAccess(c.id, uint64(c.curSeq), busWait, srcBucket[res.Src], res.Lat, memsys.LineAddr(r.arg))
+			s.ins.Emit(obs.Event{Kind: obs.KAccess, Core: int32(c.id), VID: uint64(c.curSeq), Sub: uint8(srcBucket[res.Src]),
+				Arg: uint64(res.Lat), Addr: memsys.LineAddr(r.arg), Aux: uint64(busWait)})
 		}
 		c.pushRecent(r.arg)
 		if res.Conflict {
@@ -586,7 +588,7 @@ func (s *System) step(c *core, r request) (resp response, ok bool) {
 
 	case reqAbortTx:
 		if s.ins.Enabled() {
-			s.ins.OnExplicitAbort(uint64(r.seq()))
+			s.ins.Emit(obs.Event{Kind: obs.KExplicitAbort, VID: uint64(r.seq())})
 		}
 		s.triggerAbort(fmt.Sprintf("explicit abortMTX by core %d (seq %d)", c.id, r.seq()), c)
 		return response{abort: true}, true
@@ -615,7 +617,7 @@ func (s *System) step(c *core, r request) (resp response, ok bool) {
 		s.wake = true // drained consumers now see ok == false
 		s.advance(c, c.curSeq, prof.Compute, s.cfg.QueueOpCost)
 		if s.ins.Enabled() {
-			s.ins.OnQueue(c.time, c.id, obs.KQueueClose, r.q())
+			s.ins.Emit(obs.Event{Kind: obs.KQueueClose, Cycle: c.time, Core: int32(c.id), Arg: uint64(r.q())})
 		}
 
 	case reqAwait:
@@ -636,11 +638,11 @@ func (s *System) step(c *core, r request) (resp response, ok bool) {
 // advance moves core c's clock forward n cycles and charges them to bucket b
 // of transaction seq, so every cycle a clock moves is charged by
 // construction. Memory operations, whose cycles split between bus
-// arbitration and latency, are charged by charge and OnAccess instead.
+// arbitration and latency, are charged by charge and a KAccess event instead.
 func (s *System) advance(c *core, seq vid.Seq, b prof.Bucket, n int64) {
 	c.time += n
 	if s.ins.Enabled() {
-		s.ins.OnCharge(c.id, uint64(seq), b, n)
+		s.ins.Emit(obs.Event{Kind: obs.KCharge, Core: int32(c.id), VID: uint64(seq), Sub: uint8(b), Arg: uint64(n)})
 	}
 }
 
@@ -680,7 +682,7 @@ func (s *System) doProduce(c *core, id int, q *queue, val uint64) {
 	s.advance(c, c.curSeq, prof.Compute, s.cfg.QueueOpCost)
 	s.stats.Instructions++
 	if s.ins.Enabled() {
-		s.ins.OnQueue(c.time, c.id, obs.KQueueProduce, id)
+		s.ins.Emit(obs.Event{Kind: obs.KQueueProduce, Cycle: c.time, Core: int32(c.id), Arg: uint64(id)})
 	}
 }
 
@@ -696,7 +698,7 @@ func (s *System) doConsume(c *core, id int, q *queue) uint64 {
 	q.lastPopTime = c.time
 	s.stats.Instructions++
 	if s.ins.Enabled() {
-		s.ins.OnQueue(c.time, c.id, obs.KQueueConsume, id)
+		s.ins.Emit(obs.Event{Kind: obs.KQueueConsume, Cycle: c.time, Core: int32(c.id), Arg: uint64(id)})
 	}
 	return it.val
 }
@@ -732,7 +734,7 @@ func (s *System) begin(c *core, r request) bool {
 			t.begun, t.beginAt = true, c.time
 		}
 		if s.ins.Enabled() {
-			s.ins.OnTx(obs.KTxBegin, c.time, c.id, uint64(r.seq()), "")
+			s.ins.Emit(obs.Event{Kind: obs.KTxBegin, Cycle: c.time, Core: int32(c.id), VID: uint64(r.seq())})
 		}
 	}
 	return true
@@ -742,7 +744,11 @@ func (s *System) begin(c *core, r request) bool {
 // resumed reports that the core had parked for its turn.
 func (s *System) doCommit(c *core, seq vid.Seq, stall int64, resumed bool) {
 	if s.ins.Enabled() {
-		s.ins.OnCommitStart(c.time, c.id, uint64(seq), stall, resumed)
+		k := obs.KCommitArb
+		if resumed {
+			k = obs.KCommitResume
+		}
+		s.ins.Emit(obs.Event{Kind: k, Cycle: c.time, Core: int32(c.id), VID: uint64(seq), Arg: uint64(stall)})
 	}
 	res := s.Mem.Commit(s.hwVID(seq))
 	s.advance(c, seq, prof.Commit, res.Lat)
@@ -780,7 +786,8 @@ func (s *System) doCommit(c *core, seq vid.Seq, stall int64, resumed bool) {
 			lat = c.time - t.beginAt
 		}
 		if s.ins.Enabled() {
-			s.ins.OnTxCommit(c.time, c.id, uint64(seq), uint64(lat), rb, wb)
+			s.ins.Emit(obs.Event{Kind: obs.KTxFootprint, Arg: rb, Aux: wb})
+			s.ins.Emit(obs.Event{Kind: obs.KTxCommit, Cycle: c.time, Core: int32(c.id), VID: uint64(seq), Arg: uint64(lat)})
 		}
 		delete(s.txs, seq)
 		s.freeTx(t)
@@ -859,7 +866,7 @@ func (s *System) triggerAbort(cause string, c *core) {
 		s.stats.AbortsOther++
 	}
 	if s.ins.Enabled() {
-		s.ins.OnTx(obs.KTxAbort, c.time, c.id, uint64(c.curSeq), cause)
+		s.ins.Emit(obs.Event{Kind: obs.KTxAbort, Cycle: c.time, Core: int32(c.id), VID: uint64(c.curSeq), Note: cause})
 	}
 	// Discard in-flight transaction footprints; they never committed.
 	for _, q := range slices.Sorted(maps.Keys(s.txs)) {
@@ -956,7 +963,7 @@ func (s *System) park(c *core, k parkKind) {
 	c.parked = k
 	c.parkedAt = c.time
 	if k == parkCommit && s.ins.Enabled() {
-		s.ins.OnTx(obs.KCommitStall, c.time, c.id, uint64(c.ops[c.opAt].seq()), "")
+		s.ins.Emit(obs.Event{Kind: obs.KCommitStall, Cycle: c.time, Core: int32(c.id), VID: uint64(c.ops[c.opAt].seq())})
 	}
 }
 

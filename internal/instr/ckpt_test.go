@@ -25,12 +25,17 @@ func registered(h *Hook) *obs.Registry {
 func TestCkptRoundTrip(t *testing.T) {
 	h := &Hook{Sinks: Sinks{Prof: prof.New(), Conflicts: metrics.NewRecorder(0), Lat: metrics.NewLatHists()}}
 	reg := registered(h)
-	h.OnCharge(0, 1, prof.Validation, 7)
-	h.OnConflict(0x40, 1, 2, metrics.EdgeConflict)
-	h.OnTxCommit(9, 0, 1, 300, 128, 64)
-	h.OnMemOp(false, 3)
-	h.OnMemOp(true, 90)
-	h.OnRunEnd(9, "", 1)
+	for _, e := range []obs.Event{
+		{Kind: obs.KCharge, VID: 1, Sub: uint8(prof.Validation), Arg: 7},
+		{Kind: obs.KConflict, Addr: 0x40, Aux: 1, VID: 2, Sub: uint8(metrics.EdgeConflict)},
+		{Kind: obs.KTxFootprint, Arg: 128, Aux: 64},
+		{Kind: obs.KTxCommit, Cycle: 9, VID: 1, Arg: 300},
+		{Kind: obs.KMemOp, Arg: 3},
+		{Kind: obs.KMemOp, Sub: 1, Arg: 90},
+		{Kind: obs.KRunEnd, Cycle: 9, Core: -1, Arg: 9, Aux: 1},
+	} {
+		h.Emit(e)
+	}
 
 	ck := h.CaptureCkpt()
 	if got, want := ck.Attached(), [...]bool{true, false, true, true, true}; got != want {

@@ -181,7 +181,7 @@ func (h *Hierarchy) Load(core int, addr Addr, a vid.V) (uint64, Result) {
 	val, res := h.load(core, addr, a, true)
 	h.sanCheck()
 	if h.ins.Enabled() {
-		h.ins.OnMemOp(false, res.Lat)
+		h.ins.Emit(obs.Event{Kind: obs.KMemOp, Arg: uint64(res.Lat)})
 	}
 	return val, res
 }
@@ -193,7 +193,7 @@ func (h *Hierarchy) Load(core int, addr Addr, a vid.V) (uint64, Result) {
 func (h *Hierarchy) WrongPathLoad(core int, addr Addr, a vid.V) (uint64, Result) {
 	h.stats.WrongPathLoads++
 	if h.ins.Enabled() {
-		h.ins.OnLine(obs.KWrongPath, core, LineAddr(addr), uint64(a), "")
+		h.ins.Emit(obs.Event{Kind: obs.KWrongPath, Core: int32(core), Addr: LineAddr(addr), VID: uint64(a)})
 	}
 	h.sanBegin(addr)
 	// With SLAs disabled, prior systems mark lines directly from squashed
@@ -232,7 +232,7 @@ func (h *Hierarchy) load(core int, addr Addr, a vid.V, mark bool) (uint64, Resul
 	h.stats.BusMessages++
 	res.Lat += h.cfg.BusLat
 	if h.ins.Enabled() {
-		h.ins.OnLine(obs.KBusRequest, core, la, uint64(a), "load")
+		h.ins.Emit(obs.Event{Kind: obs.KBusRequest, Core: int32(core), Addr: la, VID: uint64(a), Note: "load"})
 	}
 
 	if owner, oc := h.snoop(core, la, eff); owner != nil {
@@ -244,7 +244,7 @@ func (h *Hierarchy) load(core int, addr Addr, a vid.V, mark bool) (uint64, Resul
 			h.stats.PeerTransfers++
 			res.Src = SrcPeer
 			if h.ins.Enabled() {
-				h.ins.OnPeer(la)
+				h.ins.Emit(obs.Event{Kind: obs.KPeer, Addr: la})
 			}
 		}
 		oc.hits++
@@ -306,7 +306,7 @@ func (h *Hierarchy) localLoadMark(core int, l1 *cache, ln *Line, la Addr, a vid.
 			h.stats.BusMessages++
 			res.Lat += h.cfg.BusLat
 			if h.ins.Enabled() {
-				h.ins.OnLine(obs.KBusRequest, core, la, uint64(a), "upgrade")
+				h.ins.Emit(obs.Event{Kind: obs.KBusRequest, Core: int32(core), Addr: la, VID: uint64(a), Note: "upgrade"})
 			}
 			dirty := h.invalidateNonSpecCopies(la, ln)
 			if ln.St == Owned || dirty {
@@ -427,7 +427,8 @@ func (h *Hierarchy) specReadTransition(ln *Line, a vid.V) {
 	ln.Epoch = h.epoch
 	ln.SettledLC = h.lc
 	if h.ins.Enabled() {
-		h.ins.OnStateChange(ln.Tag, uint64(a), old, ln.St)
+		h.ins.Emit(obs.Event{Kind: obs.KStateChange, Core: -1, Addr: ln.Tag, VID: uint64(a),
+			Sub: uint8(old), Aux: uint64(ln.St)})
 	}
 }
 
@@ -453,7 +454,7 @@ func (h *Hierarchy) trackLoad(core int, la Addr, res *Result) {
 		res.NeedsSLA = true
 		h.stats.SLAsSent++
 		if h.ins.Enabled() {
-			h.ins.OnLine(obs.KSLASent, core, la, 0, "")
+			h.ins.Emit(obs.Event{Kind: obs.KSLASent, Core: int32(core), Addr: la})
 		}
 	}
 }
@@ -484,7 +485,7 @@ func (h *Hierarchy) Store(core int, addr Addr, val uint64, a vid.V) Result {
 			h.tracker.AvoidedAbort(core)
 		}
 		if h.ins.Enabled() {
-			h.ins.OnLine(obs.KSLAAvoided, core, la, uint64(a), "")
+			h.ins.Emit(obs.Event{Kind: obs.KSLAAvoided, Core: int32(core), Addr: la, VID: uint64(a)})
 		}
 		h.clearShadows(la)
 	}
@@ -495,7 +496,8 @@ func (h *Hierarchy) Store(core int, addr Addr, val uint64, a vid.V) Result {
 			// The storing transaction is the aborter: its late store
 			// invalidates the later transaction that already read or
 			// wrote the line (the victim of the rollback).
-			h.ins.OnConflict(la, h.seqOf(a), h.seqOf(maxHigh), metrics.EdgeConflict)
+			h.ins.Emit(obs.Event{Kind: obs.KConflict, Addr: la, Aux: h.seqOf(a), VID: h.seqOf(maxHigh),
+				Sub: uint8(metrics.EdgeConflict)})
 		}
 		return res
 	}
@@ -516,7 +518,7 @@ func (h *Hierarchy) Store(core int, addr Addr, val uint64, a vid.V) Result {
 		h.stats.BusMessages++
 		res.Lat += h.cfg.BusLat
 		if h.ins.Enabled() {
-			h.ins.OnLine(obs.KBusRequest, core, la, uint64(a), "store")
+			h.ins.Emit(obs.Event{Kind: obs.KBusRequest, Core: int32(core), Addr: la, VID: uint64(a), Note: "store"})
 		}
 		hit, oc = h.snoop(core, la, eff)
 		switch {
@@ -530,7 +532,7 @@ func (h *Hierarchy) Store(core int, addr Addr, val uint64, a vid.V) Result {
 			h.stats.PeerTransfers++
 			res.Src = SrcPeer
 			if h.ins.Enabled() {
-				h.ins.OnPeer(la)
+				h.ins.Emit(obs.Event{Kind: obs.KPeer, Addr: la})
 			}
 			oc.hits++
 		}
@@ -633,14 +635,14 @@ func (h *Hierarchy) Store(core int, addr Addr, val uint64, a vid.V) Result {
 		h.install(l1, nl)
 		h.stats.VersionsCreated++
 		if h.ins.Enabled() {
-			h.ins.OnLine(obs.KVersionCreate, core, la, uint64(a), "")
+			h.ins.Emit(obs.Event{Kind: obs.KVersionCreate, Core: int32(core), Addr: la, VID: uint64(a)})
 		}
 	}
 
 	h.checkOverflow(&res)
 	h.sanCheck()
 	if h.ins.Enabled() {
-		h.ins.OnMemOp(true, res.Lat)
+		h.ins.Emit(obs.Event{Kind: obs.KMemOp, Sub: 1, Arg: uint64(res.Lat)})
 	}
 	return res
 }
@@ -660,7 +662,7 @@ func (h *Hierarchy) SLA(core int, addr Addr, a vid.V, expected uint64) Result {
 			// The conflicting store already retired, so hardware cannot
 			// name the aborter; the victim is the acknowledging load's
 			// transaction.
-			h.ins.OnConflict(LineAddr(addr), 0, h.seqOf(a), metrics.EdgeSLA)
+			h.ins.Emit(obs.Event{Kind: obs.KConflict, Addr: LineAddr(addr), VID: h.seqOf(a), Sub: uint8(metrics.EdgeSLA)})
 		}
 	}
 	return res
@@ -691,7 +693,7 @@ func (h *Hierarchy) Commit(v vid.V) Result {
 		lat += int64(frames / 8) // 8 frames examined per cycle
 	}
 	if h.ins.Enabled() {
-		h.ins.OnLC(obs.KCommit, uint64(v), uint64(frames))
+		h.ins.Emit(obs.Event{Kind: obs.KCommit, Core: -1, VID: uint64(v), Arg: uint64(frames)})
 	}
 	return Result{Lat: lat}
 }
@@ -705,7 +707,7 @@ func (h *Hierarchy) AbortAll() Result {
 	h.stats.Aborts++
 	h.stats.BusMessages++
 	if h.ins.Enabled() {
-		h.ins.OnLC(obs.KAbortSweep, uint64(h.lc), 0)
+		h.ins.Emit(obs.Event{Kind: obs.KAbortSweep, Core: -1, VID: uint64(h.lc)})
 	}
 	for _, c := range h.allCaches() {
 		c.forEach(func(ln *Line) {
@@ -736,7 +738,7 @@ func (h *Hierarchy) VIDReset() Result {
 	h.stats.VIDResets++
 	h.stats.BusMessages++
 	if h.ins.Enabled() {
-		h.ins.OnLC(obs.KVIDReset, 0, h.epoch)
+		h.ins.Emit(obs.Event{Kind: obs.KVIDReset, Core: -1, Arg: h.epoch})
 	}
 	return Result{Lat: h.cfg.BusLat}
 }
@@ -991,7 +993,7 @@ func (h *Hierarchy) placeVictim(v Line, from *cache) {
 		h.stats.MemWrites++
 		h.stats.SOWritebacks++
 		if h.ins.Enabled() {
-			h.ins.OnLine(obs.KSOWriteback, -1, v.Tag, uint64(v.High), "")
+			h.ins.Emit(obs.Event{Kind: obs.KSOWriteback, Core: -1, Addr: v.Tag, VID: uint64(v.High)})
 		}
 	default:
 		if v.St == SpecModified && v.Mod == 0 {
@@ -1009,7 +1011,7 @@ func (h *Hierarchy) placeVictim(v Line, from *cache) {
 		if h.ins.Enabled() {
 			// The machine evicted the victim transaction's speculative
 			// line past the last-level cache.
-			h.ins.OnOverflow(v.Tag, h.seqOf(v.Mod), uint64(v.Mod))
+			h.ins.Emit(obs.Event{Kind: obs.KOverflowAbort, Core: -1, Addr: v.Tag, VID: uint64(v.Mod), Aux: h.seqOf(v.Mod)})
 		}
 		// The dropped line tears the version chain until the forced
 		// abort repairs it: suppress invariant checks in between.

@@ -3,6 +3,7 @@ package memsys
 import (
 	"fmt"
 
+	"hmtx/internal/obs"
 	"hmtx/internal/vid"
 )
 
@@ -24,14 +25,9 @@ const (
 	SpecShared    // S-S: read-only copy of a version in another cache
 )
 
-var stateNames = [...]string{"I", "M", "O", "E", "S", "S-M", "S-O", "S-E", "S-S"}
-
-func (s State) String() string {
-	if int(s) < len(stateNames) {
-		return stateNames[s]
-	}
-	return fmt.Sprintf("State(%d)", uint8(s))
-}
+// String names the state; the names live in obs, whose tracer spells a
+// KStateChange event's transition with them.
+func (s State) String() string { return obs.StateName(uint64(s)) }
 
 // Speculative reports whether s is one of the four HMTX speculative states.
 func (s State) Speculative() bool { return s >= SpecModified }

@@ -5,6 +5,7 @@ import (
 	"sort"
 	"strings"
 
+	"hmtx/internal/obs"
 	"hmtx/internal/stats"
 )
 
@@ -86,18 +87,36 @@ func NewRecorder(cascadeWindow int64) *Recorder {
 // safe (and false) on a nil recorder.
 func (r *Recorder) Enabled() bool { return r != nil }
 
-// SetTime stamps subsequent edges with the global simulated cycle. The engine
-// owns simulated time and calls this alongside obs.Tracer.SetTime; the memory
-// system, which has no clock, records edges at the stamped time.
-func (r *Recorder) SetTime(cycle int64) { r.now = cycle }
+// Fold folds one event of the simulation's stream. A KStep stamps
+// subsequent edges with its global simulated cycle (Arg): the memory system,
+// which has no clock, records edges at the stamped time. A KConflict, a
+// KOverflowAbort (the machine aborts victim Aux) and a KExplicitAbort (the
+// victim aborts itself) each record one edge. Every other kind is ignored.
+func (r *Recorder) Fold(e obs.Event) {
+	if recKinds.Has(e.Kind) {
+		r.fold(e)
+	}
+}
 
-// Record appends one abort edge at the current stamped time.
-func (r *Recorder) Record(aborter, victim, addr uint64, kind EdgeKind) {
+// recKinds are the kinds Fold reads.
+var recKinds = obs.KindsOf(obs.KStep, obs.KConflict, obs.KOverflowAbort, obs.KExplicitAbort)
+
+func (r *Recorder) fold(e obs.Event) {
+	aborter, victim, kind := e.Aux, e.VID, EdgeKind(e.Sub)
+	switch e.Kind {
+	case obs.KStep:
+		r.now = int64(e.Arg)
+		return
+	case obs.KOverflowAbort:
+		aborter, victim, kind = 0, e.Aux, EdgeOverflow
+	case obs.KExplicitAbort:
+		aborter, kind = e.VID, EdgeExplicit
+	}
 	r.edges = append(r.edges, Edge{
 		Cycle:    r.now,
 		Aborter:  aborter,
 		Victim:   victim,
-		Addr:     addr,
+		Addr:     e.Addr,
 		Kind:     kind,
 		KindName: kind.String(),
 	})

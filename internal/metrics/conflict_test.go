@@ -3,12 +3,14 @@ package metrics
 import (
 	"strings"
 	"testing"
+
+	"hmtx/internal/obs"
 )
 
 // record is a test helper: stamp the clock and record one edge.
 func record(r *Recorder, cycle int64, aborter, victim, addr uint64, kind EdgeKind) {
-	r.SetTime(cycle)
-	r.Record(aborter, victim, addr, kind)
+	r.Fold(obs.Event{Kind: obs.KStep, Arg: uint64(cycle)})
+	r.Fold(obs.Event{Kind: obs.KConflict, Aux: aborter, VID: victim, Addr: addr, Sub: uint8(kind)})
 }
 
 // TestRecorderCascades verifies cascade partitioning: time-chained edges

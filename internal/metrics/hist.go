@@ -1,11 +1,11 @@
 // Package metrics holds the temporal and causal instruments of DESIGN.md §15:
 // a windowed time-series sampler over the simulation's counters (series.go), a
 // causal who-aborted-whom conflict recorder (conflict.go), and deterministic
-// log-bucketed latency histograms (this file). Like obs.Tracer and
-// prof.Collector, the nil value of every instrument is a valid disabled
-// instance: Enabled reports false, and the instrument hook (internal/instr)
-// calls the other methods behind that guard (enforced by the fastpath
-// analyzer).
+// log-bucketed latency histograms (this file). Each instrument is a fold over
+// the simulation's obs.Event stream with one recording method, Fold. Like
+// obs.Tracer and prof.Collector, the nil value of every instrument is a valid
+// disabled instance: Enabled reports false, and the instrument hook
+// (internal/instr) hands events only to the attached ones.
 //
 // Everything in this package is deterministic by construction: only simulated
 // quantities enter any instrument, buckets and bounds are integers (no floats
@@ -19,6 +19,8 @@ import (
 	"fmt"
 	"math/bits"
 
+	"hmtx/internal/obs"
+	"hmtx/internal/prof"
 	"hmtx/internal/stats"
 )
 
@@ -67,15 +69,15 @@ type Hist struct {
 	max    uint64
 }
 
-// NewHist returns an empty histogram with the given stable name.
-func NewHist(name string) *Hist { return &Hist{name: name, min: ^uint64(0)} }
+// newHist returns an empty histogram with the given stable name.
+func newHist(name string) *Hist { return &Hist{name: name, min: ^uint64(0)} }
 
 // Name returns the histogram's name.
 func (h *Hist) Name() string { return h.name }
 
-// Observe records one value. The recording path is two integer operations and
+// observe records one value. The recording path is two integer operations and
 // four counter updates: no floats, no allocation.
-func (h *Hist) Observe(v uint64) {
+func (h *Hist) observe(v uint64) {
 	h.counts[bucketIndex(v)]++
 	h.total++
 	h.sum += v
@@ -187,15 +189,39 @@ type LatHists struct {
 // NewLatHists returns the standard latency-histogram bundle.
 func NewLatHists() *LatHists {
 	return &LatHists{
-		Open:       NewHist("open_to_commit"),
-		Validation: NewHist("validation"),
-		CommitArb:  NewHist("commit_arbitration"),
+		Open:       newHist("open_to_commit"),
+		Validation: newHist("validation"),
+		CommitArb:  newHist("commit_arbitration"),
 	}
 }
 
-// Enabled reports whether latency collection is active: the emit-site guard,
-// safe (and false) on a nil bundle.
+// Enabled reports whether latency collection is active; safe (and false) on
+// a nil bundle.
 func (l *LatHists) Enabled() bool { return l != nil }
+
+// Fold folds one event of the simulation's stream: a KTxCommit's latency
+// (Arg) into Open, a Validation KCharge into Validation, and the stall (Arg)
+// of every commit's turn, parked (KCommitResume) or not (KCommitArb), into
+// CommitArb. Every other kind is ignored.
+func (l *LatHists) Fold(e obs.Event) {
+	if latKinds.Has(e.Kind) {
+		l.fold(e)
+	}
+}
+
+// latKinds are the kinds Fold reads.
+var latKinds = obs.KindsOf(obs.KTxCommit, obs.KCharge, obs.KCommitArb, obs.KCommitResume)
+
+func (l *LatHists) fold(e obs.Event) {
+	switch {
+	case e.Kind == obs.KTxCommit:
+		l.Open.observe(e.Arg)
+	case e.Kind == obs.KCharge && prof.Bucket(e.Sub) == prof.Validation:
+		l.Validation.observe(e.Arg)
+	case e.Kind == obs.KCommitArb || e.Kind == obs.KCommitResume:
+		l.CommitArb.observe(e.Arg)
+	}
+}
 
 // All returns the bundle's histograms in fixed declaration order.
 func (l *LatHists) All() []*Hist { return []*Hist{l.Open, l.Validation, l.CommitArb} }

@@ -37,9 +37,9 @@ func TestBucketIndexMonotone(t *testing.T) {
 // TestQuantileSmallExact verifies that percentiles over values below the
 // linear range (every value has its own bucket) are exact order statistics.
 func TestQuantileSmallExact(t *testing.T) {
-	h := NewHist("t")
+	h := newHist("t")
 	for v := uint64(0); v < 10; v++ {
-		h.Observe(v)
+		h.observe(v)
 	}
 	cases := []struct {
 		q    float64
@@ -58,12 +58,12 @@ func TestQuantileSmallExact(t *testing.T) {
 // order statistics on a deterministic pseudo-random value set.
 func TestQuantileBounded(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
-	h := NewHist("t")
+	h := newHist("t")
 	var vals []uint64
 	for i := 0; i < 10000; i++ {
 		v := uint64(rng.Int63n(1 << 30))
 		vals = append(vals, v)
-		h.Observe(v)
+		h.observe(v)
 	}
 	sort.Slice(vals, func(i, j int) bool { return vals[i] < vals[j] })
 	for _, q := range []float64{0.50, 0.95, 0.99, 0.999} {
@@ -87,9 +87,9 @@ func TestQuantileBounded(t *testing.T) {
 // TestHistSnapshot verifies summary statistics, sparse ascending buckets, and
 // the empty-histogram shape.
 func TestHistSnapshot(t *testing.T) {
-	h := NewHist("lat")
+	h := newHist("lat")
 	for _, v := range []uint64{3, 3, 7, 100, 1000} {
-		h.Observe(v)
+		h.observe(v)
 	}
 	s := h.Snapshot()
 	if s.Name != "lat" || s.Total != 5 || s.Min != 3 || s.Max != 1000 {
@@ -109,7 +109,7 @@ func TestHistSnapshot(t *testing.T) {
 		t.Fatalf("bucket counts sum to %d, want 5", count)
 	}
 
-	empty := NewHist("e").Snapshot()
+	empty := newHist("e").Snapshot()
 	if empty.Total != 0 || empty.Min != 0 || len(empty.Buckets) != 0 {
 		t.Fatalf("empty snapshot not zeroed: %+v", empty)
 	}
@@ -124,7 +124,7 @@ func TestLatHistsNilSafe(t *testing.T) {
 	if !raceEnabled {
 		if n := testing.AllocsPerRun(100, func() {
 			if l.Enabled() {
-				l.Open.Observe(1)
+				l.Open.observe(1)
 			}
 		}); n != 0 {
 			t.Errorf("disabled guard allocates: %v allocs/op", n)
@@ -138,11 +138,11 @@ func TestObserveZeroAlloc(t *testing.T) {
 	if raceEnabled {
 		t.Skip("race-runtime shadow allocations break AllocsPerRun; contract pinned in non-race runs")
 	}
-	h := NewHist("t")
+	h := newHist("t")
 	v := uint64(0)
 	if n := testing.AllocsPerRun(200, func() {
 		v += 37
-		h.Observe(v)
+		h.observe(v)
 	}); n != 0 {
 		t.Errorf("Observe: %v allocs/op, want 0", n)
 	}

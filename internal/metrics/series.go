@@ -3,6 +3,7 @@ package metrics
 import (
 	"fmt"
 
+	"hmtx/internal/obs"
 	"hmtx/internal/stats"
 )
 
@@ -22,12 +23,11 @@ type probe struct {
 // Sampler is the windowed time-series instrument (DESIGN.md §15): every time
 // the global simulated clock crosses a window boundary it snapshots every
 // registered probe into one row of a columnar series. The engine drives it
-// from its event loop with Tick; because the scheduler always runs the
+// from its event loop with KStep events; because the scheduler always runs the
 // earliest-clock core and the probes read only simulated counters, the row
 // sequence is a pure function of the simulated execution.
 //
-// The nil value is the valid disabled instrument: Enabled reports false and
-// every method is safe to call.
+// The nil value is the valid disabled instrument: Enabled reports false.
 type Sampler struct {
 	window int64
 	next   int64
@@ -55,7 +55,7 @@ func (s *Sampler) Window() int64 { return s.window }
 
 // Probe registers a named column. Registration order is the column order of
 // the document, so callers must register probes in a fixed order. Probes
-// must be registered before the first Tick.
+// must be registered before the first sample.
 func (s *Sampler) Probe(name string, fn func() uint64) {
 	if len(s.cycles) > 0 {
 		panic("metrics: Probe after first sample")
@@ -64,19 +64,26 @@ func (s *Sampler) Probe(name string, fn func() uint64) {
 	s.cols = append(s.cols, nil)
 }
 
-// Tick advances the sampler to the global simulated cycle now, taking one
-// sample per crossed window boundary. The fast path — no boundary crossed —
-// is a single comparison.
-func (s *Sampler) Tick(now int64) {
-	if now < s.next {
-		return
+// Fold folds one event of the simulation's stream: a KStep advances the
+// sampler to its global simulated cycle (Arg), taking one sample per crossed
+// window boundary. Every other kind is ignored. The fast path, no boundary
+// crossed, is two comparisons.
+func (s *Sampler) Fold(e obs.Event) {
+	if e.Kind == obs.KStep && int64(e.Arg) >= s.next {
+		s.tick(int64(e.Arg))
 	}
-	// One row per crossing, stamped at the boundary it crossed: a long
-	// quiet stretch yields identical rows at each elapsed boundary rather
-	// than a gap, so rates read directly as per-window deltas.
-	for now >= s.next {
+}
+
+// tick takes one row per window boundary crossed up to global cycle now,
+// stamped at the boundary it crossed: a long quiet stretch yields identical
+// rows at each elapsed boundary rather than a gap, so rates read directly as
+// per-window deltas. It stays out of line so that Fold inlines into the
+// instrument hook.
+//
+//go:noinline
+func (s *Sampler) tick(now int64) {
+	for ; now >= s.next; s.next += s.window {
 		s.sample(s.next)
-		s.next += s.window
 	}
 }
 

@@ -13,11 +13,11 @@ func TestSamplerWindows(t *testing.T) {
 	s.Probe("x", func() uint64 { return x })
 
 	x = 1
-	s.Tick(40) // before first boundary: no sample
+	s.tick(40) // before first boundary: no sample
 	x = 2
-	s.Tick(100) // crosses boundary 100
+	s.tick(100) // crosses boundary 100
 	x = 5
-	s.Tick(350) // crosses 200 and 300: two samples, both observe x=5
+	s.tick(350) // crosses 200 and 300: two samples, both observe x=5
 	x = 7
 	s.Flush(420) // tail sample at 420
 
@@ -43,7 +43,7 @@ func TestSamplerWindows(t *testing.T) {
 func TestSamplerFlushIdempotent(t *testing.T) {
 	s := NewSampler(10)
 	s.Probe("x", func() uint64 { return 1 })
-	s.Tick(10)
+	s.tick(10)
 	s.Flush(10)
 	if n := s.Rows(); n != 1 {
 		t.Fatalf("expected single sample, got %d", n)
@@ -55,7 +55,7 @@ func TestSamplerFlushIdempotent(t *testing.T) {
 func TestSamplerProbeAfterSample(t *testing.T) {
 	s := NewSampler(10)
 	s.Probe("x", func() uint64 { return 0 })
-	s.Tick(25)
+	s.tick(25)
 	defer func() {
 		if recover() == nil {
 			t.Fatal("Probe after first sample did not panic")
@@ -83,7 +83,7 @@ func TestSamplerTickFastPathZeroAlloc(t *testing.T) {
 	now := int64(0)
 	if n := testing.AllocsPerRun(200, func() {
 		now++
-		s.Tick(now)
+		s.tick(now)
 	}); n != 0 {
 		t.Errorf("Tick fast path: %v allocs/op, want 0", n)
 	}
@@ -97,9 +97,9 @@ func TestSeriesSnapshotAndText(t *testing.T) {
 	s.Probe("alpha", func() uint64 { return a })
 	s.Probe("beta", func() uint64 { return b })
 	a, b = 10, 1
-	s.Tick(50)
+	s.tick(50)
 	a, b = 30, 1
-	s.Tick(100)
+	s.tick(100)
 	a, b = 60, 4
 	s.Flush(130)
 

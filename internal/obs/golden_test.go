@@ -45,25 +45,25 @@ func abortRecommitTrace(sinks ...Sink) {
 	for _, s := range sinks {
 		tr.Attach(s)
 	}
-	tr.SetTime(100)
-	tr.Emit(Event{Kind: KTxBegin, Core: 0, VID: 1})
-	tr.Emit(Event{Kind: KTxBegin, Core: 1, VID: 2})
-	tr.SetTime(120)
-	tr.Emit(Event{Kind: KTxBegin, Core: 2, VID: 3})
-	tr.Emit(Event{Kind: KSpanBegin, Core: 2, VID: 3, Note: "smtx.validate"})
-	tr.SetTime(150)
-	tr.Emit(Event{Kind: KTxCommit, Core: 0, VID: 1, Arg: 50})
-	tr.SetTime(200)
-	tr.Emit(Event{Kind: KTxAbort, Core: 1, VID: 2, Note: "store vid 2 to line 0x40 already accessed by vid 3"})
-	tr.SetTime(210)
-	tr.Emit(Event{Kind: KTxBegin, Core: 1, VID: 2})
-	tr.Emit(Event{Kind: KTxBegin, Core: 2, VID: 3})
-	tr.SetTime(280)
-	tr.Emit(Event{Kind: KCommitResume, Core: 2, VID: 3, Arg: 30})
-	tr.SetTime(300)
-	tr.Emit(Event{Kind: KTxCommit, Core: 1, VID: 2, Arg: 90})
-	tr.SetTime(320)
-	tr.Emit(Event{Kind: KTxCommit, Core: 2, VID: 3, Arg: 110})
+	tr.setTime(100)
+	tr.emit(Event{Kind: KTxBegin, Core: 0, VID: 1})
+	tr.emit(Event{Kind: KTxBegin, Core: 1, VID: 2})
+	tr.setTime(120)
+	tr.emit(Event{Kind: KTxBegin, Core: 2, VID: 3})
+	tr.emit(Event{Kind: KSpanBegin, Core: 2, VID: 3, Note: "smtx.validate"})
+	tr.setTime(150)
+	tr.emit(Event{Kind: KTxCommit, Core: 0, VID: 1, Arg: 50})
+	tr.setTime(200)
+	tr.emit(Event{Kind: KTxAbort, Core: 1, VID: 2, Note: "store vid 2 to line 0x40 already accessed by vid 3"})
+	tr.setTime(210)
+	tr.emit(Event{Kind: KTxBegin, Core: 1, VID: 2})
+	tr.emit(Event{Kind: KTxBegin, Core: 2, VID: 3})
+	tr.setTime(280)
+	tr.emit(Event{Kind: KCommitResume, Core: 2, VID: 3, Arg: 30})
+	tr.setTime(300)
+	tr.emit(Event{Kind: KTxCommit, Core: 1, VID: 2, Arg: 90})
+	tr.setTime(320)
+	tr.emit(Event{Kind: KTxCommit, Core: 2, VID: 3, Arg: 110})
 	tr.Close()
 }
 

@@ -1,15 +1,19 @@
-// Package obs is the observability layer of the simulator: a deterministic
-// event trace and a hierarchical statistics registry, modelled on gem5's
-// --debug-flags tracing and hierarchical stats dump.
+// Package obs is the observability layer of the simulator: the typed Event
+// record of every decision point, a deterministic event trace over it, and a
+// hierarchical statistics registry, modelled on gem5's --debug-flags tracing
+// and hierarchical stats dump.
 //
-// The two halves are independent:
+//   - Event (this file) is the one record the engine and the memory system
+//     hand to the instrument hook (internal/instr) at each decision point.
+//     Every instrument is a fold over the Event stream with one recording
+//     method, Fold. Traced kinds belong to a Category; the kinds only the
+//     profiler and the metric instruments read have category 0.
 //
-//   - The Tracer (trace.go) receives typed Events from the engine, the memory
-//     system and the software runtimes, keeps the most recent ones in a ring
-//     buffer, and forwards every enabled event to attached Sinks: a
-//     gem5-style text log (sink_text.go), Chrome trace_event JSON for
-//     timeline viewers (sink_chrome.go), and the per-transaction timeline
-//     collector (txtimeline.go).
+//   - The Tracer (trace.go) is the trace's fold: it keeps the most recent
+//     events of its enabled categories in a ring buffer and forwards each
+//     to attached Sinks: a gem5-style text log (sink_text.go), Chrome
+//     trace_event JSON for timeline viewers (sink_chrome.go), and the
+//     per-transaction timeline collector (txtimeline.go).
 //
 //   - The Registry (registry.go) holds named counters, scalar formulas and
 //     fixed-bucket histograms registered per component
@@ -21,11 +25,11 @@
 // every dump format iterates sorted keys, so two runs of the same Config
 // produce byte-identical traces and stats documents.
 //
-// Performance contract: with tracing disabled (nil Tracer) every emit site
-// must be behind an Enabled/nil guard so the hot path pays one predictable
-// branch and zero allocations. The emit sites live in the instrument hook
-// (internal/instr), where the fastpath analyzer (tools/analyzers/fastpath)
-// enforces the guard.
+// Performance contract: with no instrument attached every emit site pays one
+// predictable branch and zero allocations. The sites sit behind the hook's
+// Enabled guard, which the fastpath analyzer (tools/analyzers/fastpath)
+// enforces, and build no Note string: the Tracer builds a KStateChange's
+// note itself, only for an event it records.
 package obs
 
 import (
@@ -168,42 +172,113 @@ const (
 	KSpanBegin
 	KSpanEnd
 	// KRunStart and KRunEnd bracket one engine region execution
-	// (Arg: run ordinal / final cycle count; Note on KRunEnd: abort cause).
+	// (Arg: run ordinal / final cycle count; Note on KRunEnd: abort cause;
+	// Aux on KRunEnd: the last committed sequence number).
 	KRunStart
 	KRunEnd
+
+	// The kinds below have category 0: no trace mask selects them. They
+	// feed the profiler and the metric instruments (DESIGN.md §10.1).
+
+	// KStep: the engine is about to run a scheduler event on a core whose
+	// clock reads Cycle (Arg: the global cycle, completed runs included).
+	KStep
+	// KCharge: Arg cycles of core Core went to prof bucket Sub on behalf
+	// of transaction VID.
+	KCharge
+	// KAccess: a load or store of line Addr by core Core for transaction
+	// VID waited Aux cycles for the bus and took Arg cycles in bucket Sub.
+	KAccess
+	// KCoreDone: core Core finished its program at cycle Arg.
+	KCoreDone
+	// KCommitArb: commitMTX of VID got its turn after Arg stall cycles
+	// without parking (a parked committer emits KCommitResume instead).
+	KCommitArb
+	// KTxFootprint: the transaction committing next read Arg and wrote Aux
+	// bytes.
+	KTxFootprint
+	// KExplicitAbort: transaction VID ran abortMTX.
+	KExplicitAbort
+	// KMemOp: a load (Sub 0) or store (Sub 1) took Arg cycles.
+	KMemOp
+	// KPeer: a peer L1 served line Addr over the bus.
+	KPeer
+	// KConflict: transaction Aux (0 if unknown) rolls back transaction
+	// VID over line Addr; Sub is the metrics.EdgeKind.
+	KConflict
 
 	kindLimit
 )
 
-// kindInfo maps a Kind to its name and category.
+// KindSet is a set of kinds: a fold's inlined test for the kinds it reads,
+// so the hook's call to it costs a few instructions for every other kind.
+type KindSet uint64
+
+// KindsOf returns the set of ks.
+func KindsOf(ks ...Kind) KindSet {
+	var s KindSet
+	for _, k := range ks {
+		s |= 1 << k
+	}
+	return s
+}
+
+// Has reports whether k is in s.
+func (s KindSet) Has(k Kind) bool { return s>>k&1 != 0 }
+
+// kindInfo maps a Kind to its name and category. A mem kind comes from the
+// memory system, which has no clock: its Cycle is stamped by the Tracer.
 var kindInfo = [kindLimit]struct {
 	name string
 	cat  Category
+	mem  bool
 }{
-	KNone:          {"none", 0},
-	KBusRequest:    {"bus_request", CatBus},
-	KStateChange:   {"state_change", CatCache},
-	KVersionCreate: {"version_create", CatVersion},
-	KSOWriteback:   {"so_writeback", CatVersion},
-	KOverflowAbort: {"overflow_abort", CatOverflow},
-	KWrongPath:     {"wrong_path", CatSLA},
-	KSLASent:       {"sla_sent", CatSLA},
-	KSLAAvoided:    {"sla_avoided", CatSLA},
-	KTxBegin:       {"tx_begin", CatTxn},
-	KTxCommit:      {"tx_commit", CatTxn},
-	KTxAbort:       {"tx_abort", CatTxn},
-	KVIDReset:      {"vid_reset", CatTxn},
-	KCommit:        {"commit", CatCommit},
-	KAbortSweep:    {"abort_sweep", CatCommit},
-	KCommitStall:   {"commit_stall", CatCommit},
-	KCommitResume:  {"commit_resume", CatCommit},
-	KQueueProduce:  {"queue_produce", CatQueue},
-	KQueueConsume:  {"queue_consume", CatQueue},
-	KQueueClose:    {"queue_close", CatQueue},
-	KSpanBegin:     {"span_begin", CatEngine},
-	KSpanEnd:       {"span_end", CatEngine},
-	KRunStart:      {"run_start", CatEngine},
-	KRunEnd:        {"run_end", CatEngine},
+	KNone:          {"none", 0, false},
+	KBusRequest:    {"bus_request", CatBus, true},
+	KStateChange:   {"state_change", CatCache, true},
+	KVersionCreate: {"version_create", CatVersion, true},
+	KSOWriteback:   {"so_writeback", CatVersion, true},
+	KOverflowAbort: {"overflow_abort", CatOverflow, true},
+	KWrongPath:     {"wrong_path", CatSLA, true},
+	KSLASent:       {"sla_sent", CatSLA, true},
+	KSLAAvoided:    {"sla_avoided", CatSLA, true},
+	KTxBegin:       {"tx_begin", CatTxn, false},
+	KTxCommit:      {"tx_commit", CatTxn, false},
+	KTxAbort:       {"tx_abort", CatTxn, false},
+	KVIDReset:      {"vid_reset", CatTxn, true},
+	KCommit:        {"commit", CatCommit, true},
+	KAbortSweep:    {"abort_sweep", CatCommit, true},
+	KCommitStall:   {"commit_stall", CatCommit, false},
+	KCommitResume:  {"commit_resume", CatCommit, false},
+	KQueueProduce:  {"queue_produce", CatQueue, false},
+	KQueueConsume:  {"queue_consume", CatQueue, false},
+	KQueueClose:    {"queue_close", CatQueue, false},
+	KSpanBegin:     {"span_begin", CatEngine, false},
+	KSpanEnd:       {"span_end", CatEngine, false},
+	KRunStart:      {"run_start", CatEngine, false},
+	KRunEnd:        {"run_end", CatEngine, false},
+	KStep:          {"step", 0, false},
+	KCharge:        {"charge", 0, false},
+	KAccess:        {"access", 0, false},
+	KCoreDone:      {"core_done", 0, false},
+	KCommitArb:     {"commit_arb", 0, false},
+	KTxFootprint:   {"tx_footprint", 0, false},
+	KExplicitAbort: {"explicit_abort", 0, false},
+	KMemOp:         {"mem_op", 0, true},
+	KPeer:          {"peer", 0, true},
+	KConflict:      {"conflict", 0, true},
+}
+
+// stateNames name the cache-line protocol states (memsys.State), which a
+// KStateChange event carries as Sub (from) and Aux (to).
+var stateNames = [...]string{"I", "M", "O", "E", "S", "S-M", "S-O", "S-E", "S-S"}
+
+// StateName names protocol state s.
+func StateName(s uint64) string {
+	if s < uint64(len(stateNames)) {
+		return stateNames[s]
+	}
+	return fmt.Sprintf("State(%d)", s)
 }
 
 // String returns the kind's snake_case name (stable; part of the trace
@@ -223,19 +298,22 @@ func (k Kind) Category() Category {
 	return kindInfo[k].cat
 }
 
-// Event is one trace record. Only simulated quantities appear: Cycle is the
-// issuing core's clock (stamped by the Tracer), Core the simulated core
-// (-1 when no single core is responsible), Addr a simulated physical
-// address, VID a transaction identifier. Arg and Note carry kind-specific
-// detail; Note is only populated under an enabled-category guard, so the
-// disabled path never allocates.
+// Event is one decision point of the simulation, the record every
+// instrument folds. Only simulated quantities appear: Cycle is the issuing
+// core's clock (stamped by the Tracer for a memory-system kind), Core the
+// simulated core (-1 when no single core is responsible), Addr a simulated
+// physical address, VID a transaction identifier. Arg, Sub, Aux and Note
+// carry kind-specific detail; an emit site never builds a Note, so an event
+// costs no allocation. The trace formats show every field but Sub and Aux.
 type Event struct {
 	Cycle int64
 	Kind  Kind
+	Sub   uint8
 	Core  int32
 	VID   uint64
 	Addr  uint64
 	Arg   uint64
+	Aux   uint64
 	Note  string
 }
 

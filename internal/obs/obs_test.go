@@ -3,6 +3,7 @@ package obs
 import (
 	"bytes"
 	"encoding/json"
+	"reflect"
 	"strings"
 	"testing"
 )
@@ -31,10 +32,15 @@ func TestParseCategories(t *testing.T) {
 	}
 }
 
+// setTime sets the time emit stamps, as a KStep does.
+func (t *Tracer) setTime(cycle int64) { t.now = cycle }
+
+// Every traced kind has a category; every kind from KStep on has none, so
+// no -trace-cats mask selects it.
 func TestKindCategoryTotal(t *testing.T) {
 	for k := KBusRequest; k < kindLimit; k++ {
-		if k.Category() == 0 {
-			t.Errorf("kind %v has no category", k)
+		if (k.Category() == 0) != (k >= KStep) {
+			t.Errorf("kind %v has category %v", k, k.Category())
 		}
 		if k.String() == "" {
 			t.Errorf("kind %d has no name", k)
@@ -44,11 +50,11 @@ func TestKindCategoryTotal(t *testing.T) {
 
 func TestNilTracerIsDisabled(t *testing.T) {
 	var tr *Tracer
-	if tr.Enabled(CatAll) {
+	if tr.Mask() != 0 {
 		t.Fatal("nil tracer reports enabled")
 	}
-	tr.SetTime(5)    // must not panic
-	tr.Emit(Event{}) // must not panic
+	tr.Fold(Event{Kind: KStep, Cycle: 5}) // must not panic
+	tr.Fold(Event{Kind: KTxBegin})        // must not panic
 	if tr.Count() != 0 || tr.Events() != nil {
 		t.Fatal("nil tracer recorded events")
 	}
@@ -59,15 +65,15 @@ func TestNilTracerIsDisabled(t *testing.T) {
 
 func TestTracerRingAndFilter(t *testing.T) {
 	tr := NewTracer(CatBus, 4)
-	tr.SetTime(10)
-	tr.Emit(Event{Kind: KBusRequest, Core: 0})
-	tr.Emit(Event{Kind: KTxBegin, Core: 0, VID: 1}) // filtered out
+	tr.setTime(10)
+	tr.emit(Event{Kind: KBusRequest, Core: 0})
+	tr.emit(Event{Kind: KTxBegin, Core: 0, VID: 1}) // filtered out
 	if tr.Count() != 1 {
 		t.Fatalf("Count = %d, want 1 (txn category is disabled)", tr.Count())
 	}
 	for i := 2; i <= 6; i++ {
-		tr.SetTime(int64(10 * i))
-		tr.Emit(Event{Kind: KBusRequest, Core: int32(i)})
+		tr.setTime(int64(10 * i))
+		tr.emit(Event{Kind: KBusRequest, Core: int32(i)})
 	}
 	evs := tr.Events()
 	if len(evs) != 4 {
@@ -85,9 +91,9 @@ func TestTextSinkFormat(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(CatAll, 0)
 	tr.Attach(NewTextSink(&buf))
-	tr.SetTime(1234)
-	tr.Emit(Event{Kind: KTxBegin, Core: 1, VID: 3})
-	tr.Emit(Event{Kind: KStateChange, Core: -1, Addr: 0x1a40, Note: "E->S-M"})
+	tr.setTime(1234)
+	tr.emit(Event{Kind: KTxBegin, Core: 1, VID: 3})
+	tr.emit(Event{Kind: KStateChange, Core: -1, Addr: 0x1a40, Note: "E->S-M"})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -104,16 +110,16 @@ func TestChromeSinkValidDeterministicJSON(t *testing.T) {
 		var buf bytes.Buffer
 		tr := NewTracer(CatAll, 0)
 		tr.Attach(NewChromeSink(&buf))
-		tr.SetTime(100)
-		tr.Emit(Event{Kind: KTxBegin, Core: 0, VID: 1})
-		tr.SetTime(150)
-		tr.Emit(Event{Kind: KBusRequest, Core: 0, Addr: 0x40, Note: "load"})
-		tr.SetTime(300)
-		tr.Emit(Event{Kind: KSpanBegin, Core: 1, Note: "smtx.validate", VID: 1})
-		tr.SetTime(400)
-		tr.Emit(Event{Kind: KSpanEnd, Core: 1, Note: "smtx.validate", VID: 1})
-		tr.SetTime(500)
-		tr.Emit(Event{Kind: KTxCommit, Core: 0, VID: 1, Arg: 400})
+		tr.setTime(100)
+		tr.emit(Event{Kind: KTxBegin, Core: 0, VID: 1})
+		tr.setTime(150)
+		tr.emit(Event{Kind: KBusRequest, Core: 0, Addr: 0x40, Note: "load"})
+		tr.setTime(300)
+		tr.emit(Event{Kind: KSpanBegin, Core: 1, Note: "smtx.validate", VID: 1})
+		tr.setTime(400)
+		tr.emit(Event{Kind: KSpanEnd, Core: 1, Note: "smtx.validate", VID: 1})
+		tr.setTime(500)
+		tr.emit(Event{Kind: KTxCommit, Core: 0, VID: 1, Arg: 400})
 		if err := tr.Close(); err != nil {
 			t.Fatal(err)
 		}
@@ -166,12 +172,12 @@ func TestChromeSinkNameEscaping(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(CatAll, 0)
 	tr.Attach(NewChromeSink(&buf))
-	tr.SetTime(10)
-	tr.Emit(Event{Kind: KSpanBegin, Core: 0, Note: hostile})
-	tr.SetTime(20)
-	tr.Emit(Event{Kind: KSpanEnd, Core: 0, Note: hostile})
-	tr.SetTime(30)
-	tr.Emit(Event{Kind: KTxAbort, Core: 0, VID: 1, Note: "cause with \"quotes\""})
+	tr.setTime(10)
+	tr.emit(Event{Kind: KSpanBegin, Core: 0, Note: hostile})
+	tr.setTime(20)
+	tr.emit(Event{Kind: KSpanEnd, Core: 0, Note: hostile})
+	tr.setTime(30)
+	tr.emit(Event{Kind: KTxAbort, Core: 0, VID: 1, Note: "cause with \"quotes\""})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -206,12 +212,12 @@ func TestChromeSinkCategoryFiltering(t *testing.T) {
 	var buf bytes.Buffer
 	tr := NewTracer(CatTxn, 0)
 	tr.Attach(NewChromeSink(&buf))
-	tr.SetTime(10)
-	tr.Emit(Event{Kind: KTxBegin, Core: 0, VID: 1})
-	tr.Emit(Event{Kind: KBusRequest, Core: 0, Addr: 0x40, Note: "load"})
-	tr.Emit(Event{Kind: KSpanBegin, Core: 0, Note: "validate"})
-	tr.SetTime(20)
-	tr.Emit(Event{Kind: KTxCommit, Core: 0, VID: 1, Arg: 10})
+	tr.setTime(10)
+	tr.emit(Event{Kind: KTxBegin, Core: 0, VID: 1})
+	tr.emit(Event{Kind: KBusRequest, Core: 0, Addr: 0x40, Note: "load"})
+	tr.emit(Event{Kind: KSpanBegin, Core: 0, Note: "validate"})
+	tr.setTime(20)
+	tr.emit(Event{Kind: KTxCommit, Core: 0, VID: 1, Arg: 10})
 	if err := tr.Close(); err != nil {
 		t.Fatal(err)
 	}
@@ -240,26 +246,26 @@ func TestTxCollectorAbortRecommit(t *testing.T) {
 	tr.Attach(col)
 
 	// Run 1: VID 1 commits, VIDs 2 and 3 are in flight when the run aborts.
-	tr.SetTime(100)
-	tr.Emit(Event{Kind: KTxBegin, Core: 0, VID: 1})
-	tr.SetTime(110)
-	tr.Emit(Event{Kind: KTxBegin, Core: 1, VID: 2})
-	tr.SetTime(120)
-	tr.Emit(Event{Kind: KTxBegin, Core: 2, VID: 3})
-	tr.SetTime(150)
-	tr.Emit(Event{Kind: KTxCommit, Core: 0, VID: 1, Arg: 50})
-	tr.SetTime(200)
-	tr.Emit(Event{Kind: KTxAbort, Core: 1, VID: 2, Note: "store vid 2 to line 0x40 already accessed by vid 3"})
+	tr.setTime(100)
+	tr.emit(Event{Kind: KTxBegin, Core: 0, VID: 1})
+	tr.setTime(110)
+	tr.emit(Event{Kind: KTxBegin, Core: 1, VID: 2})
+	tr.setTime(120)
+	tr.emit(Event{Kind: KTxBegin, Core: 2, VID: 3})
+	tr.setTime(150)
+	tr.emit(Event{Kind: KTxCommit, Core: 0, VID: 1, Arg: 50})
+	tr.setTime(200)
+	tr.emit(Event{Kind: KTxAbort, Core: 1, VID: 2, Note: "store vid 2 to line 0x40 already accessed by vid 3"})
 
 	// Run 2: both re-execute and commit.
-	tr.SetTime(210)
-	tr.Emit(Event{Kind: KTxBegin, Core: 1, VID: 2})
-	tr.SetTime(220)
-	tr.Emit(Event{Kind: KTxBegin, Core: 2, VID: 3})
-	tr.SetTime(300)
-	tr.Emit(Event{Kind: KTxCommit, Core: 1, VID: 2, Arg: 90})
-	tr.SetTime(320)
-	tr.Emit(Event{Kind: KTxCommit, Core: 2, VID: 3, Arg: 100})
+	tr.setTime(210)
+	tr.emit(Event{Kind: KTxBegin, Core: 1, VID: 2})
+	tr.setTime(220)
+	tr.emit(Event{Kind: KTxBegin, Core: 2, VID: 3})
+	tr.setTime(300)
+	tr.emit(Event{Kind: KTxCommit, Core: 1, VID: 2, Arg: 90})
+	tr.setTime(320)
+	tr.emit(Event{Kind: KTxCommit, Core: 2, VID: 3, Arg: 100})
 
 	aborted := col.Aborted()
 	if len(aborted) != 2 {
@@ -429,20 +435,20 @@ func TestTxCollector(t *testing.T) {
 	col := NewTxCollector()
 	tr.Attach(col)
 
-	tr.SetTime(100)
-	tr.Emit(Event{Kind: KTxBegin, Core: 0, VID: 1})
-	tr.SetTime(110)
-	tr.Emit(Event{Kind: KTxBegin, Core: 1, VID: 2})
-	tr.SetTime(200)
-	tr.Emit(Event{Kind: KTxCommit, Core: 0, VID: 1, Arg: 100})
-	tr.SetTime(250)
-	tr.Emit(Event{Kind: KCommitResume, Core: 1, VID: 2, Arg: 40})
-	tr.SetTime(260)
-	tr.Emit(Event{Kind: KTxCommit, Core: 1, VID: 2, Arg: 150})
-	tr.SetTime(300)
-	tr.Emit(Event{Kind: KTxBegin, Core: 0, VID: 3})
-	tr.SetTime(320)
-	tr.Emit(Event{Kind: KTxAbort, Core: 0, VID: 3, Note: "store vid 3 to line 0x40 already accessed by vid 5"})
+	tr.setTime(100)
+	tr.emit(Event{Kind: KTxBegin, Core: 0, VID: 1})
+	tr.setTime(110)
+	tr.emit(Event{Kind: KTxBegin, Core: 1, VID: 2})
+	tr.setTime(200)
+	tr.emit(Event{Kind: KTxCommit, Core: 0, VID: 1, Arg: 100})
+	tr.setTime(250)
+	tr.emit(Event{Kind: KCommitResume, Core: 1, VID: 2, Arg: 40})
+	tr.setTime(260)
+	tr.emit(Event{Kind: KTxCommit, Core: 1, VID: 2, Arg: 150})
+	tr.setTime(300)
+	tr.emit(Event{Kind: KTxBegin, Core: 0, VID: 3})
+	tr.setTime(320)
+	tr.emit(Event{Kind: KTxAbort, Core: 0, VID: 3, Note: "store vid 3 to line 0x40 already accessed by vid 5"})
 
 	s := col.Summary()
 	if s.Committed != 2 || s.Aborts != 1 {
@@ -464,5 +470,34 @@ func TestTxCollector(t *testing.T) {
 	out := s.String()
 	if !strings.Contains(out, "aborts: conflict") {
 		t.Errorf("summary table missing abort breakdown:\n%s", out)
+	}
+}
+
+// TestTracerFold: a KStep and each recorded engine event set the time a
+// memory-system event is stamped with; an unrecorded engine event and every
+// category-0 kind leave it alone; a recorded KStateChange gets its
+// "from->to" note.
+func TestTracerFold(t *testing.T) {
+	tr := NewTracer(CatCache|CatTxn, 0)
+	for _, e := range []Event{
+		{Kind: KStep, Cycle: 10},
+		{Kind: KStateChange, Core: -1, Addr: 0x40, Sub: 3, Aux: 7},  // at 10
+		{Kind: KTxBegin, Cycle: 12, VID: 1},                         // recorded: time 12
+		{Kind: KStateChange, Core: -1, Addr: 0x80},                  // at 12
+		{Kind: KQueueProduce, Cycle: 30},                            // unrecorded
+		{Kind: KCharge, Cycle: 40, Arg: 5},                          // category 0
+		{Kind: KBusRequest, Core: 0, Addr: 0xc0, Note: "load"},      // unrecorded
+		{Kind: KStateChange, Core: -1, Addr: 0x100, Sub: 5, Aux: 6}, // still at 12
+	} {
+		tr.Fold(e)
+	}
+	want := []Event{
+		{Cycle: 10, Kind: KStateChange, Core: -1, Addr: 0x40, Sub: 3, Aux: 7, Note: "E->S-E"},
+		{Cycle: 12, Kind: KTxBegin, VID: 1},
+		{Cycle: 12, Kind: KStateChange, Core: -1, Addr: 0x80, Note: "I->I"},
+		{Cycle: 12, Kind: KStateChange, Core: -1, Addr: 0x100, Sub: 5, Aux: 6, Note: "S-M->S-O"},
+	}
+	if got := tr.Events(); !reflect.DeepEqual(got, want) {
+		t.Errorf("recorded\n%+v\nwant\n%+v", got, want)
 	}
 }

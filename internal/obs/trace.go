@@ -10,19 +10,19 @@ type Sink interface {
 	Close() error
 }
 
-// Tracer collects simulation events. The zero value of *Tracer (nil) is a
-// valid disabled tracer: Enabled reports false and Emit is a no-op, so
-// emit sites can be guarded with a single `if tracer.Enabled(cat)` check.
+// Tracer is the event-trace instrument: it folds the simulation's Event
+// stream, recording the events of its enabled categories. The zero value of
+// *Tracer (nil) is a valid disabled tracer that records nothing.
 //
 // The most recent events are retained in a ring buffer for post-mortem
-// inspection (Events); attached sinks stream every event as it is emitted.
+// inspection (Events); attached sinks stream every event as it is recorded.
 // The Tracer is not safe for concurrent use; the engine's serialised
 // scheduler guarantees at most one emitter at a time.
 type Tracer struct {
 	mask  Category
 	now   int64
 	ring  []Event
-	n     uint64 // total events emitted
+	n     uint64 // total events recorded
 	sinks []Sink
 }
 
@@ -35,12 +35,6 @@ func NewTracer(mask Category, ringCap int) *Tracer {
 	return &Tracer{mask: mask, ring: make([]Event, ringCap)}
 }
 
-// Enabled reports whether events of category c are recorded. It is the
-// emit-site guard: safe (and false) on a nil tracer.
-func (t *Tracer) Enabled(c Category) bool {
-	return t != nil && t.mask&c != 0
-}
-
 // Mask returns the enabled category set (0 on a nil tracer).
 func (t *Tracer) Mask() Category {
 	if t == nil {
@@ -49,26 +43,33 @@ func (t *Tracer) Mask() Category {
 	return t.mask
 }
 
-// Attach adds a sink; every subsequent enabled event is forwarded to it.
+// Attach adds a sink; every subsequent recorded event is forwarded to it.
 func (t *Tracer) Attach(s Sink) { t.sinks = append(t.sinks, s) }
 
-// SetTime sets the simulated cycle stamped on subsequent events. The engine
-// calls it with the issuing core's clock before dispatching each request, so
-// memory-system emits deep in a protocol transaction carry the right time.
-// Safe on a nil tracer.
-func (t *Tracer) SetTime(cycle int64) {
-	if t == nil {
-		return
+// Fold records e if its category is enabled; safe on a nil tracer. A KStep
+// sets the time stamped on memory-system events, which have no clock of
+// their own; so does every recorded engine event, which carries its own
+// Cycle. A KStateChange's "from->to" Note is built here, only for an event
+// the tracer records.
+func (t *Tracer) Fold(e Event) {
+	switch {
+	case t == nil:
+	case e.Kind == KStep:
+		t.now = e.Cycle
+	case t.mask&e.Kind.Category() != 0:
+		if !kindInfo[e.Kind].mem {
+			t.now = e.Cycle
+		}
+		if e.Kind == KStateChange {
+			e.Note = StateName(uint64(e.Sub)) + "->" + StateName(e.Aux)
+		}
+		t.emit(e)
 	}
-	t.now = cycle
 }
 
-// Emit records e, stamping e.Cycle from the last SetTime. Events of disabled
-// categories are dropped. Safe on a nil tracer, but emit sites in the
-// simulation packages must still guard with Enabled so the disabled path
-// never constructs the Event (enforced by the fastpath analyzer).
-func (t *Tracer) Emit(e Event) {
-	if t == nil || t.mask&e.Kind.Category() == 0 {
+// emit records e at the tracer's current time, if its category is enabled.
+func (t *Tracer) emit(e Event) {
+	if t.mask&e.Kind.Category() == 0 {
 		return
 	}
 	e.Cycle = t.now
@@ -79,13 +80,7 @@ func (t *Tracer) Emit(e Event) {
 	}
 }
 
-// EmitAt is SetTime(cycle) followed by Emit(e).
-func (t *Tracer) EmitAt(cycle int64, e Event) {
-	t.SetTime(cycle)
-	t.Emit(e)
-}
-
-// Count returns the total number of events emitted (including any that have
+// Count returns the total number of events recorded (including any that have
 // rotated out of the ring).
 func (t *Tracer) Count() uint64 {
 	if t == nil {

@@ -9,6 +9,7 @@ package paradigm
 
 import (
 	"fmt"
+	"strings"
 
 	"hmtx/internal/engine"
 	"hmtx/internal/memsys"
@@ -35,12 +36,14 @@ func (k Kind) String() string {
 	return fmt.Sprintf("Kind(%d)", int(k))
 }
 
-// ParseParallel returns the parallel paradigm whose String is name, as a
-// checkpoint records it. Sequential is not a parallel paradigm and is
-// rejected like any unknown name.
+// ParseParallel returns the parallel paradigm named name, ignoring case and
+// '-': a checkpoint records String's "PS-DSWP", the hmtxsim flag takes
+// "psdswp". Sequential is not a parallel paradigm and is rejected like any
+// unknown name.
 func ParseParallel(name string) (Kind, error) {
+	fold := func(s string) string { return strings.ToLower(strings.ReplaceAll(s, "-", "")) }
 	for k := DOALL; k <= PSDSWP; k++ {
-		if k.String() == name {
+		if fold(k.String()) == fold(name) {
 			return k, nil
 		}
 	}

@@ -69,13 +69,19 @@ func TestKindString(t *testing.T) {
 }
 
 func TestParseParallel(t *testing.T) {
-	for _, k := range []Kind{DOALL, DOACROSS, DSWP, PSDSWP} {
-		got, err := ParseParallel(k.String())
-		if err != nil || got != k {
-			t.Errorf("ParseParallel(%q) = %v, %v; want %v", k.String(), got, err, k)
+	for _, tc := range []struct {
+		name string
+		want Kind
+	}{
+		{"DOALL", DOALL}, {"DOACROSS", DOACROSS}, {"DSWP", DSWP}, {"PS-DSWP", PSDSWP},
+		{"doall", DOALL}, {"doacross", DOACROSS}, {"dswp", DSWP}, {"psdswp", PSDSWP},
+		{"ps-dswp", PSDSWP}, {"PsDswp", PSDSWP}, {"do-all", DOALL},
+	} {
+		if got, err := ParseParallel(tc.name); err != nil || got != tc.want {
+			t.Errorf("ParseParallel(%q) = %v, %v; want %v", tc.name, got, err, tc.want)
 		}
 	}
-	for _, name := range []string{"Sequential", "Kind(99)", "doall", ""} {
+	for _, name := range []string{"Sequential", "sequential", "Kind(99)", "auto", "bogus", ""} {
 		if _, err := ParseParallel(name); err == nil || err.Error() != fmt.Sprintf("unknown paradigm %q", name) {
 			t.Errorf("ParseParallel(%q): err %v, want unknown paradigm", name, err)
 		}

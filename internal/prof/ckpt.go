@@ -3,7 +3,7 @@ package prof
 import "fmt"
 
 // Checkpoint support (hmtx-ckpt/v1, DESIGN.md §18). A collector is
-// checkpointed only at run boundaries, after RunEnd has folded the run's
+// checkpointed only at run boundaries, after its KRunEnd has folded the run's
 // pending charges: the pend slices are empty, so the serialisable state is
 // exactly the folded accumulators plus the first-touch key orders that make
 // snapshots deterministic.

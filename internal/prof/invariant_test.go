@@ -23,10 +23,10 @@ func newSys(t *testing.T, cores int) *engine.System {
 
 // TestInvariantAcrossWorkloads runs every benchmark kernel under every
 // parallel paradigm with profiling enabled and checks the partition
-// invariant end to end: the in-sim CoreDone assertion already fires on any
+// invariant end to end: the in-sim core_done check already fires on any
 // unattributed clock advance during the runs, and the snapshot must still
 // sum exactly afterwards. This is the coverage test for the engine's charge
-// sites: a c.time mutation without a matching Charge fails here for whichever
+// sites: a c.time mutation without a matching charge fails here for whichever
 // paradigm exercises it.
 func TestInvariantAcrossWorkloads(t *testing.T) {
 	kinds := []paradigm.Kind{paradigm.DOALL, paradigm.DOACROSS, paradigm.DSWP, paradigm.PSDSWP}

@@ -1,6 +1,7 @@
 // Package prof is the deterministic cycle-attribution profiler (DESIGN.md
-// §13). The engine charges every advance of every simulated core clock to
-// exactly one attribution bucket as it happens; at the end of each run the
+// §13), a fold over the simulation's obs.Event stream. The engine charges
+// every advance of every simulated core clock to exactly one attribution
+// bucket as it happens (KCharge, KAccess); at the end of each run the
 // collector folds the charges, reclassifying work done by transactions that
 // were later rolled back as wasted re-execution. The invariant — per-core
 // buckets sum exactly to the core's total cycles — is checked in-sim at every
@@ -16,11 +17,14 @@
 //
 // Like obs.Tracer, the zero value of *Collector (nil) is a valid disabled
 // profiler: Enabled reports false, and the instrument hook (internal/instr)
-// calls every other method behind that guard (enforced by the fastpath
-// analyzer).
+// hands events to Fold, its one recording method, only when it is attached.
 package prof
 
-import "fmt"
+import (
+	"fmt"
+
+	"hmtx/internal/obs"
+)
 
 // Bucket identifies one cycle-attribution class. Every simulated cycle of
 // every core lands in exactly one bucket.
@@ -101,11 +105,11 @@ type entry struct {
 
 // coreState is one core's accounting.
 type coreState struct {
-	// pend holds this run's charges, folded by RunEnd once the run's
+	// pend holds this run's charges, folded by runEnd once the run's
 	// outcome (committed vs rolled back) is known.
 	pend []entry
 	// runTotal is the sum of pending charges, checked against the core's
-	// clock at CoreDone (the sum-to-total invariant).
+	// clock at coreDone (the sum-to-total invariant).
 	runTotal int64
 	// buckets and cycles accumulate folded charges across runs.
 	buckets [NumBuckets]int64
@@ -146,7 +150,7 @@ type Collector struct {
 	abortedRuns int
 
 	// live is the provisional running total per bucket, updated at charge
-	// time rather than at RunEnd. It feeds the time-series sampler
+	// time rather than at the run's end. It feeds the time-series sampler
 	// (internal/metrics), which needs mid-run bucket values; unlike the
 	// folded per-core buckets it never reclassifies rolled-back work into
 	// Wasted, so it shows each charge under its original attribution.
@@ -183,34 +187,54 @@ func (c *Collector) line(addr uint64) *lineStats {
 	return l
 }
 
-// Charge attributes cycles of core time to bucket b on behalf of transaction
-// seq (0 = non-speculative). Zero-cycle charges are dropped.
-func (c *Collector) Charge(core int, seq uint64, b Bucket, cycles int64) {
-	if cycles == 0 {
-		return
+// foldKinds are the kinds Fold reads.
+var foldKinds = obs.KindsOf(obs.KCharge, obs.KAccess, obs.KCoreDone, obs.KRunEnd,
+	obs.KConflict, obs.KOverflowAbort, obs.KPeer)
+
+// Fold folds one event of the simulation's stream: clock charges, a core's
+// completion, a run's end and the line heatmap's conflicts, overflows and
+// peer transfers. Every other kind is ignored.
+func (c *Collector) Fold(e obs.Event) {
+	if foldKinds.Has(e.Kind) {
+		c.fold(e)
 	}
-	if cycles < 0 {
-		panic(fmt.Sprintf("prof: negative charge of %d cycles to %v on core %d", cycles, b, core))
-	}
-	cs := c.core(core)
-	cs.pend = append(cs.pend, entry{seq: seq, cycles: cycles, bucket: b})
-	cs.runTotal += cycles
-	c.live[b] += cycles
 }
 
-// ChargeLine is Charge with the cache-line address the cycles were spent on,
-// feeding the contention heatmap's access and wasted-cycle columns.
-func (c *Collector) ChargeLine(core int, seq uint64, b Bucket, cycles int64, lineAddr uint64) {
-	if cycles == 0 {
+func (c *Collector) fold(e obs.Event) {
+	switch e.Kind {
+	case obs.KCharge:
+		c.charge(int(e.Core), entry{seq: e.VID, cycles: int64(e.Arg), bucket: Bucket(e.Sub)})
+	case obs.KAccess:
+		c.charge(int(e.Core), entry{seq: e.VID, cycles: int64(e.Aux), bucket: Bus})
+		c.charge(int(e.Core), entry{seq: e.VID, line: e.Addr, cycles: int64(e.Arg), bucket: Bucket(e.Sub), hasLine: true})
+	case obs.KCoreDone:
+		c.coreDone(int(e.Core), int64(e.Arg))
+	case obs.KRunEnd:
+		c.runEnd(int64(e.Arg), e.Note != "", e.Aux)
+	case obs.KConflict:
+		c.line(e.Addr).conflicts++
+	case obs.KOverflowAbort:
+		c.line(e.Addr).overflows++
+	case obs.KPeer:
+		c.line(e.Addr).peer++
+	}
+}
+
+// charge attributes e.cycles of core time to e.bucket on behalf of
+// transaction e.seq (0 = non-speculative), and to a cache line when
+// e.hasLine, feeding the contention heatmap's access and wasted-cycle
+// columns. Zero-cycle charges are dropped.
+func (c *Collector) charge(core int, e entry) {
+	if e.cycles == 0 {
 		return
 	}
-	if cycles < 0 {
-		panic(fmt.Sprintf("prof: negative charge of %d cycles to %v on core %d", cycles, b, core))
+	if e.cycles < 0 {
+		panic(fmt.Sprintf("prof: negative charge of %d cycles to %v on core %d", e.cycles, e.bucket, core))
 	}
 	cs := c.core(core)
-	cs.pend = append(cs.pend, entry{seq: seq, line: lineAddr, cycles: cycles, bucket: b, hasLine: true})
-	cs.runTotal += cycles
-	c.live[b] += cycles
+	cs.pend = append(cs.pend, e)
+	cs.runTotal += e.cycles
+	c.live[e.bucket] += e.cycles
 }
 
 // Live returns the provisional running total of bucket b: every charge so
@@ -218,21 +242,11 @@ func (c *Collector) ChargeLine(core int, seq uint64, b Bucket, cycles int64, lin
 // folded (or will fold it into Wasted).
 func (c *Collector) Live(b Bucket) int64 { return c.live[b] }
 
-// LineConflict records a conflict abort caused by the given line.
-func (c *Collector) LineConflict(lineAddr uint64) { c.line(lineAddr).conflicts++ }
-
-// LineOverflow records a speculative-overflow abort forced by evicting the
-// given line past the last-level cache (§5.4).
-func (c *Collector) LineOverflow(lineAddr uint64) { c.line(lineAddr).overflows++ }
-
-// LinePeer records a peer-L1 transfer of the given line.
-func (c *Collector) LinePeer(lineAddr uint64) { c.line(lineAddr).peer++ }
-
-// CoreDone asserts the sum-to-total invariant for one core at the end of a
+// coreDone asserts the sum-to-total invariant for one core at the end of a
 // run: every cycle of the core's clock must have been charged to a bucket.
 // A mismatch is a profiler (or engine) bug and panics immediately, naming
 // the gap.
-func (c *Collector) CoreDone(core int, cycles int64) {
+func (c *Collector) coreDone(core int, cycles int64) {
 	cs := c.core(core)
 	if cs.runTotal != cycles {
 		panic(fmt.Sprintf("prof: core %d finished at cycle %d but %d cycles were attributed (gap %+d): a clock advance is missing its Charge",
@@ -241,14 +255,14 @@ func (c *Collector) CoreDone(core int, cycles int64) {
 	cs.cycles += cycles
 }
 
-// RunEnd folds the run's pending charges now that the outcome is known.
+// runEnd folds the run's pending charges now that the outcome is known.
 // makespan is the run's total simulated time (the latest core finish);
 // aborted and lastCommitted describe the outcome. In an aborted run, every
 // charge made on behalf of a sequence number above lastCommitted was rolled
 // back: it folds into the Wasted bucket, into the per-VID re-execution
 // record, and into the line heatmap's wasted-cycle column instead of its
 // provisional bucket.
-func (c *Collector) RunEnd(makespan int64, aborted bool, lastCommitted uint64) {
+func (c *Collector) runEnd(makespan int64, aborted bool, lastCommitted uint64) {
 	c.totalCycles += makespan
 	c.runs++
 	if aborted {

@@ -6,6 +6,7 @@ import (
 	"strings"
 	"testing"
 
+	"hmtx/internal/obs"
 	"hmtx/internal/prof"
 )
 
@@ -53,21 +54,21 @@ func TestFoldingAndInvariant(t *testing.T) {
 
 	// Run 1: core 0 commits seq 1 then works on seq 2; core 1 works on
 	// seq 2 too. The run aborts with lastCommitted = 1.
-	c.Charge(0, 1, prof.Compute, 10)
-	c.Charge(0, 1, prof.Commit, 5)
-	c.ChargeLine(0, 2, prof.Mem, 40, 0x1000)
-	c.LineConflict(0x1000)
-	c.Charge(1, 2, prof.CommitStall, 7)
-	c.ChargeLine(1, 0, prof.L1, 3, 0x2000)
-	c.Charge(1, 0, prof.Abort, 2)
-	c.CoreDone(0, 55)
-	c.CoreDone(1, 12)
-	c.RunEnd(55, true, 1)
+	c.Fold(obs.Event{Kind: obs.KCharge, VID: 1, Sub: uint8(prof.Compute), Arg: 10})
+	c.Fold(obs.Event{Kind: obs.KCharge, VID: 1, Sub: uint8(prof.Commit), Arg: 5})
+	c.Fold(obs.Event{Kind: obs.KAccess, VID: 2, Sub: uint8(prof.Mem), Arg: 40, Addr: 0x1000})
+	c.Fold(obs.Event{Kind: obs.KConflict, Addr: 0x1000})
+	c.Fold(obs.Event{Kind: obs.KCharge, Core: 1, VID: 2, Sub: uint8(prof.CommitStall), Arg: 7})
+	c.Fold(obs.Event{Kind: obs.KAccess, Core: 1, Sub: uint8(prof.L1), Arg: 3, Addr: 0x2000})
+	c.Fold(obs.Event{Kind: obs.KCharge, Core: 1, Sub: uint8(prof.Abort), Arg: 2})
+	c.Fold(obs.Event{Kind: obs.KCoreDone, Arg: 55})
+	c.Fold(obs.Event{Kind: obs.KCoreDone, Core: 1, Arg: 12})
+	c.Fold(obs.Event{Kind: obs.KRunEnd, Arg: 55, Note: "aborted", Aux: 1})
 
 	// Run 2: seq 2 re-executes and the run completes.
-	c.Charge(0, 2, prof.Compute, 20)
-	c.CoreDone(0, 20)
-	c.RunEnd(20, false, 2)
+	c.Fold(obs.Event{Kind: obs.KCharge, VID: 2, Sub: uint8(prof.Compute), Arg: 20})
+	c.Fold(obs.Event{Kind: obs.KCoreDone, Arg: 20})
+	c.Fold(obs.Event{Kind: obs.KRunEnd, Arg: 20, Aux: 2})
 
 	p := c.Snapshot("wl", "hmtx", "DOALL", 0)
 	if err := p.CheckInvariant(); err != nil {
@@ -109,31 +110,32 @@ func TestFoldingAndInvariant(t *testing.T) {
 func TestCoreDonePanicsOnGap(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("CoreDone did not panic on an attribution gap")
+			t.Fatal("a core_done fold did not panic on an attribution gap")
 		}
 	}()
 	c := prof.New()
-	c.Charge(0, 0, prof.Compute, 5)
-	c.CoreDone(0, 6)
+	c.Fold(obs.Event{Kind: obs.KCharge, Sub: uint8(prof.Compute), Arg: 5})
+	c.Fold(obs.Event{Kind: obs.KCoreDone, Arg: 6})
 }
 
 func TestChargePanicsOnNegative(t *testing.T) {
 	defer func() {
 		if recover() == nil {
-			t.Fatal("Charge did not panic on negative cycles")
+			t.Fatal("a charge fold did not panic on negative cycles")
 		}
 	}()
-	prof.New().Charge(0, 0, prof.Compute, -1)
+	neg := int64(-1)
+	prof.New().Fold(obs.Event{Kind: obs.KCharge, Sub: uint8(prof.Compute), Arg: uint64(neg)})
 }
 
 func sampleDoc() prof.Doc {
 	c := prof.New()
-	c.Charge(0, 1, prof.Compute, 10)
-	c.ChargeLine(1, 1, prof.Peer, 8, 0xabc0)
-	c.LinePeer(0xabc0)
-	c.CoreDone(0, 10)
-	c.CoreDone(1, 8)
-	c.RunEnd(10, false, 1)
+	c.Fold(obs.Event{Kind: obs.KCharge, VID: 1, Sub: uint8(prof.Compute), Arg: 10})
+	c.Fold(obs.Event{Kind: obs.KAccess, Core: 1, VID: 1, Sub: uint8(prof.Peer), Arg: 8, Addr: 0xabc0})
+	c.Fold(obs.Event{Kind: obs.KPeer, Addr: 0xabc0})
+	c.Fold(obs.Event{Kind: obs.KCoreDone, Arg: 10})
+	c.Fold(obs.Event{Kind: obs.KCoreDone, Core: 1, Arg: 8})
+	c.Fold(obs.Event{Kind: obs.KRunEnd, Arg: 10, Aux: 1})
 	return prof.Doc{
 		Schema:   prof.Schema,
 		Scale:    1,
@@ -226,9 +228,9 @@ func TestTextAndDiff(t *testing.T) {
 func TestHeatmapTieOrder(t *testing.T) {
 	c := prof.New()
 	for _, a := range []uint64{0x1000, 0x900, 0x2000, 0x40} {
-		c.LineConflict(a)
+		c.Fold(obs.Event{Kind: obs.KConflict, Addr: a})
 	}
-	c.LineConflict(0x2000) // hotter: must sort first despite mid-range address
+	c.Fold(obs.Event{Kind: obs.KConflict, Addr: 0x2000}) // hotter: must sort first despite mid-range address
 	p := c.Snapshot("wl", "hmtx", "DOALL", 0)
 	want := []string{"0x2000", "0x40", "0x900", "0x1000"}
 	if len(p.HotLines) != len(want) {

@@ -1,16 +1,15 @@
 // Package instr is a minimal stand-in for hmtx/internal/instr: the analyzer
-// matches the Hook type by name and package-path suffix and guards its On*
-// methods, so the fixture only needs a few of each kind.
+// matches the Hook type by name and package-path suffix and guards its Emit
+// method, so the fixture only needs that and one accessor.
 package instr
+
+type Event struct{ Kind uint8 }
 
 type Hook struct{ n int }
 
 func (h *Hook) Enabled() bool { return h != nil }
 
-func (h *Hook) OnTxBegin(cycle int64, core int, seq uint64) {}
+func (h *Hook) Emit(e Event) {}
 
-func (h *Hook) OnMemOp(store bool, lat int64) {}
-
-// Attached and the other non-On methods are nil-safe accessors, not
-// decision points.
+// Attached is a nil-safe accessor, not a decision point.
 func (h *Hook) Attached() int { return 0 }

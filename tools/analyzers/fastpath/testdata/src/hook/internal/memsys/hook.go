@@ -6,9 +6,9 @@ type hier struct {
 	ins *instr.Hook
 }
 
-func (h *hier) load(lat int64) {
+func (h *hier) load() {
 	if h.ins.Enabled() {
-		h.ins.OnMemOp(false, lat)
+		h.ins.Emit(instr.Event{Kind: 1})
 	}
-	h.ins.OnMemOp(false, lat) // want `instr.Hook.OnMemOp outside an Enabled\(\) guard`
+	h.ins.Emit(instr.Event{Kind: 1}) // want `instr.Hook.Emit outside an Enabled\(\) guard`
 }
